@@ -68,7 +68,7 @@ from .transform import (
     table_to_csv,
     transpose_transform,
 )
-from .wigner import boundary_kernel, wigner_eval, wigner_eval_full
+from .wigner import boundary_kernel, wigner_eval
 from .distributions import (
     Distribution,
     GHatDensity,

@@ -72,6 +72,12 @@ def _distribution(spec, d=1):
     )
 
 
+def _conjugate_symmetric(table):
+    """theta(n, m, -lam) == conj(theta(n, m, lam)) bit for bit, as for the
+    table of a real field; the inverse then sums the positive branch only."""
+    return np.array_equal(table.values[..., ::-1], np.conj(table.values))
+
+
 def cmd_transform(args):
     cfg = load_config(args.config) if args.config else default_config()
     grid = LambdaGrid.from_spec(cfg.lambda_grid)
@@ -100,7 +106,7 @@ def cmd_transform(args):
     g = cfg.phys_grid
     fld, tail = inverse_on_grid(
         table.as_freq_function(), table.grid, table.n_max,
-        extents=g.extents, points=g.points,
+        extents=g.extents, points=g.points, assume_symmetric=_conjugate_symmetric(table),
     )
     out_path = os.path.join(args.out, "field.hfld")
     write_field(fld, out_path)
@@ -122,8 +128,10 @@ def cmd_heat(args):
     table = forward_factored(fld, cfg.n_max, grid)
     evolved = multiplier_apply(lambda r: np.exp(-args.time * r), table.as_freq_function())
     g = cfg.phys_grid
+    # the multiplier is real and even in lam, so it keeps the table's symmetry
     out_fld, tail = inverse_on_grid(
-        evolved, grid, cfg.n_max, extents=g.extents, points=g.points
+        evolved, grid, cfg.n_max, extents=g.extents, points=g.points,
+        assume_symmetric=_conjugate_symmetric(table),
     )
     os.makedirs(args.out, exist_ok=True)
     write_field(out_fld, os.path.join(args.out, "evolved.hfld"))

@@ -5,7 +5,7 @@ JSON layout mirrors the dataclasses field-for-field.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = ["Config", "LambdaGridSpec", "PhysGridSpec", "default_config", "load_config"]
 
@@ -90,9 +90,3 @@ def load_config(path):
     if "heat_phys_grid" in raw:
         kwargs["heat_phys_grid"] = _spec_from(raw["heat_phys_grid"], PhysGridSpec)
     return Config(**kwargs)
-
-
-def save_config(cfg, path):
-    with open(path, "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

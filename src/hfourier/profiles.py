@@ -32,7 +32,6 @@ __all__ = [
     "profile_heat",
     "profile_gauss",
     "profile_exp_floor",
-    "fixture_profiles",
 ]
 
 
@@ -391,17 +390,6 @@ def profile_exp_floor(r0=0.5, d=1, k_weights=(1.0, 0.5, 0.25), lam_slope=0.0):
     return Profile(value, dx, dxx, dlam, support=("x_floor", r0), d=d,
                    dxlam=dxlam, dlam2=dlam2, k_extent=len(k_weights) - 1,
                    label=f"exp_floor(r0={r0})")
-
-
-def fixture_profiles(cfg=None):
-    """Named profile fixtures used across the verification suites."""
-    r0 = 0.5 if cfg is None else cfg.fixtures.get("exp_floor_r0", 0.5)
-    return {
-        "heat(1)": profile_heat(1.0),
-        "heat(0.25)": profile_heat(0.25),
-        "gauss_profile(1)": profile_gauss(1.0),
-        "exp_floor": profile_exp_floor(r0),
-    }
 
 
 def m_equiv_fit(theta1, theta2, M, N, samples):

@@ -7,7 +7,7 @@ Forward transform of a sampled field f at (n, m, lam):
 Three numerical routes are provided and cross-checked:
 
 * ``forward_direct``  -- vertical Fourier sum followed by Y-grid quadrature
-  against the conjugate Wigner symbol (spot evaluations);
+  against the conjugate Wigner symbol in closed form (spot evaluations);
 * ``forward_factored`` -- full tables through the factored pipeline
   (partial Fourier transform in (eta, s) evaluated at exact target
   frequencies, change of variables, Hermite projection).  The projection
@@ -20,7 +20,10 @@ Three numerical routes are provided and cross-checked:
   Hermite functions.
 
 The inverse sums e^{i s lam} W theta against the frequency measure with
-the constant 2^{d-1} / pi^{d+1}.
+the constant 2^{d-1} / pi^{d+1}.  On a grid, each lambda slice
+sum_{n,m} theta W is a sum of Laguerre functions in rho^2 = 2 |lam| |Y|^2
+(one recurrence per band |n - m|); the oscillatory lambda stage then
+integrates the slices against e^{i s lam}.
 """
 
 import json
@@ -32,7 +35,7 @@ import numpy as np
 from .fields import SampledField
 from .freq_space import FreqFunction, LambdaGrid, integrate, multi_indices
 from .hermite import hermite_rows
-from .wigner import wigner_conj_grid, wigner_eval
+from .wigner import wigner_conj_grid, wigner_eval, wigner_series
 
 __all__ = [
     "SpectralTable",
@@ -177,12 +180,12 @@ def _fs_many(fld, lams):
     return fld.samples @ phase  # (..Y.., L)
 
 
-def forward_direct(fld, n, m, lam, rtol=1e-12):
+def forward_direct(fld, n, m, lam):
     """Transform at one frequency point by tensor quadrature on f's grid.
 
     The vertical axis is summed first; the Y-grid sum then runs against
-    the conjugate Wigner symbol, whose coordinate factors are evaluated by
-    the adaptive oscillatory quadrature of :mod:`hfourier.wigner`.
+    the conjugate Wigner symbol, whose coordinate factors are the
+    closed-form Laguerre functions of :mod:`hfourier.wigner`.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
@@ -233,8 +236,8 @@ def _upsample_axis(arr, factor, axis=0):
     return out
 
 
-def _gl_panels(extent, bandwidth, q=12, density=2.3):
-    per_unit = max(density * bandwidth / (2.0 * math.pi), 0.15)
+def _gl_panels(extent, bandwidth, q=12):
+    per_unit = max(2.3 * bandwidth / (2.0 * math.pi), 0.15)
     panels = max(2, int(math.ceil(extent * per_unit / q)))
     edges = np.linspace(0.0, extent, panels + 1)
     xi, om = np.polynomial.legendre.leggauss(q)
@@ -475,26 +478,6 @@ def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
     return out
 
 
-def _psi_diagonal(diag, args_p, args_m):
-    """sum_n diag[n] h_n(args_p) h_n(args_m), three-term recurrence,
-    constant memory in the index cap."""
-    n_top = len(diag) - 1
-    hp_prev = np.zeros_like(args_p)
-    hm_prev = np.zeros_like(args_m)
-    ground = math.pi ** -0.25
-    hp = ground * np.exp(-0.5 * args_p * args_p)
-    hm = ground * np.exp(-0.5 * args_m * args_m)
-    acc = diag[0] * hp * hm
-    for k in range(n_top):
-        c1 = math.sqrt(2.0 / (k + 1))
-        c2 = math.sqrt(k / (k + 1.0))
-        hp_prev, hp = hp, c1 * args_p * hp - c2 * hp_prev
-        hm_prev, hm = hm, c1 * args_m * hm - c2 * hm_prev
-        if diag[k + 1] != 0.0:
-            acc = acc + diag[k + 1] * hp * hm
-    return acc
-
-
 def _n_extent(theta, lam, n_cap, tol=1e-15):
     """Largest diagonal index with non-negligible weight at this lambda."""
     la = np.array([lam])
@@ -534,18 +517,19 @@ def inverse_at_point(theta, w, grid, n_max, d=1):
 
 
 def inverse_on_grid(theta, grid, n_max, d=1, extents=(6.0, 6.0, 6.0), points=(33, 33, 33),
-                    n_cap=600, assume_symmetric=None):
+                    n_cap=600, assume_symmetric=False):
     """Inverse transform sampled on a full (y, eta, s) grid (d = 1).
 
     For table-backed ``theta`` the index box is the table's; for analytic
     frequency functions the diagonal extent adapts per lambda up to
     ``n_cap`` (the skipped remainder is bounded by 1/(32 pi^2 n_cap) per
-    unit lambda mass and folded into the reported tail).
+    unit lambda mass and folded into the reported tail).  Each lambda
+    slice chi = sum_{n,m} theta_nm W_nm is summed on the (y, eta) grid by
+    the Laguerre-function recurrence of :func:`hfourier.wigner.wigner_series`.
 
-    ``assume_symmetric`` skips the negative-lambda half and doubles the
-    real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam)) (always
-    true for transforms of real fields).  Default: on for diagonal
-    real-valued tables, off otherwise.
+    ``assume_symmetric=True`` skips the negative-lambda half and doubles
+    the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
+    (true for transforms of real fields); the caller asserts it.
 
     Returns (SampledField, tail_estimate).
     """
@@ -556,22 +540,15 @@ def inverse_on_grid(theta, grid, n_max, d=1, extents=(6.0, 6.0, 6.0), points=(33
     s_axis = np.linspace(-extents[2], extents[2], points[2])
     chi_slices = {}
 
-    lam_list = grid.lam
-    if assume_symmetric is None:
-        assume_symmetric = False
-    if assume_symmetric:
-        lam_list = grid.lam[grid.lam > 0]
-
+    lam_list = grid.lam[grid.lam > 0] if assume_symmetric else grid.lam
     table_n = getattr(theta, "label", "").startswith("table")
     diagonal = getattr(theta, "diagonal", False)
     tail = 0.0
-    emax = float(np.abs(e_axis).max())
 
     for lam in lam_list:
         il = int(np.searchsorted(grid.lam, lam))
         wlam = grid.weights[il] * abs(lam)
         al = abs(lam)
-        rl = math.sqrt(al)
         if table_n:
             n_top = n_max
         else:
@@ -579,34 +556,14 @@ def inverse_on_grid(theta, grid, n_max, d=1, extents=(6.0, 6.0, 6.0), points=(33
             if n_top == n_cap:
                 tail += wlam / (8.0 * al * n_cap) if al * n_cap < 4.0 else 0.0
 
-        extent = (math.sqrt(2 * n_top + 1) + 9.0) / rl + extents[0]
-        bandwidth = rl * (2.0 * math.sqrt(2 * n_top + 1) + 8.0) + 2.0 * al * emax
-        tau, wtau = _gl_panels(extent, bandwidth)
-
-        args_p = rl * (y_axis[:, None] + tau[None, :])
-        args_m = rl * (tau[None, :] - y_axis[:, None])
-        quarter = al ** 0.25
-        tail_row = None
-        if diagonal:
-            la_arr = np.array([lam])
-            diag = np.array([theta((n,), (n,), la_arr)[0] for n in range(n_top + 1)])
-            if not np.any(diag):
-                continue
-            psi = _psi_diagonal(diag, args_p, args_m) * quarter**2
-            if not table_n and n_top == n_cap:
-                tail_row = _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis)
-        else:
-            rows = _theta_rows(theta, n_top, lam)
-            if not np.any(rows):
-                continue
-            A = hermite_rows(n_top, args_p) * quarter
-            B = hermite_rows(n_top, args_m) * quarter
-            # Psi(y, tau) = sum_{n,m} theta_nm H_n(y + tau) H_m(tau - y)
-            psi = np.einsum("nm,nyt,myt->yt", rows, A, B, optimize=True)
-        phase = np.exp(2j * lam * np.outer(tau, e_axis)) * wtau[:, None]
-        chi = psi @ phase                        # (y, eta)
-        if tail_row is not None:
-            chi = chi + tail_row
+        rows = _theta_rows(theta, n_top, lam)
+        if not np.any(rows):
+            continue
+        chi = wigner_series(rows, lam, y_axis, e_axis)
+        if diagonal and not table_n and n_top == n_cap:
+            tail_row = _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis)
+            if tail_row is not None:
+                chi = chi + tail_row
         chi_slices[lam] = chi
 
     out = _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis,
@@ -776,8 +733,10 @@ def multiplier_apply(a, theta):
         r = 4.0 * np.abs(lam) * (2.0 * sum(m) + d)
         return np.asarray(a(r), dtype=complex) * theta(n, m, lam)
 
+    # a pointwise multiplier keeps the index support of theta, so the label
+    # keeps its prefix: a table-backed theta stays table-backed for the inverse
     out = FreqFunction(interior, d=d, diagonal=theta.diagonal,
-                       label=f"mult:{theta.label}")
+                       label=f"{theta.label}:mult")
     if theta.has_boundary:
         # the symbol vanishes on the boundary (lam -> 0 at fixed k)
         out._boundary = lambda xdot, k: complex(a(0.0)) * theta.at_boundary(xdot, k)

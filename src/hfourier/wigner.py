@@ -10,101 +10,100 @@ v = sqrt|lam| z the one-dimensional factor becomes
     I(n, m, a, b) = int e^{i b v} h_n(a + v) h_m(v - a) dv,
     a = sqrt|lam| y,   b = 2 sgn(lam) sqrt|lam| eta,
 
-an oscillatory integral with Gaussian-envelope support, evaluated here by
-composite Gauss-Legendre panels on a symmetric interval.  Symmetric node
-sets make the exact sign symmetry under (n, m, lam) -> (m, n, -lam) hold
-to rounding.
+a Laguerre function (Folland, Harmonic Analysis in Phase Space, 1989,
+ch. 1).  With alpha = |n - m|, k = min(n, m), rho^2 = 2a^2 + b^2/2 and
+z = 2a + ib for n >= m, z = -2a + ib for n < m,
+
+    I = e^{i alpha arg z} ell_k^alpha(rho^2),
+    ell_k^alpha(x) = sqrt(k! / (k + alpha)!) x^{alpha/2} e^{-x/2} L_k^alpha(x).
+
+The normalized functions ell_k^alpha are computed by their three-term
+recurrence in k, which is stable for k in the hundreds.
 
 As the frequency point degenerates (lam -> 0 with lam(n + m) fixed) the
-transform tends to the compact boundary kernel
+symbol tends to the compact boundary kernel
 
     K(x., k, y, eta) = (1/2pi) int_{-pi}^{pi}
-        e^{i (2 |x.|^{1/2} (y sin z + eta sgn(x.) cos z) + k z)} dz,
+        e^{i (2 |x.|^{1/2} (y sin z + eta sgn(x.) cos z) + k z)} dz
+                     = (-1)^k e^{-i k phi} J_k(2 |x.|^{1/2} |Y|),
 
-computed by the trapezoid rule, which is spectrally accurate here.
+with phi = atan2(sgn(x.) eta, y) (DLMF 10.9).
 """
 
 import math
-import warnings
-from functools import lru_cache
 
 import numpy as np
+from scipy.special import jv, xlogy
 
-from .hermite import hermite_selected
+__all__ = ["wigner_eval", "wigner_conj_grid", "wigner_series", "boundary_kernel"]
 
-__all__ = ["wigner_eval", "wigner_eval_full", "wigner_1d", "boundary_kernel", "wigner_conj_grid"]
-
-_TAIL = 9.0  # Gaussian-envelope margin beyond the classical turning point
-
-
-@lru_cache(maxsize=8)
-def _gl(q):
-    return np.polynomial.legendre.leggauss(q)
+# an exact power of two, so rescaling the recurrence loses no bits
+_RESCALE = 2.0 ** 400
+_LOG_RESCALE = 400.0 * math.log(2.0)
 
 
-def _sym_nodes(V, bandwidth, density=2.4, q=12):
-    """Composite Gauss-Legendre nodes on [-V, V], symmetric about 0."""
-    per_unit = max(density * bandwidth / (2.0 * math.pi), 0.6)
-    panels = max(2, int(math.ceil(V * per_unit / q)))
-    edges = np.linspace(0.0, V, panels + 1)
-    xi, om = _gl(q)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    w = (half[:, None] * om[None, :]).ravel()
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+def _laguerre_sum(alpha, coeffs, x):
+    """sum_k coeffs[k] ell_k^alpha(x) for k = 0 .. len(coeffs) - 1.
 
+    ``coeffs`` has shape (K + 1,) + c and the result c + x.shape.  The
+    recurrence
 
-def _osc_integral(n, m, a, b, density):
-    """I(n, m, a, b) for flat arrays a, b on one shared node set."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    Rn = math.sqrt(2 * n + 1) + _TAIL
-    Rm = math.sqrt(2 * m + 1) + _TAIL
-    amax = float(np.abs(a).max())
-    V = amax + max(Rn, Rm)
-    # +8: spectral width of the Gaussian envelope on top of the classical band
-    bandwidth = math.sqrt(2 * n + 1) + math.sqrt(2 * m + 1) + float(np.abs(b).max()) + 8.0
-    v, w = _sym_nodes(V, bandwidth, density=density)
-    args_p = a[:, None] + v[None, :]
-    args_m = v[None, :] - a[:, None]
-    rows = hermite_selected([n, m], np.concatenate([args_p, args_m], axis=0))
-    npts = a.shape[0]
-    prod = rows[n][:npts] * rows[m][npts:]
-    phase = np.exp(1j * b[:, None] * v[None, :])
-    return (prod * phase) @ w
+        sqrt((k + 1)(k + alpha + 1)) ell_{k+1}
+            = (2k + 1 + alpha - x) ell_k - sqrt(k (k + alpha)) ell_{k-1}
 
-
-def wigner_1d(n, m, lam, y, eta, rtol=1e-12, full=False):
-    """One-dimensional Wigner factor, vectorized over (y, eta) batches.
-
-    ``full=True`` additionally returns the achieved quadrature residual.
+    starts from 1 in place of ell_0 = x^{alpha/2} e^{-x/2} / sqrt(alpha!)
+    and carries a per-point log-scale, so that neither that factor (which
+    underflows for x beyond ~1400) nor the growing rows leave the
+    floating-point range.
     """
+    coeffs = np.asarray(coeffs)
+    x = np.asarray(x, dtype=float)
+    log_scale = 0.5 * xlogy(alpha, x) - 0.5 * x - 0.5 * math.lgamma(alpha + 1.0)
+    prev = np.zeros(x.shape)
+    cur = np.ones(x.shape)
+    acc = np.multiply.outer(coeffs[0], cur)
+    live = np.any(coeffs.reshape(len(coeffs), -1), axis=1).tolist()
+    for k in range(len(coeffs) - 1):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - math.sqrt(k * (k + alpha)) * prev) / (
+            math.sqrt((k + 1) * (k + alpha + 1.0))
+        )
+        if live[k + 1]:
+            acc += np.multiply.outer(coeffs[k + 1], cur)
+        big = np.abs(cur) > _RESCALE
+        if big.any():
+            cur[big] /= _RESCALE
+            prev[big] /= _RESCALE
+            acc[..., big] /= _RESCALE
+            log_scale[big] += _LOG_RESCALE
+    return acc * np.exp(log_scale)
+
+
+def _scaled_coords(lam, y, eta):
+    """(a, b, rho^2) of the 1-d factor at the points (y, eta)."""
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
     root = math.sqrt(abs(lam))
-    a = root * y
-    b = 2.0 * math.copysign(root, lam) * eta
-    coarse = _osc_integral(n, m, a, b, density=2.6)
-    fine = _osc_integral(n, m, a, b, density=3.6)
-    resid = float(np.abs(fine - coarse).max())
-    # the factor is bounded by 1, so the residual target is absolute
-    if resid > rtol:
-        finer = _osc_integral(n, m, a, b, density=5.0)
-        resid = float(np.abs(finer - fine).max())
-        fine = finer
-        if resid > 10 * rtol:
-            warnings.warn(
-                f"wigner quadrature residual {resid:.3e} above target "
-                f"{rtol:.3e} at (n={n}, m={m}, lam={lam})",
-                stacklevel=2,
-            )
-    return (fine, resid) if full else fine
+    a = root * np.asarray(y, dtype=float)
+    b = 2.0 * math.copysign(root, lam) * np.asarray(eta, dtype=float)
+    return a, b, 2.0 * a * a + 0.5 * b * b
 
 
-def wigner_eval(n, m, lam, Y, rtol=1e-12):
+def _phase(alpha, a, b, sign):
+    """e^{i alpha arg z}, z = sign 2a + ib."""
+    return np.exp(1j * alpha * np.angle(sign * 2.0 * a + 1j * b))
+
+
+def _factor(n, m, lam, y, eta):
+    """The 1-d factor I(n, m, a, b) at the points (y, eta) (broadcast)."""
+    a, b, rho2 = _scaled_coords(lam, y, eta)
+    alpha, k = abs(n - m), min(n, m)
+    coeffs = np.zeros(k + 1)
+    coeffs[k] = 1.0
+    val = _laguerre_sum(alpha, coeffs, rho2)
+    return val * _phase(alpha, a, b, 1.0 if n >= m else -1.0) if alpha else val
+
+
+def wigner_eval(n, m, lam, Y):
     """W(n, m, lam, Y): product of 1-d factors over the coordinates.
 
     Parameters
@@ -123,69 +122,46 @@ def wigner_eval(n, m, lam, Y, rtol=1e-12):
     pts = Y.reshape(-1, 2 * d)
     val = np.ones(pts.shape[0], dtype=complex)
     for j in range(d):
-        val = val * wigner_1d(n[j], m[j], lam, pts[:, j], pts[:, d + j], rtol=rtol)
+        val = val * _factor(n[j], m[j], lam, pts[:, j], pts[:, d + j])
     if scalar:
         return complex(val[0])
     return val.reshape(Y.shape[:-1])
 
 
-def wigner_eval_full(n, m, lam, Y, rtol=1e-12):
-    """Like :func:`wigner_eval` but also returns the summed residual estimate."""
-    n = tuple(int(v) for v in n)
-    m = tuple(int(v) for v in m)
-    d = len(n)
-    Y = np.atleast_1d(np.asarray(Y, dtype=float))
-    pts = Y.reshape(-1, 2 * d)
-    val = np.ones(pts.shape[0], dtype=complex)
-    resid = 0.0
-    for j in range(d):
-        fac, r = wigner_1d(n[j], m[j], lam, pts[:, j], pts[:, d + j], rtol=rtol, full=True)
-        val = val * fac
-        resid += r
-    if Y.ndim == 1:
-        return complex(val[0]), resid
-    return val.reshape(Y.shape[:-1]), resid
-
-
-def wigner_conj_grid(n, m, lam, y_axis, eta_axis, density=3.0):
+def wigner_conj_grid(n, m, lam, y_axis, eta_axis):
     """conj(W)(n, m, lam, .) on a tensor (y, eta) grid, d = 1 factor.
 
     Returns an (len(y_axis), len(eta_axis)) array; used by grid quadratures
-    of the transform.  conj flips the oscillation sign only.
+    of the transform.
     """
-    root = math.sqrt(abs(lam))
-    a = root * np.asarray(y_axis, dtype=float)
-    b = 2.0 * math.copysign(root, lam) * np.asarray(eta_axis, dtype=float)
-    Rn = math.sqrt(2 * n + 1) + _TAIL
-    Rm = math.sqrt(2 * m + 1) + _TAIL
-    V = float(np.abs(a).max()) + max(Rn, Rm)
-    bandwidth = math.sqrt(2 * n + 1) + math.sqrt(2 * m + 1) + float(np.abs(b).max()) + 8.0
-    v, w = _sym_nodes(V, bandwidth, density=density)
-    args = np.concatenate([a[:, None] + v[None, :], v[None, :] - a[:, None]], axis=0)
-    rows = hermite_selected([n, m], args)
-    ny = len(a)
-    prod = rows[n][:ny] * rows[m][ny:]          # (ny, K)
-    phase = np.exp(-1j * np.outer(b, v)) * w    # (ne, K)
-    return prod @ phase.T
+    y = np.asarray(y_axis, dtype=float)[:, None]
+    eta = np.asarray(eta_axis, dtype=float)[None, :]
+    return np.conj(_factor(n, m, lam, y, eta))
+
+
+def wigner_series(rows, lam, y_axis, eta_axis):
+    """sum_{n, m} rows[n, m] W(n, m, lam, .) on a tensor (y, eta) grid, d = 1.
+
+    One recurrence per band alpha = |n - m| serves both of its diagonals;
+    bands that are zero throughout are skipped, so a diagonal ``rows``
+    costs a single recurrence.
+    """
+    y = np.asarray(y_axis, dtype=float)[:, None]
+    eta = np.asarray(eta_axis, dtype=float)[None, :]
+    a, b, rho2 = _scaled_coords(lam, y, eta)
+    out = np.zeros(rho2.shape, dtype=complex)
+    n_idx, m_idx = np.nonzero(rows)
+    for alpha in np.unique(np.abs(n_idx - m_idx)).tolist():
+        if alpha == 0:
+            out += _laguerre_sum(0, np.diagonal(rows), rho2)
+            continue
+        band = np.stack([np.diagonal(rows, -alpha), np.diagonal(rows, alpha)], axis=1)
+        lower, upper = _laguerre_sum(alpha, band, rho2)
+        out += lower * _phase(alpha, a, b, 1.0) + upper * _phase(alpha, a, b, -1.0)
+    return out
 
 
 # ---- boundary kernel -------------------------------------------------------
-
-def _kernel_1d(xdot, k, y, eta):
-    if xdot == 0:
-        return np.where(k == 0, 1.0 + 0j, 0.0 + 0j) * np.ones_like(np.asarray(y, dtype=float))
-    amp = 2.0 * math.sqrt(abs(xdot))
-    sgn = 1.0 if xdot > 0 else -1.0
-    span = amp * float(np.max(np.abs(y) + np.abs(eta))) + abs(k)
-    M = 64
-    while M < 8 * span:
-        M *= 2
-    z = -math.pi + 2.0 * math.pi * np.arange(M) / M
-    y = np.asarray(y, dtype=float)[..., None]
-    eta = np.asarray(eta, dtype=float)[..., None]
-    phase = amp * (y * np.sin(z) + sgn * eta * np.cos(z)) + k * z
-    return np.exp(1j * phase).mean(axis=-1)
-
 
 def boundary_kernel(xdot, k, Y):
     """Boundary kernel K_d(x., k, Y), the lam -> 0 limit of the symbol.
@@ -206,9 +182,13 @@ def boundary_kernel(xdot, k, Y):
     Y = np.atleast_1d(np.asarray(Y, dtype=float))
     scalar = Y.ndim == 1
     pts = Y.reshape(-1, 2 * d)
-    val = np.ones(pts.shape[0], dtype=complex)
-    for j in range(d):
-        val = val * _kernel_1d(xdot[j], k[j], pts[:, j], pts[:, d + j])
+    val = np.full(pts.shape[0], 1.0 + 0j if signs != {0.0} or not any(k) else 0j)
+    if signs != {0.0}:
+        for j in range(d):
+            y, eta = pts[:, j], pts[:, d + j]
+            phi = np.arctan2(math.copysign(1.0, xdot[j]) * eta, y)
+            radius = 2.0 * math.sqrt(abs(xdot[j])) * np.hypot(y, eta)
+            val = val * ((-1.0) ** k[j] * np.exp(-1j * k[j] * phi) * jv(k[j], radius))
     if scalar:
         return complex(val[0])
     return val.reshape(Y.shape[:-1])

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import hfourier.cli as cli
+import hfourier.transform as transform
 from hfourier.cli import main
 from hfourier.fields import SampledField, read_field, write_field
+from hfourier.transform import SpectralTable, inverse_on_grid, table_from_csv, table_to_csv
 
 SMALL_CFG = {
     "d": 1,
@@ -55,6 +58,54 @@ def test_transform_forward_and_inverse(tmp_path, small_config, gauss_file):
     )
     rel = np.abs(rec.samples - truth.samples).max() / np.abs(truth.samples).max()
     assert rel < 0.08  # coarse config round trip
+
+
+def _spy_inverse(monkeypatch):
+    """Record the assume_symmetric flag of every inverse the CLI runs."""
+    seen = []
+
+    def spy(*args, **kw):
+        seen.append(kw.get("assume_symmetric", False))
+        return inverse_on_grid(*args, **kw)
+
+    monkeypatch.setattr(cli, "inverse_on_grid", spy)
+    return seen
+
+
+def test_inverse_of_real_field_table_sums_one_branch(tmp_path, monkeypatch, small_config,
+                                                     gauss_file):
+    fwd = tmp_path / "fwd"
+    assert main(["transform", "--input", gauss_file, "--config", small_config,
+                 "--out", str(fwd)]) == 0
+    seen = _spy_inverse(monkeypatch)
+    assert main(["transform", "--input", str(fwd / "table.csv"), "--direction", "inverse",
+                 "--config", small_config, "--out", str(tmp_path / "inv")]) == 0
+    assert seen == [True]
+    got = read_field(tmp_path / "inv" / "field.hfld").samples
+    table = table_from_csv(fwd / "table.csv")
+    g = SMALL_CFG["phys_grid"]
+    full, _ = inverse_on_grid(table.as_freq_function(), table.grid, table.n_max,
+                              extents=g["extents"], points=g["points"], assume_symmetric=False)
+    assert np.abs(got - full.samples).max() <= 1e-12 * np.abs(full.samples).max()
+
+    # one perturbed entry breaks the symmetry: both branches are summed
+    table.values[1, 2, 3] += 1e-9
+    bent = tmp_path / "bent.csv"
+    table_to_csv(SpectralTable(table.values, table.grid, 1, table.provenance), bent)
+    assert main(["transform", "--input", str(bent), "--direction", "inverse",
+                 "--config", small_config, "--out", str(tmp_path / "inv2")]) == 0
+    assert seen == [True, False]
+
+
+def test_heat_stays_on_the_table_index_box(tmp_path, monkeypatch, small_config, gauss_file):
+    def no_probe(*args, **kw):
+        raise AssertionError("the heat inverse probed past the table's index box")
+
+    monkeypatch.setattr(transform, "_n_extent", no_probe)
+    seen = _spy_inverse(monkeypatch)
+    assert main(["heat", "--input", gauss_file, "--time", "0.2",
+                 "--config", small_config, "--out", str(tmp_path / "heat")]) == 0
+    assert seen == [True]
 
 
 def test_transform_rejects_malformed(tmp_path, small_config):

@@ -1,10 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import j0
 
-from hfourier.wigner import boundary_kernel, wigner_eval, wigner_eval_full
+from hfourier.hermite import hermite_selected
+from hfourier.wigner import boundary_kernel, wigner_eval, wigner_series
 
 
 def test_orthonormality_at_origin():
@@ -38,11 +43,6 @@ def test_batch_matches_scalar():
     batch = wigner_eval((2,), (1,), 0.8, Ys)
     for i, Y in enumerate(Ys):
         assert batch[i] == pytest.approx(wigner_eval((2,), (1,), 0.8, Y), abs=1e-14)
-
-
-def test_residual_reported():
-    v, resid = wigner_eval_full((3,), (2,), 0.9, np.array([0.5, 0.5]))
-    assert resid < 1e-12
 
 
 def test_two_dimensional_factorization():
@@ -112,6 +112,85 @@ def test_eigenrelation_finite_difference():
     assert abs(lap - want) / abs(want) < 1e-4
 
 
+# ---- the symbol against independent oracles ---------------------------------
+
+def _defining_integral(n, m, lam, y, eta):
+    """W(n, m, lam, (y, eta)) by scipy quad of int e^{ibv} h_n(a+v) h_m(v-a) dv."""
+    root = math.sqrt(abs(lam))
+    a, b = root * y, 2.0 * math.copysign(root, lam) * eta
+    half = math.sqrt(2 * max(n, m) + 1) + abs(a) + 12.0
+
+    def part(fn):
+        def integrand(v):
+            rows = hermite_selected([n, m], np.array([a + v, v - a]))
+            return fn(b * v) * rows[n][0] * rows[m][1]
+        return quad(integrand, -half, half, limit=800, epsabs=1e-14, epsrel=1e-13)[0]
+
+    return complex(part(math.cos), part(math.sin))
+
+
+@pytest.mark.parametrize("n,m,lam,y,eta", [
+    (0, 0, 0.7, 0.4, -0.9), (3, 1, -1.2, 0.5, 0.3), (1, 3, 0.9, -0.8, 1.1),
+    (12, 7, 0.35, 1.3, -0.6), (25, 25, -0.6, -0.9, 0.2), (40, 33, 1.4, 0.2, 0.7),
+    (17, 40, -0.2, 2.1, -1.5), (40, 40, 0.05, 3.0, 4.0), (0, 40, 2.5, -0.1, 0.05),
+])
+def test_symbol_matches_defining_integral(n, m, lam, y, eta):
+    want = _defining_integral(n, m, lam, y, eta)
+    got = wigner_eval((n,), (m,), lam, [y, eta])
+    assert abs(got - want) < 1e-12
+
+
+def _laguerre_form(n, m, lam, y, eta):
+    """The Laguerre closed form in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(abs(mpmath.mpf(lam)))
+        a, b = root * y, 2 * mpmath.sign(lam) * root * eta
+        rho2 = 2 * a * a + b * b / 2
+        lo, hi = min(n, m), max(n, m)
+        z = (2 * a + 1j * b) if n >= m else (-2 * a + 1j * b)
+        val = (mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi))
+               * (z / mpmath.sqrt(2)) ** (hi - lo)
+               * mpmath.exp(-rho2 / 2) * mpmath.laguerre(lo, hi - lo, rho2))
+        return complex(val)
+
+
+@pytest.mark.parametrize("n,m,lam,y,eta", [
+    (600, 600, 1.0, 28.0, 0.0),      # rho^2 = 1568: e^{-rho^2/2} underflows
+    (600, 600, 0.4, 3.0, -7.0), (600, 0, 1.0, 12.0, 9.0), (0, 600, -1.0, 12.0, 9.0),
+    (599, 600, 2.5, -5.0, 1.0), (600, 550, 0.01, 150.0, -80.0), (300, 600, -0.3, 20.0, 25.0),
+    (450, 17, 1.7, -9.0, 3.5), (1, 600, 0.8, 0.0, 0.0), (250, 250, 3.0, 0.1, 0.2),
+])
+def test_symbol_matches_mpmath_laguerre(n, m, lam, y, eta):
+    got = wigner_eval((n,), (m,), lam, [y, eta])
+    assert abs(got - _laguerre_form(n, m, lam, y, eta)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 500), m=st.integers(0, 500),
+    lam=st.floats(0.01, 4.0), sign=st.sampled_from([-1.0, 1.0]),
+    y=st.floats(-10.0, 10.0), eta=st.floats(-10.0, 10.0),
+)
+def test_symbol_sign_symmetry_and_bound(n, m, lam, sign, y, eta):
+    a = wigner_eval((n,), (m,), sign * lam, [y, eta])
+    b = wigner_eval((m,), (n,), -sign * lam, [y, eta])
+    assert abs(a - (-1.0) ** (n + m) * b) < 1e-12
+    assert abs(a) <= 1 + 1e-12
+
+
+def test_series_matches_termwise_sum():
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    rows[2, 6] = rows[6, 2] = 0.0
+    y = np.linspace(-2.0, 2.0, 5)
+    eta = np.linspace(-1.5, 1.5, 4)
+    pts = np.stack(np.meshgrid(y, eta, indexing="ij"), axis=-1)
+    for lam in (0.6, -1.1):
+        want = sum(rows[n, m] * wigner_eval((n,), (m,), lam, pts)
+                   for n in range(7) for m in range(7))
+        assert np.abs(wigner_series(rows, lam, y, eta) - want).max() < 1e-13
+
+
 # ---- boundary kernel --------------------------------------------------------
 
 def test_kernel_kronecker_at_origin():
@@ -124,6 +203,21 @@ def test_kernel_bessel_oracle(xd, y, e):
     r = math.hypot(y, e)
     got = boundary_kernel((xd,), (0,), [y, e])
     assert got == pytest.approx(j0(2 * math.sqrt(xd) * r), abs=1e-12)
+
+
+@pytest.mark.parametrize("xd,k,y,e", [
+    (0.5, 1, 0.3, -1.1), (2.0, -3, 1.0, 0.7), (-0.25, 2, -2.0, 0.4), (-1.5, -1, 0.6, 1.9),
+    (4.0, 7, 1.2, -0.8),
+])
+def test_kernel_angular_integral_oracle(xd, k, y, e):
+    amp, sgn = 2.0 * math.sqrt(abs(xd)), math.copysign(1.0, xd)
+
+    def part(fn):
+        return quad(lambda z: fn(amp * (y * math.sin(z) + sgn * e * math.cos(z)) + k * z),
+                    -math.pi, math.pi, limit=200, epsabs=1e-14)[0] / (2.0 * math.pi)
+
+    want = complex(part(math.cos), part(math.sin))
+    assert abs(boundary_kernel((xd,), (k,), [y, e]) - want) < 1e-13
 
 
 def test_kernel_modulus_bound():
