@@ -179,7 +179,7 @@ def cmd_kernel(args):
             row = boundary_kernel((args.xdot,), (args.k,), np.stack(
                 [np.full_like(e, yv), e], axis=-1))
             for ev, val in zip(e, np.atleast_1d(row)):
-                fh.write(f"{yv!r},{ev!r},{val.real!r},{val.imag!r}\n")
+                fh.write(",".join(repr(float(v)) for v in (yv, ev, val.real, val.imag)) + "\n")
     print(path)
     return 0
 

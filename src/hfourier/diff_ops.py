@@ -1,15 +1,18 @@
 """Discrete calculus on the frequency set.
 
 All operators act through finite combinations of values at the index
-shifts (n +- e_j, m +- e_j, lam); terms whose square-root coefficient
-vanishes are dropped before any evaluation at invalid indices.  The
+shifts (n +- e_j, m +- e_j, lam) and broadcast like frequency functions
+(index arrays of shape S + (d,), lam broadcasting against S).  Where a
+shifted term's square-root coefficient vanishes, its index stays in place
+instead of going negative, so the term adds zero and no invalid index is
+ever evaluated.  The
 frequency Laplacian divides by 2|lam| while the lambda-derivative
 operator divides by the signed 2 lam; both are kept exactly as defined.
 """
 
 import numpy as np
 
-from .freq_space import FreqFunction
+from .freq_space import FreqFunction, index_arrays
 
 __all__ = [
     "delta_hat",
@@ -21,84 +24,64 @@ __all__ = [
 ]
 
 
-def _shift(idx, j, step):
-    lst = list(idx)
-    lst[j] += step
-    return tuple(lst)
-
-
 def delta_hat(theta, n, m, lam):
     """Frequency Laplacian: second-difference combination across index shifts."""
-    lam = np.asarray(lam, dtype=float)
-    d = len(n)
-    absl = np.abs(lam)
-    tot = sum(n) + sum(m)
-    val = -(tot + d) * theta(n, m, lam)
+    n, m, lam = index_arrays(n, m, lam)
+    d = n.shape[-1]
+    val = -(n.sum(axis=-1) + m.sum(axis=-1) + d) * theta(n, m, lam)
     for j in range(d):
-        up = np.sqrt((n[j] + 1.0) * (m[j] + 1.0))
-        val = val + up * theta(_shift(n, j, 1), _shift(m, j, 1), lam)
-        if n[j] >= 1 and m[j] >= 1:
-            down = np.sqrt(float(n[j] * m[j]))
-            val = val + down * theta(_shift(n, j, -1), _shift(m, j, -1), lam)
-    return val / (2.0 * absl)
+        e = np.eye(d, dtype=int)[j]
+        up = np.sqrt((n[..., j] + 1.0) * (m[..., j] + 1.0))
+        down = np.sqrt((n[..., j] * m[..., j]).astype(float))
+        lo = e * (down > 0)[..., None]  # stays put where the coefficient vanishes
+        val = val + up * theta(n + e, m + e, lam) + down * theta(n - lo, m - lo, lam)
+    return val / (2.0 * np.abs(lam))
 
 
 def dlambda_hat(theta, n, m, lam):
     """Lambda derivative: d/dlam plus signed index-shift corrections."""
-    lam = np.asarray(lam, dtype=float)
-    d = len(n)
+    n, m, lam = index_arrays(n, m, lam)
+    d = n.shape[-1]
     val = theta.dlam(n, m, lam) + (d / (2.0 * lam)) * theta(n, m, lam)
     acc = 0.0
     for j in range(d):
-        if n[j] >= 1 and m[j] >= 1:
-            acc = acc + np.sqrt(float(n[j] * m[j])) * theta(_shift(n, j, -1), _shift(m, j, -1), lam)
-        acc = acc - np.sqrt((n[j] + 1.0) * (m[j] + 1.0)) * theta(
-            _shift(n, j, 1), _shift(m, j, 1), lam
-        )
+        e = np.eye(d, dtype=int)[j]
+        down = np.sqrt((n[..., j] * m[..., j]).astype(float))
+        lo = e * (down > 0)[..., None]  # stays put where the coefficient vanishes
+        acc = (acc + down * theta(n - lo, m - lo, lam)
+               - np.sqrt((n[..., j] + 1.0) * (m[..., j] + 1.0)) * theta(n + e, m + e, lam))
     return val + acc / (2.0 * lam)
 
 
 def sigma0_hat(theta, n, m, lam):
     """Signed-frequency difference quotient linking lam > 0 and lam < 0."""
-    lam = np.asarray(lam, dtype=float)
-    parity = (-1.0) ** (sum(n) + sum(m))
+    n, m, lam = index_arrays(n, m, lam)
+    parity = (-1.0) ** (n.sum(axis=-1) + m.sum(axis=-1))
     return (theta(n, m, lam) - parity * theta(m, n, -lam)) / lam
 
 
 def mhat(theta, n, m, lam):
     """Diagonal multiplier 4 |lam| (2|m| + d), the sub-Laplacian symbol."""
-    lam = np.asarray(lam, dtype=float)
-    d = len(n)
-    return 4.0 * np.abs(lam) * (2.0 * sum(m) + d) * theta(n, m, lam)
+    n, m, lam = index_arrays(n, m, lam)
+    d = n.shape[-1]
+    return 4.0 * np.abs(lam) * (2.0 * m.sum(axis=-1) + d) * theta(n, m, lam)
 
 
-def _mhat_plus(theta, j, n, m, lam):
-    lam = np.asarray(lam, dtype=float)
-    root = np.sqrt(np.abs(lam))
-    val = np.sqrt(2.0 * m[j] + 2.0) * theta(n, _shift(m, j, 1), lam)
-    if m[j] >= 1:
-        val = val - np.sqrt(2.0 * m[j]) * theta(n, _shift(m, j, -1), lam)
-    return root * val
-
-
-def _mhat_minus(theta, j, n, m, lam):
-    lam = np.asarray(lam, dtype=float)
-    root = np.sqrt(np.abs(lam))
-    val = np.sqrt(2.0 * m[j] + 2.0) * theta(n, _shift(m, j, 1), lam)
-    if m[j] >= 1:
-        val = val + np.sqrt(2.0 * m[j]) * theta(n, _shift(m, j, -1), lam)
-    return (1j * lam / root) * val
+def _mhat_pm(theta, j, sign, n, m, lam):
+    """Shared index shifts of the horizontal-field images: the raising
+    coefficient on m + e_j and ``sign`` times the lowering one on m - e_j."""
+    e = np.eye(n.shape[-1], dtype=int)[j]
+    return (np.sqrt(2.0 * m[..., j] + 2.0) * theta(n, m + e, lam)
+            + sign * np.sqrt(2.0 * m[..., j]) * theta(n, np.maximum(m - e, 0), lam))
 
 
 def _dhat(theta, j, sign, n, m, lam):
-    lam = np.asarray(lam, dtype=float)
+    e = np.eye(n.shape[-1], dtype=int)[j]
     root2 = 2.0 * np.sqrt(np.abs(lam))
-    pos = np.sqrt(2.0 * m[j] + 2.0) * theta(n, _shift(m, j, 1), lam) * (-1.0)
-    if n[j] >= 1:
-        pos = pos + np.sqrt(2.0 * n[j]) * theta(_shift(n, j, -1), m, lam)
-    neg = np.sqrt(2.0 * n[j] + 2.0) * theta(_shift(n, j, 1), m, lam)
-    if m[j] >= 1:
-        neg = neg - np.sqrt(2.0 * m[j]) * theta(n, _shift(m, j, -1), lam)
+    pos = (np.sqrt(2.0 * m[..., j] + 2.0) * theta(n, m + e, lam) * (-1.0)
+           + np.sqrt(2.0 * n[..., j]) * theta(np.maximum(n - e, 0), m, lam))
+    neg = (np.sqrt(2.0 * n[..., j] + 2.0) * theta(n + e, m, lam)
+           - np.sqrt(2.0 * m[..., j]) * theta(n, np.maximum(m - e, 0), lam))
     pick_pos = lam > 0 if sign > 0 else lam < 0
     return np.where(pick_pos, pos, neg) / root2
 
@@ -116,14 +99,13 @@ def ladder_freq(kind, theta, n, m, lam, j=0):
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown multiplier {kind!r}")
-    n = tuple(int(v) for v in n)
-    m = tuple(int(v) for v in m)
+    n, m, lam = index_arrays(n, m, lam)
     if kind == "mhat":
         return mhat(theta, n, m, lam)
     if kind == "mhat_plus":
-        return _mhat_plus(theta, j, n, m, lam)
+        return np.sqrt(np.abs(lam)) * _mhat_pm(theta, j, -1.0, n, m, lam)
     if kind == "mhat_minus":
-        return _mhat_minus(theta, j, n, m, lam)
+        return (1j * lam / np.sqrt(np.abs(lam))) * _mhat_pm(theta, j, 1.0, n, m, lam)
     if kind == "dhat_plus":
         return _dhat(theta, j, +1, n, m, lam)
     return _dhat(theta, j, -1, n, m, lam)

@@ -11,9 +11,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SampledField", "YField", "read_field", "write_field", "field_from_csv", "field_to_csv"]
+__all__ = [
+    "SampledField",
+    "YField",
+    "cubic_weights",
+    "read_field",
+    "write_field",
+    "field_from_csv",
+    "field_to_csv",
+]
 
 _MAGIC = b"HFLD1\n"
+
+
+def cubic_weights(t):
+    """4-point Lagrange weights on the nodes -1, 0, 1, 2 at offset t in [0, 1]."""
+    return (
+        -t * (t - 1) * (t - 2) / 6.0,
+        (t + 1) * (t - 1) * (t - 2) / 2.0,
+        -(t + 1) * t * (t - 2) / 2.0,
+        (t + 1) * t * (t - 1) / 6.0,
+    )
 
 
 def _axis(extent, points):
@@ -150,15 +168,7 @@ class SampledField:
             base.append(b)
             frac.append(t)
 
-        def wrow(t):
-            return (
-                -t * (t - 1) * (t - 2) / 6.0,
-                (t + 1) * (t - 1) * (t - 2) / 2.0,
-                -(t + 1) * t * (t - 2) / 2.0,
-                (t + 1) * t * (t - 1) / 6.0,
-            )
-
-        weights = [wrow(t) for t in frac]
+        weights = [cubic_weights(t) for t in frac]
         out = np.zeros(n, dtype=complex)
         pad = self.samples  # gather with explicit masks, no actual padding
         from itertools import product

@@ -12,6 +12,13 @@ The distance is
 and integration against the natural measure is the (n, m)-sum of
 |lam|^d dlam integrals.  Every truncated sum returns a value together
 with a tail estimate.
+
+Frequency functions evaluate whole index arrays at once: n and m have
+shape S + (d,), lam broadcasts against S, and the result has the
+broadcast shape.  ``band`` (largest |m - n|; 0 diagonal, None dense) alone
+describes the support, so every sum is one array reduction over the band;
+the adaptive diagonal sums of :mod:`hfourier.distributions` evaluate
+their index shells in blocks.
 """
 
 import json
@@ -33,6 +40,10 @@ __all__ = [
     "freq_seminorm",
     "l1m_norm",
     "multi_indices",
+    "box_pairs",
+    "index_arrays",
+    "one_plus_weight",
+    "shell_tail",
 ]
 
 
@@ -216,16 +227,24 @@ class LambdaGrid:
 class FreqFunction:
     """Complex function on the frequency set, with optional extras.
 
+    Every evaluation broadcasts: ``n`` and ``m`` are integer arrays of shape
+    S + (d,) (a multi-index tuple is the case S = ()), ``lam`` is a float
+    array that broadcasts against S, and the result is a complex array of
+    the broadcast shape.
+
     Parameters
     ----------
-    interior : callable (n, m, lam_array) -> complex array
-        n, m are multi-index tuples; vectorized over lam.
+    interior : callable (n, m, lam) -> complex array
+        Follows the broadcast contract above.
     dlam, dlam2 : callables, optional
         Analytic lambda-derivatives of the same signature.
     boundary : callable (xdot, k) -> complex, optional
         Continuous extension to the boundary.
+    band : int or None
+        Largest |m - n| (per coordinate) carrying support; None = dense.
+        Sums run over this band only.
     diagonal : bool
-        True when the function vanishes off n == m (speeds up sums).
+        Shorthand for ``band=0``.
     """
 
     def __init__(self, interior, d=1, dlam=None, dlam2=None, boundary=None,
@@ -235,34 +254,30 @@ class FreqFunction:
         self._dlam = dlam
         self._dlam2 = dlam2
         self._boundary = boundary
-        self.diagonal = diagonal
-        # largest |m - n| (per coordinate) carrying support; None = dense
         self.band = 0 if diagonal else band
         self.label = label
 
-    def __call__(self, n, m, lam):
-        n = tuple(int(v) for v in n)
-        m = tuple(int(v) for v in m)
-        lam = np.asarray(lam, dtype=float)
-        return np.asarray(self._interior(n, m, lam), dtype=complex)
-
     @property
-    def has_dlam(self):
-        return self._dlam is not None
+    def diagonal(self):
+        """True when the function vanishes off n == m."""
+        return self.band == 0
+
+    def __call__(self, n, m, lam):
+        return np.asarray(self._interior(*index_arrays(n, m, lam)), dtype=complex)
 
     def dlam(self, n, m, lam):
         """d theta / d lam, analytic when available, else a sign-preserving
         centered difference with step min(1e-4, |lam|/8)."""
-        lam = np.asarray(lam, dtype=float)
+        n, m, lam = index_arrays(n, m, lam)
         if self._dlam is not None:
-            return np.asarray(self._dlam(tuple(n), tuple(m), lam), dtype=complex)
+            return np.asarray(self._dlam(n, m, lam), dtype=complex)
         h = np.minimum(1e-4, np.abs(lam) / 8.0)
         return (self(n, m, lam + h) - self(n, m, lam - h)) / (2.0 * h)
 
     def dlam2(self, n, m, lam):
-        lam = np.asarray(lam, dtype=float)
+        n, m, lam = index_arrays(n, m, lam)
         if self._dlam2 is not None:
-            return np.asarray(self._dlam2(tuple(n), tuple(m), lam), dtype=complex)
+            return np.asarray(self._dlam2(n, m, lam), dtype=complex)
         h = np.minimum(1e-4, np.abs(lam) / 8.0)
         if self._dlam is not None:
             return (self.dlam(n, m, lam + h) - self.dlam(n, m, lam - h)) / (2.0 * h)
@@ -280,20 +295,52 @@ class FreqFunction:
     def value_at_origin(self, grid=None):
         """theta(0^): boundary evaluator when present, else Richardson
         extrapolation of theta(0, 0, +-lam) in sqrt(lam)."""
-        zero = (0,) * self.d
         if self._boundary is not None:
-            return self.at_boundary((0.0,) * self.d, zero)
+            return self.at_boundary((0.0,) * self.d, (0,) * self.d)
+        zero = np.zeros(self.d, dtype=int)
         lam1 = grid.lambda_min if grid is not None else 1e-5
         lam2 = 4.0 * lam1
-        v1 = 0.5 * (self(zero, zero, np.array([lam1]))[0] + self(zero, zero, np.array([-lam1]))[0])
-        v2 = 0.5 * (self(zero, zero, np.array([lam2]))[0] + self(zero, zero, np.array([-lam2]))[0])
+        v = self(zero, zero, np.array([lam1, -lam1, lam2, -lam2]))
+        v1 = 0.5 * (v[0] + v[1])
+        v2 = 0.5 * (v[2] + v[3])
         r1, r2 = math.sqrt(lam1), math.sqrt(lam2)
         return complex((r2 * v1 - r1 * v2) / (r2 - r1))
+
+
+def index_arrays(n, m, lam):
+    """(n, m, lam) as the integer and float arrays frequency functions take."""
+    return np.asarray(n, dtype=int), np.asarray(m, dtype=int), np.asarray(lam, dtype=float)
 
 
 def multi_indices(d, n_max):
     """All multi-indices of length d with max entry <= n_max."""
     return [tuple(t) for t in product(range(n_max + 1), repeat=d)]
+
+
+def box_pairs(d, n_max, band=None):
+    """Index pairs (n, m) of the box [0, n_max]^d with |m - n|_inf <= band
+    (every pair when ``band`` is None), n-major: two (K, d) integer arrays."""
+    idx = np.array(multi_indices(d, n_max)).reshape(-1, d)[:, None, :]
+    reach = n_max if band is None else band
+    offsets = np.array(list(product(range(-reach, reach + 1), repeat=d)))
+    n, m = np.broadcast_arrays(idx, idx + offsets[None])
+    keep = ((m >= 0) & (m <= n_max)).all(-1)
+    return n[keep], m[keep]
+
+
+def shell_tail(prev, last, n):
+    """Tail sum_{j > n} s_j of index-shell sums that decay like a power.
+
+    The power law s_j ~ C j^-p is fitted to two consecutive shells,
+    ``prev`` = s_{n-1} and ``last`` = s_n, giving last * n / (p - 1).
+    The tail is 0 after an empty shell and inf unless the shells fall
+    faster than j^-1.05.  Broadcasts over arrays of shells.
+    """
+    prev, last, n = (np.asarray(v, dtype=float) for v in (prev, last, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.log(prev / last) / np.log(n / (n - 1.0))
+        fit = last * n / (p - 1.0)
+    return np.where(last == 0.0, 0.0, np.where((last < prev) & (p > 1.05), fit, math.inf))
 
 
 @dataclass
@@ -308,87 +355,68 @@ class IntegralResult:
 
 def _as_eval(theta):
     if isinstance(theta, FreqFunction):
-        return theta, theta.d, theta.diagonal
+        return theta
     raise TypeError("expected a FreqFunction")
-
-
-def _partners(n, d, n_max, band):
-    """Second indices paired with n: the full box, or a band around n."""
-    if band is None:
-        return multi_indices(d, n_max)
-    offsets = product(range(-band, band + 1), repeat=d)
-    out = []
-    for off in offsets:
-        m = tuple(v + o for v, o in zip(n, off))
-        if all(0 <= v <= n_max for v in m):
-            out.append(m)
-    return out
 
 
 def integrate(theta, grid, n_max, d=None):
     """Truncated integral of theta against the frequency measure.
 
     Sums theta(n, m, lam) |lam|^d over multi-indices with max entry
-    <= n_max and over the lambda grid.  Returns an :class:`IntegralResult`
-    carrying a tail estimate built from the outermost index shell and the
-    uncovered lambda ranges (an estimate, not a certified bound).
+    <= n_max (within the support band of theta) and over the lambda grid.
+    Returns an :class:`IntegralResult` carrying a tail estimate built from
+    the outermost index shell and the uncovered lambda ranges (an
+    estimate, not a certified bound).
     """
-    fn, d_fn, diagonal = _as_eval(theta)
-    d = d_fn if d is None else d
+    fn = _as_eval(theta)
+    d = fn.d if d is None else d
     lam = grid.lam
     meas = np.abs(lam) ** d * grid.weights
-    total = 0.0 + 0.0j
-    shell_abs = {}
-    edge_small = 0.0
-    edge_large = 0.0
     P = grid.points_per_sign
 
-    idx = multi_indices(d, n_max)
-    for n in idx:
-        for m in _partners(n, d, n_max, fn.band):
-            row = fn(n, m, lam)
-            total += np.sum(row * meas)
-            absrow = np.abs(row)
-            shell = max(max(n), max(m))
-            shell_abs[shell] = shell_abs.get(shell, 0.0) + float(np.sum(absrow * np.abs(meas)))
-            # mass of the uncovered strip |lam| < lambda_min, |theta| frozen at the edge
-            edge_small += (absrow[P - 1] + absrow[P]) * grid.lambda_min ** (d + 1) / (d + 1)
-            # geometric estimate beyond lambda_max
-            a_last, a_prev = absrow[-1], absrow[-2]
-            if a_prev > 0 and a_last < 0.9 * a_prev:
-                q = a_last / a_prev
-                step = grid.lam[-1] - grid.lam[-2]
-                edge_large += 2.0 * a_last * abs(lam[-1]) ** d * step * q / (1.0 - q)
+    n, m = box_pairs(d, n_max, fn.band)
+    rows = fn(n[:, None], m[:, None], lam)              # (pairs, lambda)
+    total = np.sum((rows * meas).sum(axis=1))
+    absrows = np.abs(rows)
+    shell = np.maximum(n.max(axis=-1), m.max(axis=-1))
+    shell_abs = np.bincount(shell, weights=(absrows * np.abs(meas)).sum(axis=1),
+                            minlength=n_max + 1)
+    # mass of the uncovered strip |lam| < lambda_min, |theta| frozen at the edge
+    edge_small = np.sum((absrows[:, P - 1] + absrows[:, P]) * grid.lambda_min ** (d + 1) / (d + 1))
+    # geometric estimate beyond lambda_max
+    a_last, a_prev = absrows[:, -1], absrows[:, -2]
+    q = np.divide(a_last, a_prev, out=np.zeros_like(a_last),
+                  where=(a_prev > 0) & (a_last < 0.9 * a_prev))
+    step = lam[-1] - lam[-2]
+    edge_large = np.sum(2.0 * a_last * abs(lam[-1]) ** d * step * q / (1.0 - q))
 
     tail_n = math.inf
     if n_max >= 2:
-        s_last = shell_abs.get(n_max, 0.0)
-        s_prev = shell_abs.get(n_max - 1, 0.0)
-        if s_last == 0.0:
-            tail_n = 0.0
-        elif s_prev > 0 and s_last < 0.95 * s_prev:
+        s_prev, s_last = shell_abs[n_max - 1], shell_abs[n_max]
+        if s_prev > 0 and 0 < s_last < 0.95 * s_prev:
             q = s_last / s_prev
             tail_n = s_last * q / (1.0 - q)
-        elif s_prev > s_last > 0:
-            # slow (power-like) shell decay: fit s_n ~ C n^-p
-            pexp = math.log(s_prev / s_last) / math.log(n_max / (n_max - 1.0))
-            if pexp > 1.05:
-                tail_n = s_last * n_max / (pexp - 1.0)
+        else:
+            tail_n = float(shell_tail(s_prev, s_last, n_max))
     return IntegralResult(complex(total), float(tail_n + edge_small + edge_large))
+
+
+def one_plus_weight(n, m, lam, d):
+    """1 + |lam| (|n + m|_1 + d) + |n - m|_1, the decay weight plus one."""
+    nm = np.abs(n + m).sum(axis=-1)
+    diff = np.abs(n - m).sum(axis=-1)
+    return 1.0 + np.abs(lam) * (nm + d) + diff
 
 
 def l1m_norm(theta, p, grid, n_max, d=None):
     """Moderate-growth norm: integral of (1 + |lam|(|n+m|+d) + |n-m|)^{-p} |theta|."""
-    fn, d_fn, diagonal = _as_eval(theta)
-    d = d_fn if d is None else d
+    fn = _as_eval(theta)
+    d = fn.d if d is None else d
 
     def weighted(n, m, lam):
-        nm = float(np.abs(np.asarray(n) + np.asarray(m)).sum())
-        diff = float(np.abs(np.asarray(n) - np.asarray(m)).sum())
-        w = (1.0 + np.abs(lam) * (nm + d) + diff) ** (-p)
-        return w * np.abs(fn(n, m, lam))
+        return one_plus_weight(n, m, lam, d) ** (-p) * np.abs(fn(n, m, lam))
 
-    wrapped = FreqFunction(weighted, d=d, diagonal=diagonal, band=fn.band)
+    wrapped = FreqFunction(weighted, d=d, band=fn.band)
     return integrate(wrapped, grid, n_max, d=d)
 
 
@@ -402,7 +430,8 @@ def freq_seminorm(theta, N, Np, n_sup=12, lam_values=None, grid=None):
     """
     from . import diff_ops  # local import; diff_ops depends on this module
 
-    fn, d, diagonal = _as_eval(theta)
+    fn = _as_eval(theta)
+    d = fn.d
     if lam_values is None:
         if grid is None:
             grid = LambdaGrid()
@@ -419,16 +448,10 @@ def freq_seminorm(theta, N, Np, n_sup=12, lam_values=None, grid=None):
 
     # the seminorm operators shift n and m together (or swap them), so the
     # off-diagonal band of theta is preserved
-    band = fn.band
-    best = 0.0
-    idx = multi_indices(d, n_sup)
-    for n in idx:
-        for m in _partners(n, d, n_sup, band):
-            nm = float(np.abs(np.asarray(n) + np.asarray(m)).sum())
-            diff = float(np.abs(np.asarray(n) - np.asarray(m)).sum())
-            w = (1.0 + np.abs(lam_values) * (nm + d) + diff) ** N
-            mag = np.abs(lap(n, m, lam_values)) + np.abs(work(n, m, lam_values)) + np.abs(
-                sig(n, m, lam_values)
-            )
-            best = max(best, float(np.max(w * mag)))
-    return best
+    n, m = box_pairs(d, n_sup, fn.band)
+    n, m = n[:, None], m[:, None]
+    w = one_plus_weight(n, m, lam_values, d) ** N
+    mag = np.abs(lap(n, m, lam_values)) + np.abs(work(n, m, lam_values)) + np.abs(
+        sig(n, m, lam_values)
+    )
+    return float(np.max(w * mag))

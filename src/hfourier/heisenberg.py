@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .fields import SampledField
+from .fields import SampledField, cubic_weights
 
 __all__ = [
     "group_mul",
@@ -61,15 +61,6 @@ def dilate(a, w, d=1):
 
 
 # ---- group convolution ---------------------------------------------------
-
-def _cubic_weights(t):
-    return (
-        -t * (t - 1) * (t - 2) / 6.0,
-        (t + 1) * (t - 1) * (t - 2) / 2.0,
-        -(t + 1) * t * (t - 2) / 2.0,
-        (t + 1) * t * (t - 1) / 6.0,
-    )
-
 
 def convolve(f, g):
     """Group convolution (f * g)(w) = integral f(w . v^{-1}) g(v) dv.
@@ -133,7 +124,7 @@ def convolve(f, g):
         u = c / hs
         b0 = np.floor(u)
         t = u - b0
-        w0, w1, w2, w3 = _cubic_weights(t)
+        w0, w1, w2, w3 = cubic_weights(t)
         base = b0.astype(np.int64) + cs     # grid index below (0*hs + c) - s_min - (ns-1)
 
         padded = np.zeros(y_shape + (ns + 2 * pad_lead,), dtype=complex)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freq_space import BoundaryPoint, FreqFunction, FreqPoint
+from .freq_space import BoundaryPoint, FreqFunction, FreqPoint, one_plus_weight
 
 __all__ = [
     "Profile",
@@ -102,71 +102,69 @@ class Profile:
         return self.support[0] == "k_zero"
 
 
-def _R(n, m):
-    return np.asarray(n, dtype=float) + np.asarray(m, dtype=float) + 1.0
-
-
 def profile_theta(P, point):
     """Evaluate Theta_P at an interior or boundary point of the completion."""
+    theta = profile_to_freq_function(P)
     if isinstance(point, FreqPoint):
-        lam = np.asarray(point.lam, dtype=float)
-        x = np.abs(lam)[..., None] * _R(point.n, point.m)
-        k = tuple(int(b) - int(a) for a, b in zip(point.n, point.m))
-        return complex(np.asarray(P.value(x, k, lam), dtype=complex))
+        return complex(theta(point.n, point.m, point.lam))
     if isinstance(point, BoundaryPoint):
-        x = np.abs(np.asarray(point.xdot, dtype=float))
-        return complex(np.asarray(P.value(x, tuple(point.k), np.asarray(0.0)), dtype=complex))
+        return theta.at_boundary(point.xdot, point.k)
     raise TypeError("expected a FreqPoint or BoundaryPoint")
+
+
+def _by_k(fn, n, m, lam):
+    """Evaluate fn(x, k, lam, R) over broadcast index arrays.
+
+    Profiles take the integer index k = m - n as a tuple, so the entries are
+    grouped by k; the groups are found on the index arrays before they are
+    broadcast against lam (they are few, and far smaller than the result).
+    """
+    n, m = np.broadcast_arrays(n, m)
+    shape = np.broadcast_shapes(n.shape[:-1], lam.shape)
+    k = m - n
+    R = np.broadcast_to(n + m + 1.0, shape + n.shape[-1:])
+    lam = np.broadcast_to(lam, shape)
+    out = np.empty(shape, dtype=complex)
+    for kk in np.unique(k.reshape(-1, k.shape[-1]), axis=0):
+        sel = np.broadcast_to((k == kk).all(axis=-1), shape)
+        Rs, ls = R[sel], lam[sel]
+        out[sel] = fn(np.abs(ls)[..., None] * Rs, tuple(kk.tolist()), ls, Rs)
+    return out
 
 
 def profile_to_freq_function(P):
     """Wrap a profile as a FreqFunction with analytic lambda-derivatives."""
     d = P.d
 
-    def interior(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        R = _R(n, m)
-        x = np.abs(lam)[..., None] * R
-        k = tuple(int(b) - int(a) for a, b in zip(n, m))
-        return np.asarray(P.value(x, k, lam), dtype=complex)
+    def value(x, k, lam, R):
+        return P.value(x, k, lam)
 
-    def dlam(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        R = _R(n, m)
-        x = np.abs(lam)[..., None] * R
-        k = tuple(int(b) - int(a) for a, b in zip(n, m))
+    def dlam_k(x, k, lam, R):
         out = np.asarray(P.dlam(x, k, lam), dtype=complex)
         sgn = np.sign(lam)
         for j in range(d):
-            out = out + sgn * R[j] * np.asarray(P.dx(x, k, lam, j), dtype=complex)
+            out = out + sgn * R[..., j] * np.asarray(P.dx(x, k, lam, j), dtype=complex)
         return out
 
-    dlam2 = None
-    if d == 1 and P.dxlam is not None and P.dlam2 is not None:
-
-        def dlam2(n, m, lam):
-            lam = np.asarray(lam, dtype=float)
-            R = _R(n, m)
-            x = np.abs(lam)[..., None] * R
-            k = tuple(int(b) - int(a) for a, b in zip(n, m))
-            sgn = np.sign(lam)
-            return (
-                R[0] ** 2 * np.asarray(P.dxx(x, k, lam, 0), dtype=complex)
-                + 2.0 * sgn * R[0] * np.asarray(P.dxlam(x, k, lam, 0), dtype=complex)
-                + np.asarray(P.dlam2(x, k, lam), dtype=complex)
-            )
+    def dlam2_k(x, k, lam, R):
+        sgn = np.sign(lam)
+        return (
+            R[..., 0] ** 2 * np.asarray(P.dxx(x, k, lam, 0), dtype=complex)
+            + 2.0 * sgn * R[..., 0] * np.asarray(P.dxlam(x, k, lam, 0), dtype=complex)
+            + np.asarray(P.dlam2(x, k, lam), dtype=complex)
+        )
 
     def boundary(xdot, k):
         x = np.abs(np.asarray(xdot, dtype=float))
         return complex(np.asarray(P.value(x, tuple(k), np.asarray(0.0)), dtype=complex))
 
+    has_dlam2 = d == 1 and P.dxlam is not None and P.dlam2 is not None
     return FreqFunction(
-        interior,
+        lambda n, m, lam: _by_k(value, n, m, lam),
         d=d,
-        dlam=dlam,
-        dlam2=dlam2,
+        dlam=lambda n, m, lam: _by_k(dlam_k, n, m, lam),
+        dlam2=(lambda n, m, lam: _by_k(dlam2_k, n, m, lam)) if has_dlam2 else None,
         boundary=boundary,
-        diagonal=P.diagonal,
         band=0 if P.diagonal else P.k_extent,
         label=P.label or "profile",
     )
@@ -189,7 +187,6 @@ def boundary_diff(P, b):
     k = b.k
     xa = np.array([x])
     zero = np.asarray(0.0)
-    f = complex(np.asarray(P.value(xa, k, zero), dtype=complex)[0]) if np.ndim(P.value(xa, k, zero)) else complex(P.value(xa, k, zero))
     fx = complex(np.asarray(P.dx(xa, k, zero, 0), dtype=complex).reshape(-1)[0])
     fxx = complex(np.asarray(P.dxx(xa, k, zero, 0), dtype=complex).reshape(-1)[0])
     fl = complex(np.asarray(P.dlam(xa, k, zero), dtype=complex).reshape(-1)[0])
@@ -209,26 +206,21 @@ def heat_profile(t, d=1):
     if t <= 0:
         raise ValueError("time must be positive")
 
+    def rate(n, m):
+        # 4 t (2|n| + d), and where the function lives (n == m)
+        return 4.0 * t * (2.0 * n.sum(axis=-1) + d), (n == m).all(axis=-1)
+
     def interior(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        if tuple(n) != tuple(m):
-            return np.zeros(lam.shape, dtype=complex)
-        c = 4.0 * t * (2.0 * sum(n) + d)
-        return np.exp(-c * np.abs(lam)) + 0j
+        c, diag = rate(n, m)
+        return np.where(diag, np.exp(-c * np.abs(lam)), 0.0) + 0j
 
     def dlam(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        if tuple(n) != tuple(m):
-            return np.zeros(lam.shape, dtype=complex)
-        c = 4.0 * t * (2.0 * sum(n) + d)
-        return -c * np.sign(lam) * np.exp(-c * np.abs(lam)) + 0j
+        c, diag = rate(n, m)
+        return np.where(diag, -c * np.sign(lam) * np.exp(-c * np.abs(lam)), 0.0) + 0j
 
     def dlam2(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        if tuple(n) != tuple(m):
-            return np.zeros(lam.shape, dtype=complex)
-        c = 4.0 * t * (2.0 * sum(n) + d)
-        return c * c * np.exp(-c * np.abs(lam)) + 0j
+        c, diag = rate(n, m)
+        return np.where(diag, c * c * np.exp(-c * np.abs(lam)), 0.0) + 0j
 
     def boundary(xdot, k):
         if any(k):
@@ -237,7 +229,7 @@ def heat_profile(t, d=1):
 
     return FreqFunction(
         interior, d=d, dlam=dlam, dlam2=dlam2, boundary=boundary,
-        diagonal=True, label=f"heat(t={t})",
+        band=0, label=f"heat(t={t})",
     )
 
 
@@ -399,14 +391,10 @@ def m_equiv_fit(theta1, theta2, M, N, samples):
     A value stable under sample refinement is numerical evidence of
     M-equivalence of the two functions.
     """
-    best = 0.0
-    for pt in samples:
-        n, m, lam = pt.n, pt.m, np.asarray(pt.lam, dtype=float)
-        d = len(n)
-        nm = float(np.abs(np.asarray(n) + np.asarray(m)).sum())
-        diff = float(np.abs(np.asarray(n) - np.asarray(m)).sum())
-        gap = abs(complex(theta1(n, m, lam)) - complex(theta2(n, m, lam)))
-        bound = abs(pt.lam) ** M * (1.0 + abs(pt.lam) * (nm + d) + diff) ** (-N)
-        if bound > 0:
-            best = max(best, gap / bound)
-    return best
+    n = np.array([pt.n for pt in samples])
+    m = np.array([pt.m for pt in samples])
+    lam = np.array([pt.lam for pt in samples])
+    gap = np.abs(theta1(n, m, lam) - theta2(n, m, lam))
+    bound = np.abs(lam) ** M * one_plus_weight(n, m, lam, n.shape[-1]) ** (-N)
+    ratio = np.divide(gap, bound, out=np.zeros_like(gap), where=bound > 0)
+    return float(ratio.max())

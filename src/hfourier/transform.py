@@ -32,8 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SampledField
-from .freq_space import FreqFunction, LambdaGrid, integrate, multi_indices
+from .fields import SampledField, cubic_weights
+from .freq_space import (
+    FreqFunction,
+    LambdaGrid,
+    _simpson_log_weights,
+    box_pairs,
+    integrate,
+    multi_indices,
+)
 from .hermite import hermite_rows
 from .wigner import wigner_conj_grid, wigner_eval, wigner_series
 
@@ -88,8 +95,8 @@ class SpectralTable:
         return complex(self.values[tuple(n) + tuple(m) + (il,)])
 
     def _lam_index(self, lam):
-        il = int(np.argmin(np.abs(self.grid.lam - lam)))
-        if abs(self.grid.lam[il] - lam) > 1e-9 * max(abs(lam), 1e-30):
+        il, on_grid = _grid_index(self.grid.lam, lam)
+        if not on_grid:
             raise KeyError(f"lambda {lam} not on the table grid")
         return il
 
@@ -98,16 +105,11 @@ class SpectralTable:
         nmax = self.n_max
 
         def interior(n, m, lam):
-            lam = np.atleast_1d(np.asarray(lam, dtype=float))
-            out = np.zeros(lam.shape, dtype=complex)
-            if max(n) > nmax or max(m) > nmax:
-                return out
-            row = self.values[tuple(n) + tuple(m)]
-            idx = np.argmin(np.abs(self.grid.lam[None, :] - lam[:, None]), axis=1)
-            good = np.abs(self.grid.lam[idx] - lam) <= 1e-9 * np.maximum(np.abs(lam), 1e-30)
-            if not good.all():
-                raise KeyError("lambda off the table grid")
-            return row[idx]
+            il = self._lam_index(lam)
+            nm = np.concatenate(np.broadcast_arrays(n, m), axis=-1)
+            inside = ((nm >= 0) & (nm <= nmax)).all(axis=-1)
+            vals = self.values[tuple(np.moveaxis(np.clip(nm, 0, nmax), -1, 0)) + (il,)]
+            return np.where(inside, vals, 0.0)
 
         return FreqFunction(interior, d=self.d, label=f"table:{self.provenance}")
 
@@ -117,11 +119,25 @@ class SpectralTable:
         return SpectralTable(np.conj(self.values).transpose(axes), self.grid, self.d, self.provenance)
 
 
+def _grid_index(grid_lam, lam):
+    """Index of the grid point nearest each lam, and whether every lam
+    lies on the (ascending) grid to 1e-9 relative."""
+    lam = np.asarray(lam, dtype=float)
+    hi = np.clip(np.searchsorted(grid_lam, lam), 1, len(grid_lam) - 1)
+    il = np.where(np.abs(grid_lam[hi - 1] - lam) <= np.abs(grid_lam[hi] - lam), hi - 1, hi)
+    on_grid = np.all(np.abs(grid_lam[il] - lam) <= 1e-9 * np.maximum(np.abs(lam), 1e-30))
+    return il, bool(on_grid)
+
+
+def _csv_columns(d):
+    return [f"n{j}" for j in range(d)] + [f"m{j}" for j in range(d)] + ["lambda", "re", "im"]
+
+
 def table_to_csv(table, path, sidecar=None):
     """CSV export (n.., m.., lambda, re, im) with a JSON sidecar; floats use
     round-trip-exact formatting."""
     d = table.d
-    cols = [f"n{j}" for j in range(d)] + [f"m{j}" for j in range(d)] + ["lambda", "re", "im"]
+    cols = _csv_columns(d)
     idx = multi_indices(d, table.n_max)
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
@@ -146,23 +162,43 @@ def table_to_csv(table, path, sidecar=None):
 
 
 def table_from_csv(path, sidecar=None):
+    """Read a table written by :func:`table_to_csv`.
+
+    Values are placed by their (n.., m.., lambda) columns, so the row order
+    is free.  Raises ValueError for a wrong header, indices outside
+    [0, n_max], a lambda off the sidecar grid (1e-9 relative), a missing or
+    duplicate entry, or a non-finite value.
+    """
     with open(sidecar or (str(path) + ".json")) as fh:
         meta = json.load(fh)
     d = int(meta["d"])
     grid = LambdaGrid(meta["grid"]["lambda_min"], meta["grid"]["lambda_max"],
                       int(meta["grid"]["points_per_sign"]))
     n_max = int(meta["n_max"])
-    L = len(grid.lam)
-    values = np.zeros((n_max + 1,) * (2 * d) + (L,), dtype=complex)
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    ptr = 0
-    idx = multi_indices(d, n_max)
-    for n in idx:
-        for m in idx:
-            block = data[ptr : ptr + L]
-            ptr += L
-            values[tuple(n) + tuple(m)] = block[:, 2 * d + 1] + 1j * block[:, 2 * d + 2]
-    return SpectralTable(values, grid, d, meta.get("provenance", "import"))
+    shape = (n_max + 1,) * (2 * d) + (len(grid.lam),)
+    cols = _csv_columns(d)
+    with open(path) as fh:
+        if fh.readline().strip() != ",".join(cols):
+            raise ValueError(f"{path}: header is not {','.join(cols)}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape != (math.prod(shape), len(cols)):
+        raise ValueError(f"{path}: {data.shape[0]} rows of {data.shape[1]} columns, "
+                         f"expected {math.prod(shape)} rows of {len(cols)}")
+    idx = data[:, : 2 * d]
+    if np.any((idx != np.round(idx)) | (idx < 0) | (idx > n_max)):
+        raise ValueError(f"{path}: index outside 0..{n_max}")
+    il, on_grid = _grid_index(grid.lam, data[:, 2 * d])
+    if not on_grid:
+        raise ValueError(f"{path}: lambda off the sidecar grid")
+    if not np.all(np.isfinite(data[:, 2 * d + 1 :])):
+        raise ValueError(f"{path}: non-finite value")
+    flat = np.ravel_multi_index(tuple(idx.astype(int).T) + (il,), shape)
+    if np.unique(flat).size != flat.size:
+        raise ValueError(f"{path}: duplicate (n, m, lambda) rows")
+    values = np.zeros(math.prod(shape), dtype=complex)
+    values.real[flat] = data[:, 2 * d + 1]
+    values.imag[flat] = data[:, 2 * d + 2]
+    return SpectralTable(values.reshape(shape), grid, d, meta.get("provenance", "import"))
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +462,6 @@ def rep_matrix_coeff(fld, lam, n, m):
 # inverse transform
 # ---------------------------------------------------------------------------
 
-def _theta_rows(theta, n_top, lam):
-    """Matrix theta(n, m, lam) over the index box at one lambda (d = 1)."""
-    out = np.zeros((n_top + 1, n_top + 1), dtype=complex)
-    la = np.array([lam])
-    if getattr(theta, "diagonal", False):
-        for n in range(n_top + 1):
-            out[n, n] = theta((n,), (n,), la)[0]
-    else:
-        for n in range(n_top + 1):
-            for m in range(n_top + 1):
-                out[n, m] = theta((n,), (m,), la)[0]
-    return out
-
-
 def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
     """Boundary-kernel estimate of the capped diagonal remainder.
 
@@ -452,9 +474,8 @@ def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
     """
     from scipy.special import j0 as j0_bessel
 
-    la = np.array([lam])
-    t1 = complex(theta((n_top + 1,), (n_top + 1,), la)[0])
-    t2 = complex(theta((n_top + 2,), (n_top + 2,), la)[0])
+    nxt = np.array([[n_top + 1], [n_top + 2]])
+    t1, t2 = (complex(v) for v in theta(nxt, nxt, lam))
     if t1 == 0 or abs(t2) >= (1.0 - 1e-9) * abs(t1):
         return None
     r = t2 / t1
@@ -479,40 +500,29 @@ def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
 
 
 def _n_extent(theta, lam, n_cap, tol=1e-15):
-    """Largest diagonal index with non-negligible weight at this lambda."""
-    la = np.array([lam])
-    ref = abs(theta((0,) * theta.d, (0,) * theta.d, la)[0])
-    if ref == 0.0:
+    """Largest diagonal index with non-negligible weight at this lambda:
+    the first of 4, 8, 16, ... below ``n_cap`` where |theta| falls under
+    ``tol`` times its value at index 0, else ``n_cap``."""
+    probes = [0] + [4 << k for k in range(n_cap.bit_length()) if 4 << k < n_cap]
+    idx = np.repeat(np.array(probes)[:, None], theta.d, axis=1)
+    mags = np.abs(theta(idx, idx, lam))
+    if mags[0] == 0.0:
         return 0
-    n = 4
-    while n < n_cap:
-        if abs(theta((n,) * theta.d, (n,) * theta.d, la)[0]) < tol * ref:
-            return n
-        n *= 2
-    return n_cap
+    small = np.flatnonzero(mags[1:] < tol * mags[0])
+    return probes[1 + small[0]] if len(small) else n_cap
 
 
 def inverse_at_point(theta, w, grid, n_max, d=1):
     """Inverse transform at a single physical point (any d; spot use)."""
     w = np.asarray(w, dtype=float)
-    y = w[:d]
-    eta = w[d : 2 * d]
-    s = w[-1]
-    Y = np.concatenate([y, eta])
-    idx = multi_indices(d, n_max)
+    Y, s = w[: 2 * d], w[-1]
+    n, m = box_pairs(d, n_max, theta.band)
+    values = theta(n[:, None], m[:, None], grid.lam)     # (pairs, lambda)
     total = 0.0 + 0.0j
-    diag = getattr(theta, "diagonal", False)
     for il, lam in enumerate(grid.lam):
-        wlam = grid.weights[il] * abs(lam) ** d
-        acc = 0.0 + 0.0j
-        la = np.array([lam])
-        for n in idx:
-            for m in [n] if diag else idx:
-                tv = theta(n, m, la)[0]
-                if tv == 0.0:
-                    continue
-                acc += tv * wigner_eval(n, m, lam, Y)
-        total += wlam * np.exp(1j * s * lam) * acc
+        acc = sum(values[q, il] * wigner_eval(tuple(n[q]), tuple(m[q]), lam, Y)
+                  for q in np.flatnonzero(values[:, il]))
+        total += grid.weights[il] * abs(lam) ** d * np.exp(1j * s * lam) * acc
     return complex(total * 2.0 ** (d - 1) / math.pi ** (d + 1))
 
 
@@ -541,8 +551,7 @@ def inverse_on_grid(theta, grid, n_max, d=1, extents=(6.0, 6.0, 6.0), points=(33
     chi_slices = {}
 
     lam_list = grid.lam[grid.lam > 0] if assume_symmetric else grid.lam
-    table_n = getattr(theta, "label", "").startswith("table")
-    diagonal = getattr(theta, "diagonal", False)
+    table_n = theta.label.startswith("table")
     tail = 0.0
 
     for lam in lam_list:
@@ -556,11 +565,13 @@ def inverse_on_grid(theta, grid, n_max, d=1, extents=(6.0, 6.0, 6.0), points=(33
             if n_top == n_cap:
                 tail += wlam / (8.0 * al * n_cap) if al * n_cap < 4.0 else 0.0
 
-        rows = _theta_rows(theta, n_top, lam)
+        n, m = box_pairs(1, n_top, theta.band)
+        rows = np.zeros((n_top + 1, n_top + 1), dtype=complex)
+        rows[n[:, 0], m[:, 0]] = theta(n, m, lam)
         if not np.any(rows):
             continue
         chi = wigner_series(rows, lam, y_axis, e_axis)
-        if diagonal and not table_n and n_top == n_cap:
+        if theta.diagonal and not table_n and n_top == n_cap:
             tail_row = _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis)
             if tail_row is not None:
                 chi = chi + tail_row
@@ -582,11 +593,7 @@ def _resample_log(chi, lam_src, lam_dst):
     h = t_src[1] - t_src[0]
     u = (np.log(lam_dst) - t_src[0]) / h
     base = np.clip(np.floor(u).astype(int), 1, len(lam_src) - 3)
-    t = u - base
-    w0 = -t * (t - 1) * (t - 2) / 6.0
-    w1 = (t + 1) * (t - 1) * (t - 2) / 2.0
-    w2 = -(t + 1) * t * (t - 2) / 2.0
-    w3 = (t + 1) * t * (t - 1) / 6.0
+    w0, w1, w2, w3 = cubic_weights(u - base)
     return (
         chi[..., base - 1] * w0
         + chi[..., base] * w1
@@ -605,8 +612,6 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
     uniform grid (cubic in log lambda, where they are smooth) and summed
     by composite Simpson.
     """
-    from .freq_space import _simpson_log_weights
-
     s_max = float(np.abs(s_axis).max())
     h_d = min(0.02, 2.0 * math.pi / (48.0 * max(s_max, 1.0)))
     out = np.zeros(yshape + (len(s_axis),), dtype=complex)
@@ -673,7 +678,7 @@ def plancherel_norms(fld, table):
 
     def sq(n, m, lam):
         v = fn(n, m, lam)
-        return (v * np.conj(v)).real.astype(complex)
+        return (v * np.conj(v)).real
 
     wrapped = FreqFunction(sq, d=table.d)
     res = integrate(wrapped, table.grid, table.n_max, d=table.d)
@@ -686,19 +691,13 @@ def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
     Returns (value, tail_estimate); the tail uses the decay of the last
     few middle-index shells.
     """
-    lam_arr = np.array([float(lam)])
-    idx = multi_indices(d, ell_max)
-    total = 0.0 + 0.0j
-    shells = {}
-    for ell in idx:
-        t1 = theta1(tuple(n), ell, lam_arr)[0]
-        t2 = theta2(ell, tuple(m), lam_arr)[0]
-        total += t1 * t2
-        sh = max(ell)
-        shells[sh] = shells.get(sh, 0.0) + abs(t1 * t2)
+    ell = np.array(multi_indices(d, ell_max)).reshape(-1, d)
+    terms = theta1(n, ell, lam) * theta2(ell, m, lam)
+    total = np.sum(terms)
+    shells = np.bincount(ell.max(axis=-1), weights=np.abs(terms), minlength=ell_max + 1)
     tail = math.inf
-    s_last = shells.get(ell_max, 0.0)
-    s_prev = shells.get(ell_max - 1, 0.0)
+    s_last = shells[ell_max]
+    s_prev = shells[ell_max - 1] if ell_max >= 1 else 0.0
     if s_last == 0.0:
         tail = 0.0
     elif s_prev > 0 and s_last < 0.95 * s_prev:
@@ -729,14 +728,12 @@ def multiplier_apply(a, theta):
     d = theta.d
 
     def interior(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        r = 4.0 * np.abs(lam) * (2.0 * sum(m) + d)
+        r = 4.0 * np.abs(lam) * (2.0 * m.sum(axis=-1) + d)
         return np.asarray(a(r), dtype=complex) * theta(n, m, lam)
 
     # a pointwise multiplier keeps the index support of theta, so the label
     # keeps its prefix: a table-backed theta stays table-backed for the inverse
-    out = FreqFunction(interior, d=d, diagonal=theta.diagonal,
-                       label=f"{theta.label}:mult")
+    out = FreqFunction(interior, d=d, band=theta.band, label=f"{theta.label}:mult")
     if theta.has_boundary:
         # the symbol vanishes on the boundary (lam -> 0 at fixed k)
         out._boundary = lambda xdot, k: complex(a(0.0)) * theta.at_boundary(xdot, k)

@@ -135,26 +135,18 @@ class VerifyContext:
         """Closed-form transform of exp(-|Y|^2 - s^2) at d = 1 (diagonal)."""
 
         def entry(n, m, lam):
-            lam = np.asarray(lam, dtype=float)
-            if tuple(n) != tuple(m):
-                return np.zeros(lam.shape, dtype=complex)
             t = np.abs(lam)
-            k = n[0]
-            return (
-                math.pi**1.5 * np.exp(-(lam**2) / 4.0) * (1.0 - t) ** k / (1.0 + t) ** (k + 1)
-            ) + 0j
+            k = n[..., 0]
+            val = math.pi**1.5 * np.exp(-(lam**2) / 4.0) * (1.0 - t) ** k / (1.0 + t) ** (k + 1)
+            return np.where((n == m).all(axis=-1), val, 0.0) + 0j
 
         def entry_dlam(n, m, lam):
-            lam = np.asarray(lam, dtype=float)
-            if tuple(n) != tuple(m):
-                return np.zeros(lam.shape, dtype=complex)
             t = np.abs(lam)
-            k = n[0]
-            base = entry(n, m, lam)
+            k = n[..., 0]
             dlog = -lam / 2.0 + np.sign(lam) * (-k / (1.0 - t) - (k + 1) / (1.0 + t))
-            return base * dlog
+            return entry(n, m, lam) * dlog
 
-        return FreqFunction(entry, d=1, dlam=entry_dlam, diagonal=True, label="gauss-hat")
+        return FreqFunction(entry, d=1, dlam=entry_dlam, band=0, label="gauss-hat")
 
     def heat_inverse_tall(self):
         g = self.cfg.heat_phys_grid
@@ -229,6 +221,16 @@ _SPOT_POINTS = [
 ]
 
 
+def _spot_arrays(points):
+    """The spot points as index arrays (K, 1) and a lambda array (K,)."""
+    n, m, lam = zip(*points)
+    return np.array(n), np.array(m), np.array(lam)
+
+
+def _direct_at(fld, points):
+    return np.array([forward_direct(fld, n, m, lam) for n, m, lam in points])
+
+
 def _mkfield(ctx, fn):
     g = ctx.cfg.phys_grid
     return SampledField.from_function(fn, 1, g.extents, g.points)
@@ -242,11 +244,9 @@ def c04_laplacian(ctx):
                          + (2 * e - 4 * y * s) ** 2) * gauss(y, e, s),
     )
     fhat = ctx.unit_gauss_hat()
-    worst = 0.0
-    for n, m, lam in _SPOT_POINTS:
-        lhs = forward_direct(lap, n, m, lam)
-        rhs = -4.0 * abs(lam) * (2 * m[0] + 1) * fhat(n, m, np.array([lam]))[0]
-        worst = max(worst, abs(lhs - rhs))
+    n, m, lam = _spot_arrays(_SPOT_POINTS)
+    rhs = -4.0 * np.abs(lam) * (2 * m[:, 0] + 1) * fhat(n, m, lam)
+    worst = float(np.abs(_direct_at(lap, _SPOT_POINTS) - rhs).max())
     return [_gap_rec("c04.sublaplacian", "transform intertwines sub-Laplacian", worst, 1e-4)]
 
 
@@ -255,28 +255,26 @@ def c05_weight_identities(ctx):
     m2 = _mkfield(ctx, lambda y, e, s: (y**2 + e**2) * gauss(y, e, s))
     m0 = _mkfield(ctx, lambda y, e, s: -1j * s * gauss(y, e, s))
     fhat = ctx.unit_gauss_hat()
-    w1 = w2 = 0.0
-    for n, m, lam in _SPOT_POINTS:
-        la = np.array([lam])
-        w1 = max(w1, abs(forward_direct(m2, n, m, lam) + delta_hat(fhat, n, m, la)[0]))
-        w2 = max(w2, abs(forward_direct(m0, n, m, lam) - dlambda_hat(fhat, n, m, la)[0]))
+    n, m, lam = _spot_arrays(_SPOT_POINTS)
+    w1 = float(np.abs(_direct_at(m2, _SPOT_POINTS) + delta_hat(fhat, n, m, lam)).max())
+    w2 = float(np.abs(_direct_at(m0, _SPOT_POINTS) - dlambda_hat(fhat, n, m, lam)).max())
 
     # second fixture: anisotropic, lambda-derivative by finite differences
     aniso = lambda y, e, s: np.exp(-(y**2) - 1.4 * e**2 - 0.8 * s**2) * (1 + 0.3 * y)
     base = _mkfield(ctx, aniso)
     m2b = _mkfield(ctx, lambda y, e, s: (y**2 + e**2) * aniso(y, e, s))
     m0b = _mkfield(ctx, lambda y, e, s: -1j * s * aniso(y, e, s))
-    bhat = FreqFunction(
-        lambda n, m, lam: np.array(
-            [forward_direct(base, n, m, l) for l in np.atleast_1d(lam)], dtype=complex
-        ),
-        d=1,
-        label="aniso-hat",
-    )
-    for n, m, lam in _SPOT_POINTS[:6]:
-        la = np.array([lam])
-        w1 = max(w1, abs(forward_direct(m2b, n, m, lam) + delta_hat(bhat, n, m, la)[0]))
-        w2 = max(w2, abs(forward_direct(m0b, n, m, lam) - dlambda_hat(bhat, n, m, la)[0]))
+
+    def aniso_hat(n, m, lam):
+        n, m, lam = np.broadcast_arrays(n[..., 0], m[..., 0], lam)
+        vals = [forward_direct(base, (a,), (b,), l) for a, b, l in zip(n.flat, m.flat, lam.flat)]
+        return np.array(vals, dtype=complex).reshape(lam.shape)
+
+    bhat = FreqFunction(aniso_hat, d=1, label="aniso-hat")
+    spots = _SPOT_POINTS[:6]
+    n, m, lam = _spot_arrays(spots)
+    w1 = max(w1, float(np.abs(_direct_at(m2b, spots) + delta_hat(bhat, n, m, lam)).max()))
+    w2 = max(w2, float(np.abs(_direct_at(m0b, spots) - dlambda_hat(bhat, n, m, lam)).max()))
     return [
         _gap_rec("c05.weight-laplacian", "squared weight maps to frequency Laplacian", w1, 1e-4),
         _gap_rec("c05.weight-dlambda", "vertical weight maps to lambda derivative", w2, 1e-4),
@@ -354,17 +352,12 @@ def c09_boundary_extensions(ctx):
     for xd in (0.75, 1.5):
         for k in (0, 1, 2):
             extL, extD = boundary_diff(P, BoundaryPoint((xd,), (k,)))
-            rels = []
-            for target in (4e-3, 2e-3, 1e-3):
-                nn = int(round((xd / target - k - 1) / 2.0))
-                lam = xd / (2 * nn + k + 1)
-                la = np.array([lam])
-                gl = delta_hat(th, (nn,), (nn + k,), la)[0]
-                gd = dlambda_hat(th, (nn,), (nn + k,), la)[0]
-                rels.append(
-                    max(abs(gl - extL) / max(abs(extL), 1e-12),
-                        abs(gd - extD) / max(abs(extD), 1e-12))
-                )
+            nn = np.rint((xd / np.array([4e-3, 2e-3, 1e-3]) - k - 1) / 2.0).astype(int)[:, None]
+            lam = xd / (2 * nn[:, 0] + k + 1)
+            gl = delta_hat(th, nn, nn + k, lam)
+            gd = dlambda_hat(th, nn, nn + k, lam)
+            rels = np.maximum(np.abs(gl - extL) / max(abs(extL), 1e-12),
+                              np.abs(gd - extD) / max(abs(extD), 1e-12))
             worst_rel = max(worst_rel, rels[-1])
             orders.append(rels[1] / rels[2] if rels[2] > 0 else 2.0)
     detail = f"median halving ratio {np.median(orders):.2f} (first order ~ 2)"
@@ -381,19 +374,15 @@ def c10_ladder(ctx):
     Mp = _mkfield(ctx, lambda y, e, s: (y + 1j * e) * gauss(y, e, s))
     Mm = _mkfield(ctx, lambda y, e, s: (y - 1j * e) * gauss(y, e, s))
     fhat = ctx.unit_gauss_hat()
-    w = np.zeros(4)
-    for n, m, lam in _SPOT_POINTS:
-        la = np.array([lam])
-        w[0] = max(w[0], abs(forward_direct(X1, n, m, lam)
-                             + ladder_freq("mhat_plus", fhat, n, m, la)[0]))
+    n, m, lam = _spot_arrays(_SPOT_POINTS)
+    w = [
+        np.abs(_direct_at(X1, _SPOT_POINTS) + ladder_freq("mhat_plus", fhat, n, m, lam)).max(),
         # sign corrected relative to the stated form: the transform's
         # conjugation flips the purely imaginary coefficient
-        w[1] = max(w[1], abs(forward_direct(Xi1, n, m, lam)
-                             - ladder_freq("mhat_minus", fhat, n, m, la)[0]))
-        w[2] = max(w[2], abs(forward_direct(Mp, n, m, lam)
-                             - ladder_freq("dhat_plus", fhat, n, m, la)[0]))
-        w[3] = max(w[3], abs(forward_direct(Mm, n, m, lam)
-                             - ladder_freq("dhat_minus", fhat, n, m, la)[0]))
+        np.abs(_direct_at(Xi1, _SPOT_POINTS) - ladder_freq("mhat_minus", fhat, n, m, lam)).max(),
+        np.abs(_direct_at(Mp, _SPOT_POINTS) - ladder_freq("dhat_plus", fhat, n, m, lam)).max(),
+        np.abs(_direct_at(Mm, _SPOT_POINTS) - ladder_freq("dhat_minus", fhat, n, m, lam)).max(),
+    ]
     return [
         _gap_rec("c10.ladder-x", "horizontal field maps to raising multiplier", w[0], 1e-4),
         _gap_rec("c10.ladder-xi", "conjugate field maps to signed multiplier", w[1], 1e-4,
@@ -501,12 +490,10 @@ def c14_sqrt_modulus(ctx):
             lam = LambdaGrid(ctx.grid.lambda_min / 4**refine, 4.0,
                              96 * (refine + 1)).lam
             lam = lam[lam > 0]
-            best = 0.0
-            for n in range(0, 64):
-                x = lam * (2 * n + 1)
-                vals = np.abs(th((n,), (n,), lam) - theta0)
-                best = max(best, float(np.max(vals / np.sqrt(x))))
-            cs.append(best)
+            n = np.arange(64)[:, None, None]
+            x = lam * (2 * n[..., 0] + 1)
+            vals = np.abs(th(n, n, lam) - theta0)
+            cs.append(float(np.max(vals / np.sqrt(x))))
         drift = abs(cs[-1] - cs[0]) / cs[0]
         records.append(
             CheckRecord(f"c14.sqrt-modulus[{name}]", "square-root modulus of continuity",
@@ -537,7 +524,7 @@ def c15_mollifier(ctx):
                 w = np.exp(-((lam / _e) ** 2)) / (_e * math.sqrt(math.pi))
                 return w * _t(n, m, lam)
 
-            wrapped = FreqFunction(weighted, d=1, diagonal=th.diagonal, band=th.band)
+            wrapped = FreqFunction(weighted, d=1, band=th.band)
             v, _ = _diagonal_band_sum(wrapped, fine, 1, atol=1e-8)
             errs.append(abs(v.real - mu))
         ok = all(errs[i + 1] < errs[i] for i in range(3)) and errs[-1] <= 5e-3
@@ -553,21 +540,19 @@ def c16_heat(ctx):
     records = []
     # semigroup: exact diagonal algebra
     worst = 0.0
+    n = np.arange(6)[:, None]
     for lam in (0.3, -1.1, 2.0):
-        for n in range(6):
+        want = heat_profile(1.2)(n, n, lam)
+        for i in range(6):
             v, _ = spectral_product(
-                heat_profile(0.7), heat_profile(0.5), (n,), (n,), lam, ell_max=30
+                heat_profile(0.7), heat_profile(0.5), (i,), (i,), lam, ell_max=30
             )
-            w = heat_profile(1.2)((n,), (n,), np.array([lam]))[0]
-            worst = max(worst, abs(v - w))
+            worst = max(worst, abs(v - want[i]))
     records.append(_gap_rec("c16.semigroup", "heat semigroup composes", worst, 1e-14))
     # scaling
-    worst = 0.0
-    for lam in (0.25, 1.5, -0.7):
-        for n in range(5):
-            a = heat_profile(2.0)((n,), (n,), np.array([lam]))[0]
-            b = heat_profile(1.0)((n,), (n,), np.array([2.0 * lam]))[0]
-            worst = max(worst, abs(a - b))
+    n = np.arange(5)[:, None, None]
+    lam = np.array([0.25, 1.5, -0.7])
+    worst = float(np.abs(heat_profile(2.0)(n, n, lam) - heat_profile(1.0)(n, n, 2.0 * lam)).max())
     records.append(_gap_rec("c16.scaling", "time rescales the frequency", worst, 1e-15))
     # kernel reconstruction
     hfld, tail = ctx.heat_inverse_tall()

@@ -9,6 +9,7 @@ import hfourier.transform as transform
 from hfourier.cli import main
 from hfourier.fields import SampledField, read_field, write_field
 from hfourier.transform import SpectralTable, inverse_on_grid, table_from_csv, table_to_csv
+from hfourier.wigner import boundary_kernel
 
 SMALL_CFG = {
     "d": 1,
@@ -116,6 +117,19 @@ def test_transform_rejects_malformed(tmp_path, small_config):
     assert rc == 1
 
 
+def test_inverse_rejects_bad_table(tmp_path, small_config, gauss_file, capsys):
+    fwd = tmp_path / "fwd"
+    assert main(["transform", "--input", gauss_file, "--config", small_config,
+                 "--out", str(fwd)]) == 0
+    header, *rows = (fwd / "table.csv").read_text().splitlines()
+    (fwd / "table.csv").write_text("\n".join([header] + rows[:-1] + [rows[0]]) + "\n")
+    capsys.readouterr()
+    rc = main(["transform", "--input", str(fwd / "table.csv"), "--direction", "inverse",
+               "--config", small_config, "--out", str(tmp_path / "inv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_heat_command(tmp_path, small_config, gauss_file):
     out = tmp_path / "heat"
     rc = main(["heat", "--input", gauss_file, "--time", "0.2",
@@ -145,6 +159,12 @@ def test_kernel_command(tmp_path, small_config):
     rows = (out / "kernel.csv").read_text().strip().splitlines()
     assert rows[0] == "y,eta,re,im"
     assert len(rows) == 1 + 21 * 21
+    # every field is a plain float token equal, bit for bit, to the kernel
+    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+    axis = np.linspace(-5.0, 5.0, 21)
+    Y = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    want = boundary_kernel((1.0,), (0,), Y)
+    assert np.array_equal(data, np.column_stack([Y, want.real, want.imag]))
 
 
 def test_verify_unknown_suite():

@@ -12,7 +12,9 @@ E12 = math.exp(-12.0)
 
 
 def test_zero_function_maps_to_zero():
-    zero = FreqFunction(lambda n, m, lam: np.zeros_like(lam, dtype=complex), diagonal=True)
+    zero = FreqFunction(
+        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
+    )
     la = np.array([0.7])
     assert delta_hat(zero, (0,), (0,), la)[0] == 0
     assert dlambda_hat(zero, (0,), (0,), la)[0] == 0
@@ -50,12 +52,15 @@ class _Recorder(FreqFunction):
         self.calls = []
 
         def interior(n, m, lam):
-            self.calls.append((n, m))
-            if min(n) < 0 or min(m) < 0:
+            n, m = np.broadcast_arrays(n, m)
+            self.calls.extend(zip(map(tuple, n.reshape(-1, 1).tolist()),
+                                  map(tuple, m.reshape(-1, 1).tolist())))
+            if (n < 0).any() or (m < 0).any():
                 raise AssertionError("evaluated at a negative index")
-            return np.ones_like(np.asarray(lam), dtype=complex)
+            return np.ones(np.broadcast_shapes(n.shape[:-1], lam.shape), dtype=complex)
 
-        super().__init__(interior, d=1, dlam=lambda n, m, lam: np.zeros_like(lam, dtype=complex))
+        super().__init__(interior, d=1, dlam=lambda n, m, lam: np.zeros(
+            np.broadcast_shapes(n.shape[:-1], lam.shape)))
 
 
 def test_locality_and_coefficient_dropping():
@@ -85,7 +90,7 @@ def test_diagonal_preservation():
 def test_dhat_branch_selection():
     # the branch pair differs between the two signs of lambda
     th = FreqFunction(
-        lambda n, m, lam: (1.0 + sum(n) + 2.0 * sum(m)) * np.ones_like(lam, dtype=complex)
+        lambda n, m, lam: (1.0 + n.sum(-1) + 2.0 * m.sum(-1)) * np.ones_like(lam, dtype=complex)
     )
     lp = np.array([0.7])
     lmn = np.array([-0.7])

@@ -65,16 +65,24 @@ def test_finite_part_heat_oracle(grid):
     assert res.value.real == pytest.approx(want, abs=0.05)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("g", [2.1, 2.3, 2.45])
+def test_finite_part_tail_covers_the_error(grid, t, g):
+    # the tail carries the uncovered strip |lam| < lambda_min, the largest
+    # part of the error, so it is no smaller than the error of the value
+    res = pair(Distribution.single("freq_finite_part", payload=g), heat_profile(t), grid)
+    want = (math.pi**2 / 4.0) * gamma_fn(2.0 - g) * (4.0 * t) ** (g - 2.0)
+    assert res.tail_bound >= abs(res.value.real - want)
+
+
 def test_finite_part_reduces_to_plain_integral(grid):
     # away from the boundary the finite part is the plain weighted integral
     gdx = 2.25
 
     def away(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        if tuple(n) != tuple(m):
-            return np.zeros(lam.shape, dtype=complex)
-        x = np.abs(lam) * (2 * sum(n) + 1)
-        return np.where((x > 0.5) & (x < 8.0), np.exp(-x), 0.0).astype(complex)
+        x = np.abs(lam) * (2 * n.sum(-1) + 1)
+        inside = (x > 0.5) & (x < 8.0) & (n == m).all(-1)
+        return np.where(inside, np.exp(-x), 0.0).astype(complex)
 
     th = FreqFunction(away, d=1, diagonal=True,
                       boundary=lambda xd, k: 0.0)
@@ -82,8 +90,7 @@ def test_finite_part_reduces_to_plain_integral(grid):
     lhs = pair(Pf, th, grid).value.real
 
     def weighted(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        w = (np.abs(lam) * (2 * sum(n) + 1.0)) ** (-gdx)
+        w = (np.abs(lam) * (2 * n.sum(-1) + 1.0)) ** (-gdx)
         return w * away(n, m, lam)
 
     # match the adaptive diagonal depth of the finite-part sum

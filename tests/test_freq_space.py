@@ -99,7 +99,9 @@ def test_lambda_grid_json_roundtrip():
 
 def test_integrate_zero():
     grid = LambdaGrid(1e-3, 8.0, 80)
-    zero = FreqFunction(lambda n, m, lam: np.zeros_like(lam, dtype=complex), diagonal=True)
+    zero = FreqFunction(
+        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
+    )
     res = integrate(zero, grid, 8)
     assert res.value == 0
     assert res.tail_bound == 0
@@ -109,7 +111,9 @@ def test_integrate_indicator():
     # indicator of |lam| <= 1 on the lowest diagonal entry: integral of |lam|
     grid = LambdaGrid(1e-4, 16.0, 160)
     ind = FreqFunction(
-        lambda n, m, lam: ((np.abs(lam) <= 1.0) & (n == (0,)) & (m == (0,))).astype(complex),
+        lambda n, m, lam: ((np.abs(lam) <= 1.0) & (n == 0).all(-1) & (m == 0).all(-1)).astype(
+            complex
+        ),
         diagonal=True,
     )
     res = integrate(ind, grid, 2)
@@ -147,7 +151,9 @@ def test_l1m_norm_family():
 # ---- seminorms -------------------------------------------------------------
 
 def test_freq_seminorm_zero():
-    zero = FreqFunction(lambda n, m, lam: np.zeros_like(lam, dtype=complex), diagonal=True)
+    zero = FreqFunction(
+        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
+    )
     assert freq_seminorm(zero, 2, 1, n_sup=4) == 0.0
 
 

@@ -131,14 +131,12 @@ def test_m_equiv_trivial_and_taylor():
     base = profile_to_freq_function(P)
 
     def shifted(n, m, lam):
-        return base(tuple(v + 1 for v in n), tuple(v + 1 for v in m), lam)
+        return base(n + 1, m + 1, lam)
 
     def taylor(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        R = np.asarray(n, dtype=float) + np.asarray(m, dtype=float) + 1.0
-        x = np.abs(lam)[..., None] * R
-        k = tuple(int(b) - int(a) for a, b in zip(n, m))
-        return base(n, m, lam) + 2.0 * np.abs(lam) * np.asarray(P.dx(x, k, lam, 0))
+        x = np.abs(lam)[..., None] * (n + m + 1.0)
+        # the samples lie on the diagonal, k = m - n = 0
+        return base(n, m, lam) + 2.0 * np.abs(lam) * np.asarray(P.dx(x, (0,), lam, 0))
 
     from hfourier.freq_space import FreqFunction
 
@@ -157,12 +155,14 @@ def test_m_equiv_compact_lambda_support():
     def bump(n, m, lam):
         lam = np.asarray(lam, dtype=float)
         inside = (np.abs(lam) > 0.5) & (np.abs(lam) < 2.0)
-        return np.where(inside & (tuple(n) == tuple(m)), 1.0, 0.0).astype(complex)
+        return np.where(inside & (n == m).all(-1), 1.0, 0.0).astype(complex)
 
     from hfourier.freq_space import FreqFunction
 
     th = FreqFunction(bump, d=1, diagonal=True)
-    zero = FreqFunction(lambda n, m, lam: np.zeros_like(lam, dtype=complex), diagonal=True)
+    zero = FreqFunction(
+        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
+    )
     samples = [FreqPoint((n,), (n,), lam) for n in range(4)
                for lam in (0.1, 0.7, 1.5, 3.0)]
     for M in (1, 3, 6):

@@ -183,7 +183,9 @@ def test_plancherel_scaling_invariance(f_unit, small_grid, unit_table):
 
 
 def test_spectral_product_zero_and_semigroup():
-    zero = FreqFunction(lambda n, m, lam: np.zeros_like(lam, dtype=complex), diagonal=True)
+    zero = FreqFunction(
+        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
+    )
     v, tail = spectral_product(heat_profile(1.0), zero, (0,), (0,), 0.5, ell_max=8)
     assert v == 0 and tail == 0
     for lam in (0.3, -1.1):
@@ -231,6 +233,56 @@ def test_table_csv_roundtrip(tmp_path, unit_table):
     assert np.array_equal(clone.grid.lam, unit_table.grid.lam)
 
 
+def test_table_csv_reads_by_columns(tmp_path, unit_table):
+    # rows in any order land on the same entries, bit for bit
+    path = tmp_path / "table.csv"
+    table_to_csv(unit_table, path)
+    header, *rows = path.read_text().splitlines()
+    rng = np.random.default_rng(5)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header] + [rows[i] for i in rng.permutation(len(rows))]) + "\n")
+    (tmp_path / "shuffled.csv.json").write_text((tmp_path / "table.csv.json").read_text())
+    clone = table_from_csv(shuffled)
+    assert np.array_equal(clone.values, unit_table.values)
+
+
+def _bad_tables(rows):
+    """(what, rows) pairs, each one defect away from the good rows."""
+    def edit(i, col, token):
+        out = list(rows)
+        fields = out[i].split(",")
+        fields[col] = token
+        out[i] = ",".join(fields)
+        return out
+
+    return [
+        ("duplicate", rows[:-1] + [rows[0]]),
+        ("missing", rows[:-1]),
+        ("index above n_max", edit(0, 0, "9")),
+        ("negative index", edit(0, 1, "-1")),
+        ("fractional index", edit(0, 0, "0.5")),
+        ("lambda off the grid", edit(0, 2, repr(float(rows[0].split(",")[2]) * (1 + 1e-6)))),
+        ("nan value", edit(3, 3, "nan")),
+        ("inf value", edit(3, 4, "inf")),
+        ("not a number", edit(3, 3, "x")),
+    ]
+
+
+def test_table_csv_rejects_malformed(tmp_path, unit_table):
+    path = tmp_path / "table.csv"
+    table_to_csv(unit_table, path)
+    header, *rows = path.read_text().splitlines()
+    sidecar = (tmp_path / "table.csv.json").read_text()
+    for what, bad in _bad_tables(rows) + [("header", None)]:
+        target = tmp_path / "bad.csv"
+        lines = ["n0,m0,lam,re,im"] + rows if bad is None else [header] + bad
+        target.write_text("\n".join(lines) + "\n")
+        (tmp_path / "bad.csv.json").write_text(sidecar)
+        with pytest.raises(ValueError):
+            table_from_csv(target)
+            pytest.fail(what)
+
+
 def test_table_off_grid_lambda(unit_table):
     with pytest.raises(KeyError):
         unit_table.entry((0,), (0,), 0.123456)
@@ -247,20 +299,14 @@ def test_integrate_table_squared_heat(f_unit):
 
 def _unit_gauss_hat():
     def entry(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        if tuple(n) != tuple(m):
-            return np.zeros(lam.shape, dtype=complex)
         t = np.abs(lam)
-        k = n[0]
-        return (math.pi**1.5 * np.exp(-(lam**2) / 4.0)
-                * (1.0 - t) ** k / (1.0 + t) ** (k + 1)) + 0j
+        k = n[..., 0]
+        val = math.pi**1.5 * np.exp(-(lam**2) / 4.0) * (1.0 - t) ** k / (1.0 + t) ** (k + 1)
+        return np.where((n == m).all(-1), val, 0.0) + 0j
 
     def entry_dlam(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        if tuple(n) != tuple(m):
-            return np.zeros(lam.shape, dtype=complex)
         t = np.abs(lam)
-        k = n[0]
+        k = n[..., 0]
         dlog = -lam / 2.0 + np.sign(lam) * (-k / (1.0 - t) - (k + 1) / (1.0 + t))
         return entry(n, m, lam) * dlog
 
@@ -280,7 +326,7 @@ def test_transposed_weight_identities():
                               assume_symmetric=True, n_cap=400)
 
     lap = lift(delta_hat, theta)
-    lap.diagonal = True
+    lap.band = 0
     f_lap, _ = inverse_on_grid(lap, grid, 24, extents=ext, points=pts,
                                assume_symmetric=True, n_cap=400)
     y = base.y_axis[:, None, None]
@@ -290,7 +336,7 @@ def test_transposed_weight_identities():
     assert np.abs(f_lap.samples - want).max() / scale < 2e-3
 
     dl = lift(dlambda_hat, theta)
-    dl.diagonal = True
+    dl.band = 0
     f_dl, _ = inverse_on_grid(dl, grid, 24, extents=ext, points=pts, n_cap=400)
     s = base.s_axis[None, None, :]
     want2 = -1j * s * base.samples
