@@ -9,7 +9,7 @@ flow, and tempered-distribution pairings, together with a verification
 command-line tool (``hfourier verify``).
 """
 
-from .config import Config, LambdaGridSpec, PhysGridSpec, default_config, load_config
+from .config import Config, PhysGridSpec, default_config, load_config
 from .fields import SampledField, YField, field_from_csv, field_to_csv, read_field, write_field
 from .freq_space import (
     BoundaryPoint,
@@ -56,7 +56,6 @@ from .transform import (
     SpectralTable,
     forward_direct,
     forward_factored,
-    forward_table_direct,
     inverse_at_point,
     inverse_on_grid,
     multiplier_apply,
@@ -71,7 +70,6 @@ from .transform import (
 from .wigner import boundary_kernel, wigner_eval
 from .distributions import (
     Distribution,
-    GHatDensity,
     PairResult,
     fourier_distribution,
     g_hat_boundary,

@@ -19,7 +19,6 @@ import numpy as np
 from .config import default_config, load_config
 from .distributions import Distribution, pair
 from .fields import field_from_csv, read_field, write_field
-from .freq_space import LambdaGrid
 from .profiles import heat_profile, profile_exp_floor, profile_gauss, profile_to_freq_function
 from .transform import (
     forward_factored,
@@ -80,7 +79,7 @@ def _conjugate_symmetric(table):
 
 def cmd_transform(args):
     cfg = load_config(args.config) if args.config else default_config()
-    grid = LambdaGrid.from_spec(cfg.lambda_grid)
+    grid = cfg.lambda_grid
     os.makedirs(args.out, exist_ok=True)
     if args.direction == "forward":
         fld = _load_field(args.input)
@@ -123,7 +122,7 @@ def cmd_transform(args):
 
 def cmd_heat(args):
     cfg = load_config(args.config) if args.config else default_config()
-    grid = LambdaGrid.from_spec(cfg.lambda_grid)
+    grid = cfg.lambda_grid
     fld = _load_field(args.input)
     table = forward_factored(fld, cfg.n_max, grid)
     evolved = multiplier_apply(lambda r: np.exp(-args.time * r), table.as_freq_function())
@@ -148,7 +147,7 @@ def cmd_heat(args):
 
 def cmd_pair(args):
     cfg = load_config(args.config) if args.config else default_config()
-    grid = LambdaGrid.from_spec(cfg.lambda_grid)
+    grid = cfg.lambda_grid
     theta = _theta_fixture(args.theta)
     dist = _distribution(args.distribution, d=cfg.d)
     res = pair(dist, theta, grid, n_max=cfg.n_max)

@@ -7,20 +7,9 @@ JSON layout mirrors the dataclasses field-for-field.
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["Config", "LambdaGridSpec", "PhysGridSpec", "default_config", "load_config"]
+from .freq_space import LambdaGrid
 
-
-@dataclass
-class LambdaGridSpec:
-    """Signed geometric grid on [lambda_min, lambda_max], both signs, 0 excluded."""
-
-    lambda_min: float = 1e-4
-    lambda_max: float = 16.0
-    points_per_sign: int = 160
-
-    @property
-    def ratio(self):
-        return (self.lambda_max / self.lambda_min) ** (1.0 / (self.points_per_sign - 1))
+__all__ = ["Config", "PhysGridSpec", "default_config", "load_config"]
 
 
 @dataclass
@@ -35,7 +24,7 @@ class PhysGridSpec:
 class Config:
     d: int = 1
     n_max: int = 24
-    lambda_grid: LambdaGridSpec = field(default_factory=LambdaGridSpec)
+    lambda_grid: LambdaGrid = field(default_factory=LambdaGrid)
     phys_grid: PhysGridSpec = field(default_factory=PhysGridSpec)
     # taller s-box used by checks that integrate slowly decaying vertical
     # tails (the heat kernel's sech-type marginal keeps ~5e-4 of its mass
@@ -52,8 +41,6 @@ class Config:
             raise ValueError("d must be 1 or 2")
         if not (1 <= self.n_max <= 64):
             raise ValueError("n_max must lie in [1, 64]")
-        if self.lambda_grid.lambda_min <= 0 or self.lambda_grid.lambda_max <= self.lambda_grid.lambda_min:
-            raise ValueError("lambda grid bounds must satisfy 0 < min < max")
         for h in self.phys_grid.extents:
             if h <= 0:
                 raise ValueError("grid extents must be positive")
@@ -84,7 +71,7 @@ def load_config(path):
         if key in raw:
             kwargs[key] = raw[key]
     if "lambda_grid" in raw:
-        kwargs["lambda_grid"] = _spec_from(raw["lambda_grid"], LambdaGridSpec)
+        kwargs["lambda_grid"] = _spec_from(raw["lambda_grid"], LambdaGrid)
     if "phys_grid" in raw:
         kwargs["phys_grid"] = _spec_from(raw["phys_grid"], PhysGridSpec)
     if "heat_phys_grid" in raw:

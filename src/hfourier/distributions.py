@@ -20,9 +20,10 @@ vertical-constant tensor then carries the factor 2 pi).
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-
+from scipy.special import jv
 
 from .freq_space import FreqFunction, LambdaGrid, integrate, multi_indices, shell_tail
 from .wigner import boundary_kernel
@@ -209,7 +210,12 @@ def _halfline_rule(x_max=28.0, panels=12, q=24):
 
 
 def _boundary_measure_pair(density, theta, d, k_band=None, x_max=28.0):
-    """2^{-d-1} sum_k (both orthants) density * theta against dx (d = 1)."""
+    """2^{-d-1} sum_k (both orthants) density * theta against dx (d = 1).
+
+    ``density(xs, ks)`` takes the abscissae of one orthant and the list of
+    k and returns values broadcasting to shape (len(xs), len(ks)); a
+    constant ``lambda xs, ks: 1.0`` is the bare measure.
+    """
     if d != 1:
         raise ValueError("boundary-measure pairing implemented for d = 1")
     if k_band is None:
@@ -219,10 +225,7 @@ def _boundary_measure_pair(density, theta, d, k_band=None, x_max=28.0):
     ks = list(range(-k_band, k_band + 1))
     for sign in (-1.0, 1.0):
         sx = sign * xs
-        if hasattr(density, "batch"):
-            dens = density.batch(sx, ks)  # (len(xs), len(ks))
-        else:
-            dens = np.array([[density((v,), (k,)) for k in ks] for v in sx])
+        dens = density(sx, ks)
         thv = np.array([[theta.at_boundary((v,), (k,)) for k in ks] for v in sx])
         total += np.sum(dens * thv * ws[:, None])
     return 0.25 * complex(total)
@@ -282,45 +285,35 @@ def g_hat_boundary(g, xdot, k):
     return complex(np.sum(kern * g.samples) * g.cell_area)
 
 
-def g_hat_boundary_batch(g, xs, k_list, M=512):
-    """Vectorized d = 1 boundary transform over many boundary abscissae.
+def g_hat_boundary_batch(g, xs, k_list):
+    """Closed-form d = 1 boundary transform over many boundary abscissae.
 
-    Swaps the kernel's angular integral outside the Y-quadrature: for each
-    angle the Y-sum is a plain 2-d Fourier sum of g, reused for every k.
-    Returns an array of shape (len(xs), len(k_list)).
+    The conjugate kernel is (-1)^k e^{ik phi} J_k(2 sqrt|x.| |Y|) with
+    phi = atan2(sgn(x.) eta, y), so the Y-sum is a sum over the distinct
+    radii |Y| of the grid of the Bessel factor times the k-th angular
+    moment of g on that ring.  Returns an array of shape
+    (len(xs), len(k_list)).
     """
     if g.d != 1:
         raise ValueError("batch boundary transform implemented for d = 1")
     xs = np.asarray(xs, dtype=float)
-    z = -math.pi + 2.0 * math.pi * np.arange(M) / M
-    y = g.y_axis
-    eta = g.eta_axis
-    out = np.empty((len(xs), len(k_list)), dtype=complex)
-    kvec = np.asarray(k_list)
-    for i, xv in enumerate(xs):
-        amp = 2.0 * math.sqrt(abs(xv)) if xv != 0 else 0.0
-        sgn = 1.0 if xv >= 0 else -1.0
-        py = amp * np.sin(z)                      # (M,)
-        pe = amp * sgn * np.cos(z)
-        Ey = np.exp(-1j * np.outer(y, py))        # (Ny, M)
-        Ee = np.exp(-1j * np.outer(eta, pe))      # (Ne, M)
-        A = np.einsum("ye,ym,em->m", g.samples, Ey, Ee, optimize=True) * g.cell_area
-        phases = np.exp(-1j * np.outer(kvec, z))  # (K, M)
-        out[i] = (phases @ A) / M
-    return out
-
-
-class GHatDensity:
-    """Boundary density (G g)(x., k) with a vectorized batch evaluator."""
-
-    def __init__(self, g):
-        self.g = g
-
-    def __call__(self, xdot, k):
-        return g_hat_boundary(self.g, xdot, k)
-
-    def batch(self, xs, k_list):
-        return g_hat_boundary_batch(self.g, xs, k_list)
+    kvec = np.asarray(k_list, dtype=int)
+    y, eta = np.meshgrid(g.y_axis, g.eta_axis, indexing="ij")
+    radii, ring = np.unique(np.hypot(y, eta).ravel(), return_inverse=True)
+    # angular moments sum_{ring} e^{ik phi} g, for sgn(x.) = +1 and -1
+    moments = np.zeros((2, len(radii), len(kvec)), dtype=complex)
+    for i, sign in enumerate((1.0, -1.0)):
+        phi = np.arctan2(sign * eta, y).ravel()
+        np.add.at(moments[i], ring, np.exp(1j * np.outer(phi, kvec)) * g.samples.ravel()[:, None])
+    side = (xs < 0).astype(int)
+    arg = np.outer(2.0 * np.sqrt(np.abs(xs)), radii)
+    # (-1)^k J_k = J_|k| for k < 0: one Bessel table per order |k|
+    bessel = {q: jv(q, arg) for q in set(np.abs(kvec).tolist())}
+    out = np.empty((len(xs), len(kvec)), dtype=complex)
+    for j, k in enumerate(kvec):
+        sums = bessel[abs(k)] @ moments[:, :, j].T  # (len(xs), 2)
+        out[:, j] = (1.0 if k < 0 else (-1.0) ** k) * sums[np.arange(len(xs)), side]
+    return out * g.cell_area
 
 
 def fourier_distribution(T, grid=None, n_max=24, phys_pipeline=None):
@@ -342,7 +335,8 @@ def fourier_distribution(T, grid=None, n_max=24, phys_pipeline=None):
         elif kind == "phys_one":
             out.append((coeff * math.pi ** (d + 1) / 2.0 ** (d - 1), "freq_dirac_origin", None))
         elif kind == "phys_g_tensor_one":
-            out.append((coeff * 2.0 * math.pi, "freq_boundary_measure", GHatDensity(payload)))
+            out.append((coeff * 2.0 * math.pi, "freq_boundary_measure",
+                        partial(g_hat_boundary_batch, payload)))
         elif kind == "phys_function":
             from .transform import forward_factored
 

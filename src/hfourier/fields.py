@@ -6,6 +6,7 @@ binary container format (magic ``HFLD1\\n``) is documented in the README;
 a CSV import/export path exists for d = 1.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -120,11 +121,6 @@ class SampledField:
     @classmethod
     def zeros_like(cls, other):
         return cls(np.zeros_like(other.samples), other.d, other.extents)
-
-    @classmethod
-    def from_config(cls, fn, cfg, grid=None):
-        g = grid if grid is not None else cfg.phys_grid
-        return cls.from_function(fn, d=cfg.d, extents=g.extents, points=g.points)
 
     # ---- reductions ----------------------------------------------------
     def integral(self):
@@ -248,24 +244,39 @@ def write_field(fld, path):
 
 
 def read_field(path):
+    """Read a container written by :func:`write_field`.
+
+    Raises ValueError naming ``path`` for a bad magic, a truncated header,
+    an implausible dimension, a payload shorter or longer than the header's
+    axis lengths, a non-finite sample, or spacings inconsistent with the
+    lengths and extents.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != _MAGIC:
-            raise ValueError("not a field container (bad magic)")
-        (d,) = struct.unpack("<I", fh.read(4))
+        raw = fh.read()
+    if raw[:6] != _MAGIC:
+        raise ValueError(f"{path}: not a field container (bad magic)")
+    try:
+        (d,) = struct.unpack_from("<I", raw, 6)
         if d < 1 or d > 4:
-            raise ValueError(f"implausible dimension {d}")
+            raise ValueError(f"{path}: implausible dimension {d}")
         rank = 2 * d + 1
-        shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        spac = struct.unpack("<3d", fh.read(24))
-        ext = struct.unpack("<3d", fh.read(24))
-        count = int(np.prod(shape))
-        payload = np.frombuffer(fh.read(count * 16), dtype=np.complex128, count=count)
-        fld = SampledField(payload.reshape(shape).copy(), d, tuple(ext))
-        got = fld.spacings
-        if not np.allclose(got, spac, rtol=1e-12, atol=0):
-            raise ValueError("header spacings inconsistent with lengths/extents")
-        return fld
+        shape = struct.unpack_from(f"<{rank}I", raw, 10)
+        spac = struct.unpack_from("<3d", raw, 10 + 4 * rank)
+        ext = struct.unpack_from("<3d", raw, 34 + 4 * rank)
+    except struct.error:
+        raise ValueError(f"{path}: truncated header") from None
+    start = 58 + 4 * rank
+    count = math.prod(shape)
+    if len(raw) - start != 16 * count:
+        raise ValueError(f"{path}: payload of {len(raw) - start} bytes, "
+                         f"expected {16 * count} for axis lengths {shape}")
+    payload = np.frombuffer(raw, dtype=np.complex128, count=count, offset=start)
+    if not np.all(np.isfinite(payload)):
+        raise ValueError(f"{path}: non-finite sample")
+    fld = SampledField(payload.reshape(shape).copy(), d, tuple(ext))
+    if not np.allclose(fld.spacings, spac, rtol=1e-12, atol=0):
+        raise ValueError(f"{path}: header spacings inconsistent with lengths/extents")
+    return fld
 
 
 def field_to_csv(fld, path):
@@ -286,20 +297,32 @@ def field_to_csv(fld, path):
 
 
 def field_from_csv(path):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim != 2 or data.shape[1] != 5:
-        raise ValueError("expected columns y, eta, s, re, im")
-    ys = np.unique(data[:, 0])
-    es = np.unique(data[:, 1])
-    ss = np.unique(data[:, 2])
-    for ax in (ys, es, ss):
-        if len(ax) < 3 or not np.allclose(ax + ax[::-1], 0.0, atol=1e-9):
-            raise ValueError("grid must be symmetric about the origin")
-    grid = np.full((len(ys), len(es), len(ss)), np.nan, dtype=complex)
-    iy = np.searchsorted(ys, data[:, 0])
-    ie = np.searchsorted(es, data[:, 1])
-    ik = np.searchsorted(ss, data[:, 2])
-    grid[iy, ie, ik] = data[:, 3] + 1j * data[:, 4]
-    if np.isnan(grid.real).any():
-        raise ValueError("CSV does not cover the full tensor grid")
-    return SampledField(grid, 1, (float(ys[-1]), float(es[-1]), float(ss[-1])))
+    """Read a d = 1 CSV written by :func:`field_to_csv`; rows in any order.
+
+    Raises ValueError naming ``path`` for a wrong column count, a
+    non-finite entry, an axis that is not uniform and symmetric about the
+    origin (1e-9 relative), or a duplicate or missing grid point.
+    """
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if data.shape[1] != 5:
+        raise ValueError(f"{path}: expected columns y, eta, s, re, im")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite entry")
+    axes = [np.unique(data[:, j]) for j in range(3)]
+    for ax in axes:
+        L = ax[-1]
+        if len(ax) < 3 or np.abs(ax - _axis(L, len(ax))).max() > 1e-9 * abs(L):
+            raise ValueError(f"{path}: grid axes must be uniform and symmetric about the origin")
+    shape = tuple(len(ax) for ax in axes)
+    flat = np.ravel_multi_index(tuple(np.searchsorted(ax, data[:, j]) for j, ax in enumerate(axes)),
+                                shape)
+    if np.unique(flat).size != flat.size:
+        raise ValueError(f"{path}: duplicate (y, eta, s) rows")
+    if flat.size != math.prod(shape):
+        raise ValueError(f"{path}: CSV does not cover the full tensor grid")
+    grid = np.zeros(math.prod(shape), dtype=complex)
+    grid[flat] = data[:, 3] + 1j * data[:, 4]
+    return SampledField(grid.reshape(shape), 1, tuple(float(ax[-1]) for ax in axes))

@@ -44,6 +44,7 @@ __all__ = [
     "index_arrays",
     "one_plus_weight",
     "shell_tail",
+    "simpson_log_weights",
 ]
 
 
@@ -141,7 +142,7 @@ def weight_d0(p):
 
 # ---- lambda grid ----------------------------------------------------------
 
-def _simpson_log_weights(count, step):
+def simpson_log_weights(count, step):
     """Weights of composite Simpson on a uniform grid of ``count`` points.
 
     The possibly left-over last interval is integrated by the quadratic
@@ -182,24 +183,13 @@ class LambdaGrid:
         P = self.points_per_sign
         t = np.linspace(math.log(self.lambda_min), math.log(self.lambda_max), P)
         pos = np.exp(t)
-        wt = _simpson_log_weights(P, t[1] - t[0]) * pos  # dlam = lam dt
+        wt = simpson_log_weights(P, t[1] - t[0]) * pos  # dlam = lam dt
         self.lam = np.concatenate([-pos[::-1], pos])
         self.weights = np.concatenate([wt[::-1], wt])
 
     @property
     def ratio(self):
         return (self.lambda_max / self.lambda_min) ** (1.0 / (self.points_per_sign - 1))
-
-    @property
-    def positive(self):
-        return self.lam[self.points_per_sign :]
-
-    def refined(self, points_factor=2, lambda_min_factor=1.0):
-        return LambdaGrid(
-            self.lambda_min * lambda_min_factor,
-            self.lambda_max,
-            int(self.points_per_sign * points_factor),
-        )
 
     def to_json(self):
         return json.dumps(
@@ -216,10 +206,6 @@ class LambdaGrid:
     def from_json(cls, text):
         raw = json.loads(text)
         return cls(raw["lambda_min"], raw["lambda_max"], int(raw["points_per_sign"]))
-
-    @classmethod
-    def from_spec(cls, spec):
-        return cls(spec.lambda_min, spec.lambda_max, spec.points_per_sign)
 
 
 # ---- frequency functions ---------------------------------------------------

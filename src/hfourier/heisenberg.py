@@ -256,17 +256,6 @@ def apply_phys_op(op, fld, j=0):
     return SampledField(_op_samples(fld, op, j), fld.d, fld.extents)
 
 
-def left_translate(fld, w):
-    """Samples of v -> f(w . v); interpolation-based, used by invariance tests."""
-    d = fld.d
-    axes = [fld.y_axis] * d + [fld.eta_axis] * d + [fld.s_axis]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    moved = group_mul(np.asarray(w, dtype=float), pts.reshape(-1, 2 * d + 1), d=d)
-    vals = fld.interp(moved)
-    return SampledField(vals.reshape(fld.samples.shape), d, fld.extents)
-
-
 # ---- seminorms -------------------------------------------------------------
 
 def _weight_pow(fld, n):

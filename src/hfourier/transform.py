@@ -36,10 +36,10 @@ from .fields import SampledField, cubic_weights
 from .freq_space import (
     FreqFunction,
     LambdaGrid,
-    _simpson_log_weights,
     box_pairs,
     integrate,
     multi_indices,
+    simpson_log_weights,
 )
 from .hermite import hermite_rows
 from .wigner import wigner_conj_grid, wigner_eval, wigner_series
@@ -48,7 +48,6 @@ __all__ = [
     "SpectralTable",
     "forward_direct",
     "forward_factored",
-    "forward_table_direct",
     "rep_matrix_coeff",
     "inverse_at_point",
     "inverse_on_grid",
@@ -112,11 +111,6 @@ class SpectralTable:
             return np.where(inside, vals, 0.0)
 
         return FreqFunction(interior, d=self.d, label=f"table:{self.provenance}")
-
-    def conjugate_flip(self):
-        """Table of conj(values) with the (n, m) axes swapped."""
-        axes = list(range(self.d, 2 * self.d)) + list(range(self.d)) + [2 * self.d]
-        return SpectralTable(np.conj(self.values).transpose(axes), self.grid, self.d, self.provenance)
 
 
 def _grid_index(grid_lam, lam):
@@ -244,18 +238,6 @@ def forward_direct(fld, n, m, lam):
     return complex(acc * hy**d * he**d)
 
 
-def forward_table_direct(fld, n_max, grid):
-    """Entry-by-entry direct transform table (any d; slow, test-scale only)."""
-    idx = multi_indices(fld.d, n_max)
-    L = len(grid.lam)
-    values = np.zeros((n_max + 1,) * (2 * fld.d) + (L,), dtype=complex)
-    for il, lam in enumerate(grid.lam):
-        for n in idx:
-            for m in idx:
-                values[tuple(n) + tuple(m) + (il,)] = forward_direct(fld, n, m, lam)
-    return SpectralTable(values, grid, fld.d, provenance="direct")
-
-
 # ---------------------------------------------------------------------------
 # factored pipeline (d = 1)
 # ---------------------------------------------------------------------------
@@ -320,7 +302,7 @@ def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
     one extra shell).
     """
     if fld.d != 1:
-        raise ValueError("factored pipeline implemented for d = 1 (use forward_table_direct)")
+        raise ValueError("factored pipeline implemented for d = 1 (use forward_direct elsewhere)")
     n_top = n_max + n_pad
     lam_all = grid.lam
     L = len(lam_all)
@@ -633,7 +615,7 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
         contrib = np.zeros(yshape + (len(s_axis),), dtype=complex)
         # geometric piece [lam_min, lam_j]: phase resolved by the source grid
         sub = lam_pos[: j + 1]
-        wts = _simpson_log_weights(len(sub), h_t) * sub
+        wts = simpson_log_weights(len(sub), h_t) * sub
         phase = np.exp(1j * sign * np.outer(sub, s_axis))
         contrib += np.tensordot(chi[..., : j + 1] * (sub * wts), phase, axes=([2], [0]))
 
@@ -650,7 +632,7 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
             count = max(int((hi - lo) / h_d) | 1, 5)
             lam_dense = np.linspace(lo, hi, count)
             dense = _resample_log(chi, lam_pos, lam_dense)
-            wts_d = _simpson_log_weights(count, lam_dense[1] - lam_dense[0])
+            wts_d = simpson_log_weights(count, lam_dense[1] - lam_dense[0])
             phase = np.exp(1j * sign * np.outer(lam_dense, s_axis))
             contrib += np.tensordot(dense * (lam_dense * wts_d), phase, axes=([2], [0]))
 

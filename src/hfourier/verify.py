@@ -93,7 +93,7 @@ class VerifyContext:
 
     @property
     def grid(self):
-        return self._memo("grid", lambda: LambdaGrid.from_spec(self.cfg.lambda_grid))
+        return self.cfg.lambda_grid
 
     def _memo(self, key, fn):
         if key not in self._cache:

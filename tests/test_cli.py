@@ -117,6 +117,17 @@ def test_transform_rejects_malformed(tmp_path, small_config):
     assert rc == 1
 
 
+def test_transform_rejects_bad_field(tmp_path, small_config, gauss_file, capsys):
+    bad = tmp_path / "short.hfld"
+    bad.write_bytes(open(gauss_file, "rb").read()[:-16])
+    capsys.readouterr()
+    rc = main(["transform", "--input", str(bad), "--out", str(tmp_path / "o"),
+               "--config", small_config])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "short.hfld" in err
+
+
 def test_inverse_rejects_bad_table(tmp_path, small_config, gauss_file, capsys):
     fwd = tmp_path / "fwd"
     assert main(["transform", "--input", gauss_file, "--config", small_config,

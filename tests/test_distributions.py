@@ -6,7 +6,6 @@ from scipy.special import gamma as gamma_fn
 
 from hfourier.distributions import (
     Distribution,
-    GHatDensity,
     fourier_distribution,
     g_hat_boundary,
     g_hat_boundary_batch,
@@ -107,9 +106,18 @@ def test_g_hat_boundary_oracles():
     assert abs(g_hat_boundary(g, (1.0,), (1,))) < 1e-12
     assert abs(g_hat_boundary(g, (0.5,), (2,))) < 1e-12
     assert g_hat_boundary(g, (0.0,), (0,)) == pytest.approx(math.pi, abs=1e-6)
-    batch = g_hat_boundary_batch(g, [0.25, -1.0], [0, 1])
-    assert batch[0, 0] == pytest.approx(g_hat_boundary(g, (0.25,), (0,)), abs=1e-12)
-    assert batch[1, 1] == pytest.approx(g_hat_boundary(g, (-1.0,), (1,)), abs=1e-12)
+    # the closed-form batch against the kernel quadrature, on non-radial
+    # complex data with unequal y/eta extents and point counts
+    h = YField.from_function(
+        lambda y, e: np.exp(-(y**2 + 0.6 * e**2 + 0.3 * y * e)) * (1 + 0.4 * y - 0.7j * e + 0.2 * y * e),
+        1, (5.0, 6.5), (29, 37),
+    )
+    xs = [0.0, 0.3, -0.3, 2.0, -7.5, 28.0]
+    ks = list(range(-8, 9))
+    batch = g_hat_boundary_batch(h, xs, ks)
+    want = np.array([[g_hat_boundary(h, (x,), (k,)) for k in ks] for x in xs])
+    assert np.abs(want).max() > 1.0
+    assert np.abs(batch - want).max() < 1e-12
 
 
 def test_make_f_gamma():
@@ -137,7 +145,8 @@ def test_fourier_distribution_closed_forms():
     coeff, kind, dens = bm.terms[0]
     assert kind == "freq_boundary_measure"
     assert coeff == pytest.approx(2.0 * math.pi)
-    assert isinstance(dens, GHatDensity)
+    xs, ks = [0.0, 0.5, -2.0], [-1, 0, 3]
+    assert np.array_equal(dens(xs, ks), g_hat_boundary_batch(g, xs, ks))
 
 
 def test_fourier_distribution_function_branch(grid):

@@ -10,7 +10,6 @@ from hfourier.heisenberg import (
     dilate,
     group_inverse,
     group_mul,
-    left_translate,
     phys_seminorm,
 )
 
@@ -21,6 +20,13 @@ def gauss(y, e, s):
 
 def small_field(fn=gauss, extent=5.0, points=33):
     return SampledField.from_function(fn, 1, (extent,) * 3, (points,) * 3)
+
+
+def left_translate(fld, w):
+    """Samples of v -> f(w . v), by cubic interpolation (d = 1)."""
+    pts = np.stack(np.meshgrid(fld.y_axis, fld.eta_axis, fld.s_axis, indexing="ij"), axis=-1)
+    moved = group_mul(np.asarray(w, dtype=float), pts.reshape(-1, 3))
+    return SampledField(fld.interp(moved).reshape(fld.samples.shape), 1, fld.extents)
 
 
 # ---- group law -------------------------------------------------------------
@@ -240,6 +246,44 @@ def test_binary_bad_magic(tmp_path):
         read_field(path)
 
 
+def _written_field(tmp_path):
+    path = tmp_path / "field.hfld"
+    write_field(small_field(points=5), path)
+    return path, path.read_bytes()
+
+
+def test_binary_rejects_trailing_bytes(tmp_path):
+    path, raw = _written_field(tmp_path)
+    path.write_bytes(raw + b"\x00" * 16)
+    with pytest.raises(ValueError, match="field.hfld: payload of"):
+        read_field(path)
+
+
+def test_binary_rejects_short_payload(tmp_path):
+    path, raw = _written_field(tmp_path)
+    path.write_bytes(raw[:-1])
+    with pytest.raises(ValueError, match="field.hfld: payload of"):
+        read_field(path)
+    path.write_bytes(raw[:20])
+    with pytest.raises(ValueError, match="field.hfld: truncated header"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_binary_rejects_non_finite(tmp_path, bad):
+    path, raw = _written_field(tmp_path)
+    path.write_bytes(raw[:-8] + np.float64(bad).tobytes())
+    with pytest.raises(ValueError, match="field.hfld: non-finite sample"):
+        read_field(path)
+
+
+def _csv_rows(tmp_path):
+    path = tmp_path / "field.csv"
+    field_to_csv(small_field(points=5), path)
+    header, *rows = path.read_text().splitlines()
+    return path, header, rows
+
+
 def test_csv_roundtrip(tmp_path):
     f = small_field(points=9)
     path = tmp_path / "field.csv"
@@ -247,6 +291,39 @@ def test_csv_roundtrip(tmp_path):
     g = field_from_csv(path)
     assert np.allclose(g.samples, f.samples, rtol=0, atol=0)
     assert g.extents == f.extents
+    # rows in any order
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + rows[::-1]) + "\n")
+    assert np.array_equal(field_from_csv(path).samples, f.samples)
+
+
+def test_csv_rejects_inf(tmp_path):
+    path, header, rows = _csv_rows(tmp_path)
+    rows[7] = ",".join(rows[7].split(",")[:3] + ["inf", "0.0"])
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError, match="field.csv: non-finite entry"):
+        field_from_csv(path)
+
+
+def test_csv_rejects_duplicate_rows(tmp_path):
+    path, header, rows = _csv_rows(tmp_path)
+    path.write_text("\n".join([header] + rows + [rows[3]]) + "\n")
+    with pytest.raises(ValueError, match="field.csv: duplicate"):
+        field_from_csv(path)
+    path.write_text("\n".join([header] + rows[:-1] + [rows[3]]) + "\n")
+    with pytest.raises(ValueError, match="field.csv: duplicate"):
+        field_from_csv(path)
+
+
+def test_csv_rejects_non_uniform_axis(tmp_path):
+    # y = -5, -2.5, 0, 2.5, 5 relabelled as -5, -4, 0, 4, 5
+    path, header, rows = _csv_rows(tmp_path)
+    moved = {"-2.5": "-4.0", "2.5": "4.0"}
+    rows = [",".join([moved.get(r.split(",")[0], r.split(",")[0])] + r.split(",")[1:])
+            for r in rows]
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ValueError, match="field.csv: grid axes must be uniform"):
+        field_from_csv(path)
 
 
 def test_interp_reproduces_grid_and_zero_outside():

@@ -10,7 +10,6 @@ from hfourier.transform import (
     SpectralTable,
     forward_direct,
     forward_factored,
-    forward_table_direct,
     inverse_at_point,
     inverse_on_grid,
     multiplier_apply,
@@ -365,9 +364,6 @@ def test_two_dimensional_direct_routes():
         assert got == pytest.approx(exact2(n, m, lam), abs=5e-4)
     got = rep_matrix_coeff(f2, 0.8, (1, 0), (1, 0))
     assert got == pytest.approx(exact2((1, 0), (1, 0), 0.8), abs=5e-4)
-    table = forward_table_direct(f2, 1, LambdaGrid(0.5, 1.0, 2))
-    assert table.values.shape == (2, 2, 2, 2, 4)
-    for il, lam in enumerate(table.grid.lam):
-        assert table.values[0, 0, 0, 0, il] == pytest.approx(
-            exact2((0, 0), (0, 0), lam), abs=5e-4
-        )
+    for lam in LambdaGrid(0.5, 1.0, 2).lam:
+        got = forward_direct(f2, (0, 0), (0, 0), lam)
+        assert got == pytest.approx(exact2((0, 0), (0, 0), lam), abs=5e-4)
