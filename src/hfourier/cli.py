@@ -44,14 +44,23 @@ def _load_field(path):
     return read_field(path)
 
 
+def _finite(value, what):
+    """float(value), refusing nan and inf."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 def _theta_fixture(spec):
     kind, _, arg = spec.partition(":")
     if kind == "heat":
-        return heat_profile(float(arg or 1.0))
+        return heat_profile(_finite(arg or 1.0, "heat:T"))
     if kind == "gauss_profile":
-        return profile_to_freq_function(profile_gauss(float(arg or 1.0)))
+        return profile_to_freq_function(profile_gauss(_finite(arg or 1.0, "gauss_profile:S")))
     if kind == "exp_floor":
-        return profile_to_freq_function(profile_exp_floor(float(arg or 0.5), lam_slope=0.5))
+        r0 = _finite(arg or 0.5, "exp_floor:R0")
+        return profile_to_freq_function(profile_exp_floor(r0, lam_slope=0.5))
     raise SystemExit(f"unknown test function {spec!r} (use heat:T, gauss_profile:S, exp_floor:R0)")
 
 
@@ -60,9 +69,10 @@ def _distribution(spec, d=1):
     if kind == "identity":
         return Distribution.single("freq_identity_sum", d=d)
     if kind == "dirac-origin":
-        return Distribution.single("freq_dirac_origin", coeff=float(arg or 1.0), d=d)
+        coeff = _finite(arg or 1.0, "dirac-origin:C")
+        return Distribution.single("freq_dirac_origin", coeff=coeff, d=d)
     if kind == "finite-part":
-        return Distribution.single("freq_finite_part", payload=float(arg), d=d)
+        return Distribution.single("freq_finite_part", payload=_finite(arg, "finite-part:G"), d=d)
     if kind == "boundary-measure":
         return Distribution.single("freq_boundary_measure", payload=lambda xd, k: 1.0, d=d)
     raise SystemExit(
@@ -121,6 +131,9 @@ def cmd_transform(args):
 
 
 def cmd_heat(args):
+    # a negative time grows like exp(+|t| r) and overflows
+    if _finite(args.time, "--time") < 0:
+        raise ValueError(f"--time must be non-negative, got {args.time!r}")
     cfg = load_config(args.config) if args.config else default_config()
     grid = cfg.lambda_grid
     fld = _load_field(args.input)
@@ -166,6 +179,7 @@ def cmd_pair(args):
 
 
 def cmd_kernel(args):
+    _finite(args.xdot, "--xdot")
     cfg = load_config(args.config) if args.config else default_config()
     g = cfg.phys_grid
     y = np.linspace(-g.extents[0], g.extents[0], g.points[0])

@@ -209,24 +209,24 @@ def _halfline_rule(x_max=28.0, panels=12, q=24):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _boundary_measure_pair(density, theta, d, k_band=None, x_max=28.0):
+def _boundary_measure_pair(density, theta, d):
     """2^{-d-1} sum_k (both orthants) density * theta against dx (d = 1).
 
-    ``density(xs, ks)`` takes the abscissae of one orthant and the list of
+    ``density(xs, ks)`` takes the abscissae of one orthant and the array of
     k and returns values broadcasting to shape (len(xs), len(ks)); a
-    constant ``lambda xs, ks: 1.0`` is the bare measure.
+    constant ``lambda xs, ks: 1.0`` is the bare measure.  theta is
+    evaluated on the whole (xs, ks) table of an orthant in one call.
     """
     if d != 1:
         raise ValueError("boundary-measure pairing implemented for d = 1")
-    if k_band is None:
-        k_band = theta.band if theta.band is not None else 8
-    xs, ws = _halfline_rule(x_max)
+    k_band = theta.band if theta.band is not None else 8
+    xs, ws = _halfline_rule()
+    ks = np.arange(-k_band, k_band + 1)
     total = 0.0 + 0.0j
-    ks = list(range(-k_band, k_band + 1))
     for sign in (-1.0, 1.0):
         sx = sign * xs
         dens = density(sx, ks)
-        thv = np.array([[theta.at_boundary((v,), (k,)) for k in ks] for v in sx])
+        thv = theta.at_boundary(sx[:, None, None], ks[:, None])
         total += np.sum(dens * thv * ws[:, None])
     return 0.25 * complex(total)
 

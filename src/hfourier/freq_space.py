@@ -15,10 +15,11 @@ with a tail estimate.
 
 Frequency functions evaluate whole index arrays at once: n and m have
 shape S + (d,), lam broadcasts against S, and the result has the
-broadcast shape.  ``band`` (largest |m - n|; 0 diagonal, None dense) alone
-describes the support, so every sum is one array reduction over the band;
-the adaptive diagonal sums of :mod:`hfourier.distributions` evaluate
-their index shells in blocks.
+broadcast shape.  Boundary values follow the same contract, with x. and k
+of shape S + (d,).  ``band`` (largest |m - n|; 0 diagonal, None dense)
+alone describes the support, so every sum is one array reduction over the
+band; the adaptive diagonal sums of :mod:`hfourier.distributions`
+evaluate their index shells in blocks.
 """
 
 import json
@@ -224,8 +225,10 @@ class FreqFunction:
         Follows the broadcast contract above.
     dlam, dlam2 : callables, optional
         Analytic lambda-derivatives of the same signature.
-    boundary : callable (xdot, k) -> complex, optional
-        Continuous extension to the boundary.
+    boundary : callable (xdot, k) -> complex array, optional
+        Continuous extension to the boundary points (x., k).  ``xdot`` is
+        a float and ``k`` an integer array, each of shape S + (d,), and the
+        result has their broadcast shape S.
     band : int or None
         Largest |m - n| (per coordinate) carrying support; None = dense.
         Sums run over this band only.
@@ -274,15 +277,17 @@ class FreqFunction:
         return self._boundary is not None
 
     def at_boundary(self, xdot, k):
+        """theta(x., k) over arrays of shape S + (d,); a tuple pair is S = ()."""
         if self._boundary is None:
             raise ValueError("no boundary extension attached")
-        return complex(self._boundary(tuple(float(v) for v in xdot), tuple(int(v) for v in k)))
+        xdot, k = np.asarray(xdot, dtype=float), np.asarray(k, dtype=int)
+        return np.asarray(self._boundary(xdot, k), dtype=complex)
 
     def value_at_origin(self, grid=None):
         """theta(0^): boundary evaluator when present, else Richardson
         extrapolation of theta(0, 0, +-lam) in sqrt(lam)."""
         if self._boundary is not None:
-            return self.at_boundary((0.0,) * self.d, (0,) * self.d)
+            return complex(self.at_boundary((0.0,) * self.d, (0,) * self.d))
         zero = np.zeros(self.d, dtype=int)
         lam1 = grid.lambda_min if grid is not None else 1e-5
         lam2 = 4.0 * lam1

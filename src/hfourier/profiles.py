@@ -6,10 +6,13 @@ fast decay in (x, k); it induces the frequency function
     Theta_f(n, m, lam) = f(|lam| R(n, m), m - n, lam),
     R(n, m) = (n_j + m_j + 1)_j,
 
-whose continuous boundary value at (x., k) is f(|x.|, k, 0).  Two support
-classes are used: ``k_zero`` (diagonal, k = 0 only) and ``x_floor``
-(support bounded away from x = 0, with the parity
-f(x, -k, lam) = (-1)^{|k|} f(x, k, lam)).
+whose continuous boundary value at (x., k) is f(|x.|, k, 0).  A profile
+evaluates whole arrays at once, like a frequency function: x is a float
+array of shape S + (d,), k = m - n an integer array of shape S + (d,) and
+lam a float array, all broadcasting together, so Theta_f is one profile
+call on x = |lam| R(n, m) and k = m - n.  Two support classes are used:
+``k_zero`` (diagonal, k = 0 only) and ``x_floor`` (support bounded away
+from x = 0, with the parity f(x, -k, lam) = (-1)^{|k|} f(x, k, lam)).
 
 The x_floor fixtures switch on through a smooth transition ramp so that
 the analytic partial derivatives exist everywhere.
@@ -79,11 +82,12 @@ def _bump_ratio_d2(t):
 class Profile:
     """Smooth profile f(x, k, lam) with analytic partial derivatives.
 
-    ``value/dx/dxx/dlam`` take (x, k, lam) with x of shape (..., d)
-    broadcasting against lam of shape (...); k is a tuple of ints; dx/dxx
-    take the coordinate j as a final argument.  ``support`` is either
-    ``("k_zero",)`` or ``("x_floor", r0)`` where the transition ramp runs
-    on [r0/2, r0].
+    ``value/dx/dxx/dlam/dxlam/dlam2`` take (x, k, lam): x a float array
+    of shape S + (d,), k an integer array (or a tuple) of shape S + (d,)
+    and lam a float array broadcasting against S; the result has the
+    broadcast shape.  dx/dxx/dxlam take the coordinate j as a final
+    argument.  ``support`` is either ``("k_zero",)`` or ``("x_floor", r0)``
+    where the transition ramp runs on [r0/2, r0].
     """
 
     value: callable
@@ -97,10 +101,6 @@ class Profile:
     k_extent: int = 0  # largest |k| (per coordinate) carrying support
     label: str = ""
 
-    @property
-    def diagonal(self):
-        return self.support[0] == "k_zero"
-
 
 def profile_theta(P, point):
     """Evaluate Theta_P at an interior or boundary point of the completion."""
@@ -108,65 +108,43 @@ def profile_theta(P, point):
     if isinstance(point, FreqPoint):
         return complex(theta(point.n, point.m, point.lam))
     if isinstance(point, BoundaryPoint):
-        return theta.at_boundary(point.xdot, point.k)
+        return complex(theta.at_boundary(point.xdot, point.k))
     raise TypeError("expected a FreqPoint or BoundaryPoint")
 
 
-def _by_k(fn, n, m, lam):
-    """Evaluate fn(x, k, lam, R) over broadcast index arrays.
-
-    Profiles take the integer index k = m - n as a tuple, so the entries are
-    grouped by k; the groups are found on the index arrays before they are
-    broadcast against lam (they are few, and far smaller than the result).
-    """
-    n, m = np.broadcast_arrays(n, m)
-    shape = np.broadcast_shapes(n.shape[:-1], lam.shape)
-    k = m - n
-    R = np.broadcast_to(n + m + 1.0, shape + n.shape[-1:])
-    lam = np.broadcast_to(lam, shape)
-    out = np.empty(shape, dtype=complex)
-    for kk in np.unique(k.reshape(-1, k.shape[-1]), axis=0):
-        sel = np.broadcast_to((k == kk).all(axis=-1), shape)
-        Rs, ls = R[sel], lam[sel]
-        out[sel] = fn(np.abs(ls)[..., None] * Rs, tuple(kk.tolist()), ls, Rs)
-    return out
-
-
 def profile_to_freq_function(P):
-    """Wrap a profile as a FreqFunction with analytic lambda-derivatives."""
+    """Wrap a profile as a FreqFunction with analytic lambda-derivatives:
+    each evaluation is one profile call on x = |lam|(n + m + 1), k = m - n."""
     d = P.d
 
-    def value(x, k, lam, R):
+    def args(n, m, lam):
+        R = n + m + 1.0
+        return np.abs(lam)[..., None] * R, m - n, R
+
+    def value(n, m, lam):
+        x, k, _ = args(n, m, lam)
         return P.value(x, k, lam)
 
-    def dlam_k(x, k, lam, R):
-        out = np.asarray(P.dlam(x, k, lam), dtype=complex)
-        sgn = np.sign(lam)
+    def dlam(n, m, lam):
+        x, k, R = args(n, m, lam)
+        out = P.dlam(x, k, lam)
         for j in range(d):
-            out = out + sgn * R[..., j] * np.asarray(P.dx(x, k, lam, j), dtype=complex)
+            out = out + np.sign(lam) * R[..., j] * P.dx(x, k, lam, j)
         return out
 
-    def dlam2_k(x, k, lam, R):
-        sgn = np.sign(lam)
-        return (
-            R[..., 0] ** 2 * np.asarray(P.dxx(x, k, lam, 0), dtype=complex)
-            + 2.0 * sgn * R[..., 0] * np.asarray(P.dxlam(x, k, lam, 0), dtype=complex)
-            + np.asarray(P.dlam2(x, k, lam), dtype=complex)
-        )
+    def dlam2(n, m, lam):
+        x, k, R = args(n, m, lam)
+        return (R[..., 0] ** 2 * P.dxx(x, k, lam, 0)
+                + 2.0 * np.sign(lam) * R[..., 0] * P.dxlam(x, k, lam, 0)
+                + P.dlam2(x, k, lam))
 
     def boundary(xdot, k):
-        x = np.abs(np.asarray(xdot, dtype=float))
-        return complex(np.asarray(P.value(x, tuple(k), np.asarray(0.0)), dtype=complex))
+        return P.value(np.abs(xdot), k, np.asarray(0.0))
 
     has_dlam2 = d == 1 and P.dxlam is not None and P.dlam2 is not None
     return FreqFunction(
-        lambda n, m, lam: _by_k(value, n, m, lam),
-        d=d,
-        dlam=lambda n, m, lam: _by_k(dlam_k, n, m, lam),
-        dlam2=(lambda n, m, lam: _by_k(dlam2_k, n, m, lam)) if has_dlam2 else None,
-        boundary=boundary,
-        band=0 if P.diagonal else P.k_extent,
-        label=P.label or "profile",
+        value, d=d, dlam=dlam, dlam2=dlam2 if has_dlam2 else None, boundary=boundary,
+        band=P.k_extent, label=P.label or "profile",
     )
 
 
@@ -187,10 +165,10 @@ def boundary_diff(P, b):
     k = b.k
     xa = np.array([x])
     zero = np.asarray(0.0)
-    fx = complex(np.asarray(P.dx(xa, k, zero, 0), dtype=complex).reshape(-1)[0])
-    fxx = complex(np.asarray(P.dxx(xa, k, zero, 0), dtype=complex).reshape(-1)[0])
-    fl = complex(np.asarray(P.dlam(xa, k, zero), dtype=complex).reshape(-1)[0])
-    f = complex(np.asarray(P.value(xa, k, zero), dtype=complex).reshape(-1)[0])
+    fx = complex(P.dx(xa, k, zero, 0))
+    fxx = complex(P.dxx(xa, k, zero, 0))
+    fl = complex(P.dlam(xa, k, zero))
+    f = complex(P.value(xa, k, zero))
     lap_ext = x * fxx + fx - (k[0] ** 2 / (4.0 * x)) * f
     return lap_ext, fl
 
@@ -203,8 +181,8 @@ def heat_profile(t, d=1):
     Carries analytic first and second lambda-derivatives and the boundary
     extension exp(-4 t |x.|_1) delta_{k,0}.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("time must be positive and finite")
 
     def rate(n, m):
         # 4 t (2|n| + d), and where the function lives (n == m)
@@ -223,9 +201,7 @@ def heat_profile(t, d=1):
         return np.where(diag, c * c * np.exp(-c * np.abs(lam)), 0.0) + 0j
 
     def boundary(xdot, k):
-        if any(k):
-            return 0.0
-        return math.exp(-4.0 * t * sum(abs(v) for v in xdot))
+        return np.where((k == 0).all(axis=-1), np.exp(-4.0 * t * np.abs(xdot).sum(axis=-1)), 0.0)
 
     return FreqFunction(
         interior, d=d, dlam=dlam, dlam2=dlam2, boundary=boundary,
@@ -233,15 +209,16 @@ def heat_profile(t, d=1):
     )
 
 
+def _on_k0(k, v, lam):
+    """v on the ``k_zero`` support k = 0 and 0 elsewhere, broadcast against lam."""
+    return np.where((np.asarray(k) == 0).all(axis=-1), v, np.zeros(np.shape(lam)))
+
+
 def profile_heat(t, d=1):
     """Profile form of the heat fixture: exp(-4 t sum x_j), k = 0 only."""
 
-    def only_k0(k, arr):
-        return arr if all(v == 0 for v in k) else np.zeros_like(arr)
-
     def value(x, k, lam):
-        e = np.exp(-4.0 * t * x.sum(axis=-1))
-        return only_k0(k, np.broadcast_to(e, np.broadcast_shapes(e.shape, np.shape(lam))).copy())
+        return _on_k0(k, np.exp(-4.0 * t * x.sum(axis=-1)), lam)
 
     def dx(x, k, lam, j):
         return -4.0 * t * value(x, k, lam)
@@ -262,9 +239,7 @@ def profile_gauss(sigma=1.0, d=1):
 
     def parts(x, k, lam):
         e = np.exp(-x.sum(axis=-1)) * np.exp(-np.asarray(lam) ** 2 / (2.0 * sigma**2))
-        if any(v != 0 for v in k):
-            return np.zeros_like(e)
-        return e
+        return _on_k0(k, e, lam)
 
     def value(x, k, lam):
         return parts(x, k, lam)
@@ -300,14 +275,14 @@ def profile_exp_floor(r0=0.5, d=1, k_weights=(1.0, 0.5, 0.25), lam_slope=0.0):
     a, b = 0.5 * r0, r0
     scale = 1.0 / (b - a)
     q = float(lam_slope)
+    weights = np.asarray(k_weights, dtype=float)
 
     def coeff(k):
-        kk = sum(abs(v) for v in k)
-        if kk >= len(k_weights):
-            return 0.0
-        c = k_weights[kk]
-        neg = sum(1 for v in k if v < 0)
-        return c * (-1.0) ** neg if any(v < 0 for v in k) and kk % 2 == 1 else c
+        k = np.asarray(k)
+        kk = np.abs(k).sum(axis=-1)
+        c = np.where(kk < len(weights), weights[np.minimum(kk, len(weights) - 1)], 0.0)
+        neg = k < 0
+        return np.where(neg.any(axis=-1) & (kk % 2 == 1), c * (-1.0) ** neg.sum(axis=-1), c)
 
     def lamfac(lam, order=0):
         lam = np.asarray(lam, dtype=float)
@@ -324,15 +299,9 @@ def profile_exp_floor(r0=0.5, d=1, k_weights=(1.0, 0.5, 0.25), lam_slope=0.0):
         ex = np.exp(-x.sum(axis=-1))
         return t, g, ex
 
-    def _zero(x, lam):
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], np.shape(lam)))
-
     def value(x, k, lam):
-        c = coeff(k)
-        if c == 0.0:
-            return _zero(x, lam)
         t, g, ex = pieces(x)
-        return c * g * ex * lamfac(lam)
+        return coeff(k) * g * ex * lamfac(lam)
 
     def _dx_core(x, j):
         t, g, ex = pieces(x)
@@ -342,42 +311,27 @@ def profile_exp_floor(r0=0.5, d=1, k_weights=(1.0, 0.5, 0.25), lam_slope=0.0):
         return ex * (rest * gpj - g)
 
     def dx(x, k, lam, j):
-        c = coeff(k)
-        if c == 0.0:
-            return _zero(x, lam)
-        return c * _dx_core(x, j) * lamfac(lam)
+        return coeff(k) * _dx_core(x, j) * lamfac(lam)
 
     def dxx(x, k, lam, j):
-        c = coeff(k)
-        if c == 0.0:
-            return _zero(x, lam)
         t, g, ex = pieces(x)
         gj = _bump_ratio(t[..., j])
         gpj = _bump_ratio_d1(t[..., j]) * scale
         gppj = _bump_ratio_d2(t[..., j]) * scale**2
         rest = np.where(gj > 0, g / np.where(gj > 0, gj, 1.0), 0.0)
         # each x_j derivative of exp(-x_j) brings a -1 alongside the ramp
-        return c * ex * (rest * gppj - 2.0 * rest * gpj + g) * lamfac(lam)
+        return coeff(k) * ex * (rest * gppj - 2.0 * rest * gpj + g) * lamfac(lam)
 
     def dlam(x, k, lam):
-        c = coeff(k)
-        if c == 0.0:
-            return _zero(x, lam)
         t, g, ex = pieces(x)
-        return c * g * ex * lamfac(lam, 1)
+        return coeff(k) * g * ex * lamfac(lam, 1)
 
     def dxlam(x, k, lam, j):
-        c = coeff(k)
-        if c == 0.0:
-            return _zero(x, lam)
-        return c * _dx_core(x, j) * lamfac(lam, 1)
+        return coeff(k) * _dx_core(x, j) * lamfac(lam, 1)
 
     def dlam2(x, k, lam):
-        c = coeff(k)
-        if c == 0.0:
-            return _zero(x, lam)
         t, g, ex = pieces(x)
-        return c * g * ex * lamfac(lam, 2)
+        return coeff(k) * g * ex * lamfac(lam, 2)
 
     return Profile(value, dx, dxx, dlam, support=("x_floor", r0), d=d,
                    dxlam=dxlam, dlam2=dlam2, k_extent=len(k_weights) - 1,

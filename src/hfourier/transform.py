@@ -671,7 +671,8 @@ def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
     """Interior product: matrix composition over the middle index.
 
     Returns (value, tail_estimate); the tail uses the decay of the last
-    few middle-index shells.
+    two middle-index shells, or their sum once both are below 1e-15 of
+    the largest shell.
     """
     ell = np.array(multi_indices(d, ell_max)).reshape(-1, d)
     terms = theta1(n, ell, lam) * theta2(ell, m, lam)
@@ -685,7 +686,10 @@ def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
     elif s_prev > 0 and s_last < 0.95 * s_prev:
         q = s_last / s_prev
         tail = s_last * q / (1.0 - q)
-    return complex(total), tail
+    elif max(s_prev, s_last) < 1e-15 * shells.max():
+        # converged: the last shells are rounding noise, which no decay fit follows
+        tail = s_prev + s_last
+    return complex(total), float(tail)
 
 
 def spectral_product_boundary(theta1, theta2, xdot, k, k_window=24):
@@ -693,12 +697,9 @@ def spectral_product_boundary(theta1, theta2, xdot, k, k_window=24):
     d = len(xdot)
     if d != 1:
         raise ValueError("boundary product implemented for d = 1")
-    total = 0.0 + 0.0j
-    for kp in range(-k_window, k_window + 1):
-        a = theta1.at_boundary(xdot, (kp,))
-        b = theta2.at_boundary(xdot, (k[0] - kp,))
-        total += a * b
-    return complex(total)
+    kp = np.arange(-k_window, k_window + 1)[:, None]
+    terms = theta1.at_boundary(xdot, kp) * theta2.at_boundary(xdot, np.asarray(k) - kp)
+    return complex(np.sum(terms))
 
 
 def multiplier_apply(a, theta):

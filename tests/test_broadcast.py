@@ -1,5 +1,6 @@
 """The frequency-function protocol: one call over index arrays equals the
-stack of one call per (n, m), for every library frequency function."""
+stack of one call per (n, m), for every library frequency function, and
+one boundary call over (x., k) arrays equals the stack of point calls."""
 
 import functools
 import importlib.util
@@ -78,6 +79,38 @@ def test_box_call_equals_scalar_calls(name, nm, lam):
     stack = np.stack([theta((a,), (b,), lam) for a, b in nm])
     assert box.shape == stack.shape == (len(nm), len(lam))
     assert np.abs(box - stack).max() <= 1e-15 * np.abs(stack).max()
+
+
+BOUNDARY_FIXTURES = {
+    name: FIXTURES[name] for name in ("heat", "gauss_profile", "exp_floor_profile")
+}
+BOUNDARY_FIXTURES["multiplier of heat"] = multiplier_apply(lambda r: np.exp(-0.3 * r),
+                                                          FIXTURES["heat"])
+
+xdots = st.lists(st.floats(1e-3, 8.0).flatmap(lambda v: st.sampled_from([v, -v])),
+                 min_size=1, max_size=6)
+ks = st.lists(st.integers(-4, 4), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_FIXTURES))
+@settings(max_examples=25, deadline=None)
+@given(xd=xdots, k=ks)
+def test_boundary_call_equals_scalar_calls(name, xd, k):
+    theta = BOUNDARY_FIXTURES[name]
+    box = theta.at_boundary(np.array(xd)[:, None, None], np.array(k)[:, None])
+    stack = np.array([[theta.at_boundary((x,), (kk,)) for kk in k] for x in xd])
+    assert box.shape == stack.shape == (len(xd), len(k))
+    assert np.abs(box - stack).max() <= 1e-15 * np.abs(stack).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(xd=xdots, k=ks, lam=st.floats(-2.0, 2.0))
+def test_floor_profile_parity_over_k_arrays(xd, k, lam):
+    P = profile_exp_floor(0.5, lam_slope=0.5)
+    x = np.abs(np.array(xd))[:, None, None]
+    k = np.array(k)[:, None]
+    sign = (-1.0) ** np.abs(k[:, 0])
+    assert np.array_equal(P.value(x, -k, lam), sign * P.value(x, k, lam))
 
 
 def test_layer_trace_binds_the_library():

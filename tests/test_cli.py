@@ -178,6 +178,31 @@ def test_kernel_command(tmp_path, small_config):
     assert np.array_equal(data, np.column_stack([Y, want.real, want.imag]))
 
 
+NON_FINITE = [
+    ["pair", "--distribution", "identity", "--theta", "heat:nan"],
+    ["pair", "--distribution", "identity", "--theta", "gauss_profile:inf"],
+    ["pair", "--distribution", "identity", "--theta", "exp_floor:nan"],
+    ["pair", "--distribution", "finite-part:nan", "--theta", "heat:1.0"],
+    ["pair", "--distribution", "dirac-origin:inf", "--theta", "heat:1.0"],
+    ["kernel", "--xdot", "nan"],
+    ["heat", "--time", "nan"],
+    ["heat", "--time", "inf"],
+    ["heat", "--time", "-1.0"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=" ".join)
+def test_cli_rejects_non_finite_numbers(argv, tmp_path, small_config, gauss_file, capsys):
+    out = tmp_path / "o"
+    extra = ["--config", small_config, "--out", str(out)]
+    if argv[0] == "heat":
+        extra += ["--input", gauss_file]
+    capsys.readouterr()
+    assert main(argv + extra) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_verify_unknown_suite():
     assert main(["verify", "--suite", "not-a-suite"]) == 2
 

@@ -24,8 +24,9 @@ def test_heat_profile_values():
     assert h((2,), (3,), la)[0] == 0
     assert h.at_boundary((0.7,), (0,)) == pytest.approx(math.exp(-4 * 0.7))
     assert h.at_boundary((0.7,), (1,)) == 0
-    with pytest.raises(ValueError):
-        heat_profile(0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            heat_profile(bad)
 
 
 def test_heat_profile_short_time_limit():

@@ -194,6 +194,27 @@ def test_spectral_product_zero_and_semigroup():
             assert v == pytest.approx(want, abs=1e-14)
 
 
+def _floored(floor):
+    """Entries exp(-(n + m)^2) that decay onto a flat floor."""
+    def interior(n, m, lam):
+        l = (n + m).sum(axis=-1)
+        return np.exp(-(l**2.0)) + floor + np.zeros_like(lam) + 0j
+
+    return FreqFunction(interior)
+
+
+def test_spectral_product_tail_of_converged_sum():
+    # on a rounding floor the last shells are flat noise far below the sum:
+    # the tail is their size, not inf
+    th = _floored(1e-20)
+    v, tail = spectral_product(th, th, (0,), (0,), 0.5, ell_max=24)
+    assert v.real == pytest.approx(sum(math.exp(-2.0 * l * l) for l in range(25)), rel=1e-15)
+    assert 0.0 < tail < 1e-35
+    # flat shells above the noise keep the unknown tail
+    th = _floored(1e-3)
+    assert spectral_product(th, th, (0,), (0,), 0.5, ell_max=24)[1] == math.inf
+
+
 def test_boundary_product_commutes():
     h1, h2 = heat_profile(1.0), heat_profile(0.3)
     a = spectral_product_boundary(h1, h2, (0.7,), (0,))
