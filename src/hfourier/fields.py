@@ -99,13 +99,6 @@ class SampledField:
         hy, he, hs = self.spacings
         return hy**self.d * he**self.d * hs
 
-    def same_grid(self, other):
-        return (
-            self.d == other.d
-            and self.samples.shape == other.samples.shape
-            and np.allclose(self.extents, other.extents)
-        )
-
     # ---- construction --------------------------------------------------
     @classmethod
     def from_function(cls, fn, d=1, extents=(6.0, 6.0, 6.0), points=(33, 33, 33)):

@@ -5,18 +5,20 @@ Group law on w = (y, eta, s):
     w . w' = (y + y', eta + eta', s + s' + 2<eta, y'> - 2<eta', y>),
 
 with inverse -w and parabolic dilations (Y, s) -> (aY, a^2 s).  The module
-also carries the left/right-invariant vector fields, the sub-Laplacian,
-weight and multiplication operators, the vertical primitive P, group
-convolution of sampled fields, and Schwartz-type seminorms.
+also carries group convolution of sampled fields (a Y-lattice sum taken
+one vertical frequency at a time, where the group law's twist is an exact
+phase), the left/right-invariant vector fields, the sub-Laplacian, weight
+and multiplication operators, the vertical primitive P, and Schwartz-type
+seminorms.
 """
 
 import math
-from itertools import product
 
 import numpy as np
+from scipy.fft import fft, fftfreq, ifft, next_fast_len
 from scipy.integrate import cumulative_trapezoid
 
-from .fields import SampledField, cubic_weights
+from .fields import SampledField
 
 __all__ = [
     "group_mul",
@@ -62,88 +64,66 @@ def dilate(a, w, d=1):
 
 # ---- group convolution ---------------------------------------------------
 
+def _along(v, axis, ndim):
+    # view a (n, P) array as broadcasting over `axis` and the last axis
+    shape = [1] * ndim
+    shape[axis] = v.shape[0]
+    shape[-1] = v.shape[-1]
+    return v.reshape(shape)
+
+
 def convolve(f, g):
     """Group convolution (f * g)(w) = integral f(w . v^{-1}) g(v) dv.
 
-    Riemann-sum realization on the shared grid.  The y/eta components of
-    w . v^{-1} land back on the lattice, so off-grid evaluation reduces to
-    the vertical coordinate, where f is interpolated by 4-point cubic
-    Lagrange weights with zero extension outside the box.  Cost is
-    quadratic in the number of Y-grid points.
+    Riemann sum over the shared Y lattice, evaluated one vertical
+    frequency sigma at a time.  The Y components of w . v^{-1} land on the
+    lattice; its vertical component is s - s' + c with the twist
+    c = 2(<eta', y> - <eta, y'>), which after a Fourier transform in s is
+    the exact phase exp(i sigma c) = prod_j exp(2 i sigma eta'_j y_j)
+    exp(-2 i sigma eta_j y'_j).  Both operands are zero-padded in s to one
+    period P with P h_s > 2(L_f + L_g) + 4 d L_y L_eta, so no twisted copy
+    wraps into the output window and f is zero-extended outside its box.
+
+    ``f`` and ``g`` must share d, the Y axes and h_s; their s-extents may
+    differ.  Returns ``(field, tail)``: the result on the s-axis of
+    half-width L_f + L_g at the same h_s, and the L1 mass of the computed
+    sum that falls outside that window.
     """
-    if not f.same_grid(g):
-        raise ValueError("convolution requires matching grids")
     d = f.d
-    F = f.samples
-    G = g.samples
-    y_ax, e_ax = f.y_axis, f.eta_axis
-    ny, ne, ns = len(y_ax), len(e_ax), F.shape[-1]
     hs = f.spacings[-1]
-    vol = f.cell_volume
-    cy, ce, cs = (ny - 1) // 2, (ne - 1) // 2, (ns - 1) // 2
+    if (g.d != d or f.samples.shape[:-1] != g.samples.shape[:-1]
+            or not np.allclose(f.extents[:2], g.extents[:2])
+            or not math.isclose(hs, g.spacings[-1], rel_tol=1e-12)):
+        raise ValueError("convolution requires equal Y axes and equal h_s")
+    ndim = 2 * d + 1
+    n_out = f.points[-1] + g.points[-1] - 1
+    max_twist = 4.0 * d * f.extents[0] * f.extents[1]
+    period = next_fast_len(n_out + int(max_twist / hs))
+    sigma = 2.0 * np.pi * fftfreq(period, hs)
+    F = fft(f.samples, period, axis=-1)
+    G = fft(g.samples, period, axis=-1)
+    # twist[i, j] = exp(2 i sigma y_i eta_j)
+    twist = np.exp(2j * np.multiply.outer(np.multiply.outer(f.y_axis, f.eta_axis), sigma))
+    centre = [(n - 1) // 2 for n in F.shape[:-1]]
 
-    y_shape = F.shape[: 2 * d]
     out = np.zeros_like(F)
-
-    # output Y coordinates as (..., d) blocks for the twist term
-    mesh_y = np.meshgrid(*([y_ax] * d + [e_ax] * d), indexing="ij")
-    out_y = np.stack(mesh_y[:d], axis=-1)   # (..., d)
-    out_e = np.stack(mesh_y[d:], axis=-1)
-
-    koff = np.arange(-(ns - 1), ns)         # all s-index differences
-    pad_lead = 2 * ns                       # zeros so out-of-box gathers read 0
-
-    for yi in product(*(range(ny) for _ in range(d)), *(range(ne) for _ in range(d))):
-        gblock = G[yi]                      # (ns,) samples of g at fixed Y'
-        if not np.any(gblock):
+    for idx in np.ndindex(G.shape[:-1]):
+        phase = G[idx]
+        if not np.any(phase):
             continue
-        yp = np.array([y_ax[yi[a]] for a in range(d)])
-        ep = np.array([e_ax[yi[d + a]] for a in range(d)])
+        off = [i - c for i, c in zip(idx, centre)]
+        dst = [slice(max(0, o), n + min(0, o)) for o, n in zip(off, F.shape)]
+        src = [slice(max(0, -o), n - max(0, o)) for o, n in zip(off, F.shape)]
+        for a in range(d):
+            # exp(2 i sigma eta'_a y_a) and exp(-2 i sigma y'_a eta_a)
+            phase = phase * _along(twist[dst[a], idx[d + a]], a, ndim)
+            phase = phase * _along(twist[idx[a], dst[d + a]].conj(), d + a, ndim)
+        out[tuple(dst)] += F[tuple(src)] * phase
 
-        # f at lattice differences: shifted[I] = F[I - J + center], zero fill
-        shifted = np.zeros(y_shape + (ns,), dtype=complex)
-        src, dst = [], []
-        okay = True
-        for a in range(2 * d):
-            n_ax = ny if a < d else ne
-            c_ax = cy if a < d else ce
-            off = yi[a] - c_ax              # src = dst - off
-            lo = max(0, off)
-            hi = min(n_ax, n_ax + off)
-            if lo >= hi:
-                okay = False
-                break
-            dst.append(slice(lo, hi))
-            src.append(slice(lo - off, hi - off))
-        if not okay:
-            continue
-        shifted[tuple(dst)] = F[tuple(src)]
-
-        # twist: s-argument is s - s' + c with c = 2(<eta', y> - <eta, y'>)
-        c = 2.0 * (np.sum(out_y * ep, axis=-1) - np.sum(out_e * yp, axis=-1))
-        u = c / hs
-        b0 = np.floor(u)
-        t = u - b0
-        w0, w1, w2, w3 = cubic_weights(t)
-        base = b0.astype(np.int64) + cs     # grid index below (0*hs + c) - s_min - (ns-1)
-
-        padded = np.zeros(y_shape + (ns + 2 * pad_lead,), dtype=complex)
-        padded[..., pad_lead : pad_lead + ns] = shifted
-        # center tap for s = k*hs + c sits at padded index k + base + pad_lead
-        gather = koff.reshape((1,) * len(y_shape) + (-1,)) + base[..., None] + pad_lead
-        gather = np.clip(gather, 1, padded.shape[-1] - 3)
-        fvals = (
-            w0[..., None] * np.take_along_axis(padded, gather - 1, axis=-1)
-            + w1[..., None] * np.take_along_axis(padded, gather, axis=-1)
-            + w2[..., None] * np.take_along_axis(padded, gather + 1, axis=-1)
-            + w3[..., None] * np.take_along_axis(padded, gather + 2, axis=-1)
-        )
-
-        # out[.., i] += sum_j fvals[.., i - j + ns - 1] g[j]
-        win = np.lib.stride_tricks.sliding_window_view(fvals, ns, axis=-1)
-        out += win @ gblock[::-1]
-
-    return SampledField(out * vol, d, f.extents)
+    full = ifft(out, axis=-1) * f.cell_volume
+    tail = float(np.abs(full[..., n_out:]).sum() * f.cell_volume)
+    ext = (f.extents[0], f.extents[1], f.extents[2] + g.extents[2])
+    return SampledField(full[..., :n_out], d, ext), tail
 
 
 # ---- differential / multiplication operators ------------------------------

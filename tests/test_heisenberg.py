@@ -72,20 +72,119 @@ def test_dilation_d2():
 
 # ---- convolution -----------------------------------------------------------
 
+def lattice_reference(A, a, shift, B, b, f, g):
+    """Semi-analytic f * g for f = A(Y) e^{-a (s - shift)^2}, g = B(Y) e^{-b s^2}.
+
+    The Y' lattice sum is the one ``convolve`` makes (f is zero off its Y
+    box); the s' integral is in closed form,
+    sqrt(pi/(a+b)) exp(-ab/(a+b) (s + c - shift)^2) with the twist
+    c = 2(<eta', y> - <eta, y'>).  Returns the samples on the output
+    s-axis of half-width L_f + L_g and the whole-line L1 mass of the
+    result when A B >= 0 (for a Gaussian the lattice sum in s equals the
+    integral pi/sqrt(ab) to rounding).
+    """
+    d = f.d
+    axes = [f.y_axis] * d + [f.eta_axis] * d
+    mesh = np.meshgrid(*axes, indexing="ij")
+    Av, Bv = A(*mesh), B(*mesh)
+    y, eta = np.stack(mesh[:d], -1), np.stack(mesh[d:], -1)
+    n_out = f.points[-1] + g.points[-1] - 1
+    s = np.linspace(-(f.extents[2] + g.extents[2]), f.extents[2] + g.extents[2], n_out)
+    area = f.cell_volume / f.spacings[-1]
+    mu = a * b / (a + b)
+    out = np.zeros(Av.shape + (n_out,), dtype=complex)
+    mass = 0.0
+    for idx in np.ndindex(Av.shape):
+        off = [i - (n - 1) // 2 for i, n in zip(idx, Av.shape)]
+        dst = tuple(slice(max(0, o), n + min(0, o)) for o, n in zip(off, Av.shape))
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, Av.shape))
+        yp = np.array([axes[j][idx[j]] for j in range(d)])
+        ep = np.array([axes[d + j][idx[d + j]] for j in range(d)])
+        c = 2.0 * ((y[dst] * ep).sum(-1) - (eta[dst] * yp).sum(-1))
+        weight = Av[src] * Bv[idx]
+        kernel = math.sqrt(math.pi / (a + b)) * np.exp(-mu * (s + c[..., None] - shift) ** 2)
+        out[dst] += weight[..., None] * kernel
+        mass += float(np.abs(weight).sum())
+    return out * area, mass * area**2 * math.pi / math.sqrt(a * b)
+
+
+def radial(a):
+    return lambda *Y: np.exp(-a * sum(v**2 for v in Y))
+
+
+def with_s(A, a, shift=0.0):
+    return lambda *w: A(*w[:-1]) * np.exp(-a * (w[-1] - shift) ** 2)
+
+
+def skew_f(y, e):
+    return (1 + 0.4 * y - 0.3j * e) * np.exp(-((y - 0.5) ** 2) - e**2)
+
+
+def skew_g(y, e):
+    return (1 + 0.2j * y * e) * np.exp(-1.5 * (y**2 + e**2))
+
+
+@pytest.fixture(scope="module")
+def gauss_pair():
+    f = SampledField.from_function(with_s(radial(1.0), 1.0), 1, (6, 6, 6), (33, 33, 33))
+    g = SampledField.from_function(with_s(radial(1.5), 1.5), 1, (6, 6, 6), (33, 33, 33))
+    conv, tail = convolve(f, g)
+    ref, mass = lattice_reference(radial(1.0), 1.0, 0.0, radial(1.5), 1.5, f, g)
+    return conv, tail, ref, mass
+
+
 def test_convolve_zero():
     f = small_field()
     z = SampledField.zeros_like(f)
-    out = convolve(f, z)
-    assert np.abs(out.samples).max() == 0.0
+    out, tail = convolve(f, z)
+    assert np.abs(out.samples).max() == 0.0 and tail == 0.0
 
 
 def test_convolve_gaussian_origin():
     f = SampledField.from_function(gauss, 1, (6, 6, 6), (33, 33, 33))
-    c = convolve(f, f)
+    c, _ = convolve(f, f)
     i0 = 16
-    # closed form: integral of exp(-2(y^2+eta^2+s^2))
-    assert c.samples[i0, i0, i0].real == pytest.approx((math.pi / 2) ** 1.5, abs=1e-10)
+    # closed form: integral of exp(-2(y^2+eta^2+s^2)); s-axis |s| <= 12, 65 points
+    assert c.extents == (6, 6, 12) and c.points == (33, 33, 65)
+    assert c.samples[i0, i0, 32].real == pytest.approx((math.pi / 2) ** 1.5, abs=1e-10)
     assert np.abs(c.samples.imag).max() < 1e-14
+
+
+def test_convolve_gaussian_pair_reference(gauss_pair):
+    conv, _, ref, _ = gauss_pair
+    assert np.abs(conv.samples - ref).max() <= 1e-10
+
+
+def test_convolve_tail_covers_dropped_mass(gauss_pair):
+    conv, tail, ref, mass = gauss_pair
+    beyond = mass - ref.real.sum() * conv.cell_volume
+    assert beyond == pytest.approx(1.0e-5, rel=0.05)
+    assert tail >= beyond
+
+
+def test_convolve_skew_pair_reference():
+    # non-symmetric and complex: a flipped twist sign is off by 0.36
+    f = SampledField.from_function(with_s(skew_f, 1.0, 0.3), 1, (6, 6, 6), (33, 33, 33))
+    g = SampledField.from_function(with_s(skew_g, 1.5), 1, (6, 6, 6), (33, 33, 33))
+    conv, _ = convolve(f, g)
+    ref, _ = lattice_reference(skew_f, 1.0, 0.3, skew_g, 1.5, f, g)
+    assert np.abs(conv.samples - ref).max() <= 1e-10
+
+
+def test_convolve_d2_reference():
+    def A(y1, y2, e1, e2):
+        return (1 + 0.4 * y1 - 0.3j * e2) * np.exp(-((y1 - 0.5) ** 2) - y2**2 - e1**2 - e2**2)
+
+    def B(y1, y2, e1, e2):
+        return (1 + 0.2j * y2 * e1) * radial(1.5)(y1, y2, e1, e2)
+
+    ext, pts = (2.0, 2.0, 6.0), (5, 5, 33)
+    f = SampledField.from_function(with_s(A, 1.0, 0.3), 2, ext, pts)
+    g = SampledField.from_function(with_s(B, 1.5), 2, ext, pts)
+    conv, _ = convolve(f, g)
+    ref, _ = lattice_reference(A, 1.0, 0.3, B, 1.5, f, g)
+    assert conv.samples.shape == (5, 5, 5, 5, 65)
+    assert np.abs(conv.samples - ref).max() <= 1e-10
 
 
 def test_young_inequality():
@@ -94,7 +193,7 @@ def test_young_inequality():
         a, b = rng.uniform(0.8, 1.6, size=2)
         f = small_field(lambda y, e, s: np.exp(-a * (y**2 + e**2 + s**2)), points=21)
         g = small_field(lambda y, e, s: np.exp(-b * (y**2 + e**2 + s**2)), points=21)
-        c = convolve(f, g)
+        c, _ = convolve(f, g)
         assert c.l1_norm() <= f.l1_norm() * g.l1_norm() * (1 + 1e-10)
 
 
@@ -105,6 +204,13 @@ def test_convolve_grid_mismatch():
         convolve(f, g)
 
 
+def test_convolve_rejects_unequal_vertical_spacing():
+    f = SampledField.from_function(gauss, 1, (5, 5, 5), (21, 21, 21))
+    g = SampledField.from_function(gauss, 1, (5, 5, 4), (21, 21, 21))
+    with pytest.raises(ValueError, match="h_s"):
+        convolve(f, g)
+
+
 def test_convolution_associativity_coarse():
     def bump(a):
         return lambda y, e, s: np.exp(-a * (y**2 + e**2 + s**2))
@@ -112,8 +218,9 @@ def test_convolution_associativity_coarse():
     f = SampledField.from_function(bump(1.2), 1, (4.2,) * 3, (21,) * 3)
     g = SampledField.from_function(bump(1.6), 1, (4.2,) * 3, (21,) * 3)
     h = SampledField.from_function(bump(2.0), 1, (4.2,) * 3, (21,) * 3)
-    lhs = convolve(convolve(f, g), h)
-    rhs = convolve(f, convolve(g, h))
+    # the inner products carry |s| <= 8.4, so each outer one mixes s-extents
+    lhs, _ = convolve(convolve(f, g)[0], h)
+    rhs, _ = convolve(f, convolve(g, h)[0])
     scale = np.abs(lhs.samples).max()
     assert np.abs(lhs.samples - rhs.samples).max() / scale < 5e-2
 
