@@ -81,6 +81,14 @@ def _distribution(spec, d=1):
     )
 
 
+def _within_tail_tol(tail, tol):
+    """True for a finite tail estimate at most ``tol``; else report it."""
+    if math.isfinite(tail) and tail <= tol:
+        return True
+    print(f"tail estimate {tail:.3g} above --tail-tol", file=sys.stderr)
+    return False
+
+
 def _conjugate_symmetric(table):
     """theta(n, m, -lam) == conj(theta(n, m, lam)) bit for bit, as for the
     table of a real field; the inverse then sums the positive branch only."""
@@ -107,10 +115,7 @@ def cmd_transform(args):
             "table": "table.csv",
         }
         _json_dump(summary, os.path.join(args.out, "summary.json"))
-        if not math.isfinite(res.tail_bound) or res.tail_bound > args.tail_tol:
-            print(f"tail estimate {res.tail_bound:.3g} above --tail-tol", file=sys.stderr)
-            return 1
-        return 0
+        return 0 if _within_tail_tol(res.tail_bound, args.tail_tol) else 1
     table = table_from_csv(args.input)
     g = cfg.phys_grid
     fld, tail = inverse_on_grid(
@@ -127,7 +132,7 @@ def cmd_transform(args):
         "field": "field.hfld",
     }
     _json_dump(summary, os.path.join(args.out, "summary.json"))
-    return 0
+    return 0 if _within_tail_tol(tail, args.tail_tol) else 1
 
 
 def cmd_heat(args):
@@ -155,7 +160,7 @@ def cmd_heat(args):
         "field": "evolved.hfld",
     }
     _json_dump(summary, os.path.join(args.out, "summary.json"))
-    return 0
+    return 0 if _within_tail_tol(tail, args.tail_tol) else 1
 
 
 def cmd_pair(args):
@@ -235,6 +240,7 @@ def build_parser():
     h.add_argument("--time", type=float, required=True)
     h.add_argument("--config")
     h.add_argument("--out", required=True)
+    h.add_argument("--tail-tol", type=float, default=1.0)
     h.set_defaults(fn=cmd_heat)
 
     q = sub.add_parser("pair", help="pair a frequency distribution with a test function")

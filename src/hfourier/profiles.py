@@ -43,9 +43,13 @@ __all__ = [
 def _bump_ratio(t):
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    A = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-12)), 0.0)
-    C = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-12)), 0.0)
-    return A / (A + C)
+    out = np.clip(t, 0.0, 1.0, out=np.empty_like(t))  # an array also for 0-d t
+    ramp = (t > 0) & (t < 1)
+    inner = t[ramp]
+    A = np.exp(-1.0 / inner)
+    C = np.exp(-1.0 / (1.0 - inner))
+    out[ramp] = A / (A + C)
+    return out
 
 
 def _bump_ratio_d1(t):

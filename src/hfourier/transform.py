@@ -13,7 +13,9 @@ Three numerical routes are provided and cross-checked:
   frequencies, change of variables, Hermite projection).  The projection
   quadrature runs in rotated coordinates u = (x - x')/2, tau = (x + x')/2
   so the partial-transform argument stays on the (trigonometrically
-  refined) y-lattice and no polynomial interpolation ever enters;
+  refined) y-lattice and no polynomial interpolation ever enters; the
+  Hermite pair in those coordinates is a finite orthogonal sum of products
+  h_p(a) h_q(c), so the projection is two small GEMMs per lambda;
 * ``rep_matrix_coeff`` -- matrix coefficients of the operator-valued
   transform through its integral kernel, with the projection integrals
   done in closed form via the Fourier eigenfunction property of the
@@ -31,6 +33,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .fields import SampledField, cubic_weights
 from .freq_space import (
@@ -286,6 +289,31 @@ def _xi_cutoff(fs_up, eta_axis, h_eta):
     return nyquist
 
 
+def _rotation_block(N):
+    """Hermite pairs of total order N under the 45-degree rotation.
+
+    Returns the orthogonal (N+1) x (N+1) matrix D with
+
+        h_n((a + c)/sqrt 2) h_{N-n}((a - c)/sqrt 2) = sum_k D[k, n] h_{N-k}(a) h_k(c),
+
+    the Hermite-Gaussian mode-converter coefficients (Beijersbergen et al.,
+    Opt. Commun. 96 (1993) 123).  D = exp((pi/4) G) for the antisymmetric
+    tridiagonal G with G[j+1, j] = sqrt((j+1)(N-j)).  G is similar, through
+    diag(i^j), to i T with T the symmetric tridiagonal of the same
+    off-diagonal, whose eigenvalues are the integers -N, -N+2, .., N (Feng et
+    al., Phys. Rev. E 92 (2015) 043307).  So D needs one real eigensolve and
+    the trigonometric values at those integers: no factorial (they overflow
+    past N ~ 170), and orthogonal to rounding at N in the hundreds.
+    """
+    j = np.arange(N)
+    ell, vecs = eigh_tridiagonal(np.zeros(N + 1), np.sqrt((j + 1.0) * (N - j)))
+    angle = 0.25 * math.pi * np.round(ell)
+    cos_part = (vecs * np.cos(angle)) @ vecs.T
+    sin_part = (vecs * np.sin(angle)) @ vecs.T
+    p = np.arange(N + 1)
+    return np.choose((p[:, None] - p[None, :]) % 4, [cos_part, -sin_part, -cos_part, sin_part])
+
+
 def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
     """Full spectral table of a d = 1 field through the factored pipeline.
 
@@ -293,10 +321,15 @@ def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
     exact frequencies the remap requires (a nonuniform discrete sum, no
     interpolation); (ii) remap (x, x', lam) -> ((x-x')/2, lam (x+x'), lam)
     realized by rotating the projection coordinates; (iii) projection onto
-    the Hermite basis pair by composite Gauss-Legendre quadrature in the
-    rotated variable, with the lattice variable trigonometrically refined
-    (factor ``upsample``) to keep the Riemann sum alias-free across the
-    whole (n, lam) range.
+    the Hermite pair h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) by
+    composite Gauss-Legendre quadrature in tau and a Riemann sum in the
+    lattice variable u, trigonometrically refined (factor ``upsample``) to
+    stay alias-free across the whole (n, lam) range.  The pair is a
+    45-degree rotation of h_{N-k}(a) h_k(c), a = sqrt(2|lam|) tau,
+    c = sqrt(2|lam|) u, N = n + m (see :func:`_rotation_block`), so the
+    quadrature reduces to the moments M[p, q] of h_p(a) h_q(c), one GEMM
+    pair per lam on Hermite rows to order 2 n_top, and each entry is
+    sqrt|lam| sum_k D_N[k, n] M[N-k, k].
 
     ``n_pad`` extends the index box (used by calculus checks that need
     one extra shell).
@@ -323,11 +356,12 @@ def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
     hu = hy / upsample
     global_max = float(np.abs(fs_up).max())
 
-    values = np.zeros((n_top + 1, n_top + 1, L), dtype=complex)
     root_pref = math.sqrt(2 * n_top + 1)
     # the sampled vertical axis resolves no frequency beyond pi / h_s; the
     # discrete sum would return the alias there, so those slices stay zero
     s_nyquist = math.pi / fld.spacings[2]
+    # sqrt|lam| int h_p(a) h_q(c) phi du dtau, a = sqrt(2|lam|) tau, c = sqrt(2|lam|) u
+    moments = np.zeros((2 * n_top + 1, 2 * n_top + 1, L), dtype=complex)
 
     for col, lam in enumerate(lams):
         if abs(lam) > 0.98 * s_nyquist:
@@ -349,20 +383,20 @@ def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
         phase = np.exp(-2j * lam * np.outer(eta_axis, tau)) * h_eta
         phi = slab @ phase                         # (u, K)
 
-        args_p = rl * (u_axis[:, None] + tau[None, :])
-        args_m = rl * (tau[None, :] - u_axis[:, None])
-        quarter = al ** 0.25
-        A = hermite_rows(n_top, args_p) * quarter  # (n, u, K)
-        B = hermite_rows(n_top, args_m) * quarter
-        core = (phi * wtau[None, :] * hu).reshape(-1)
-        Af = A.reshape(n_top + 1, -1)
-        Bf = B.reshape(n_top + 1, -1)
-        block = (Af * core) @ Bf.T                 # (n, m)
-
+        h_tau = hermite_rows(2 * n_top, math.sqrt(2.0) * rl * tau)     # (p, K)
+        h_u = hermite_rows(2 * n_top, math.sqrt(2.0) * rl * u_axis)    # (q, u)
         il = int(np.searchsorted(lam_all, lam))
-        values[:, :, il] = block
-        if real_input:
-            values[:, :, L - 1 - il] = np.conj(block)
+        moments[:, :, il] = rl * h_tau @ (h_u @ (phi * (wtau * hu))).T
+
+    # h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) = sum_k D_N[k, n] h_{N-k}(a) h_k(c), N = n+m
+    values = np.zeros((n_top + 1, n_top + 1, L), dtype=complex)
+    for N in range(2 * n_top + 1):
+        k = np.arange(N + 1)
+        n = np.arange(max(0, N - n_top), min(N, n_top) + 1)
+        values[n, N - n] = _rotation_block(N)[:, n].T @ moments[N - k, k]
+    if real_input:
+        pos = np.flatnonzero(lam_all > 0)
+        values[:, :, L - 1 - pos] = np.conj(values[:, :, pos])
 
     return SpectralTable(values, grid, 1, provenance="factored")
 
@@ -672,7 +706,8 @@ def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
 
     Returns (value, tail_estimate); the tail uses the decay of the last
     two middle-index shells, or their sum once both are below 1e-15 of
-    the largest shell.
+    the largest shell or of max|theta1| * max|theta2| over the middle-index
+    box at ``lam``.
     """
     ell = np.array(multi_indices(d, ell_max)).reshape(-1, d)
     terms = theta1(n, ell, lam) * theta2(ell, m, lam)
@@ -686,9 +721,14 @@ def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
     elif s_prev > 0 and s_last < 0.95 * s_prev:
         q = s_last / s_prev
         tail = s_last * q / (1.0 - q)
-    elif max(s_prev, s_last) < 1e-15 * shells.max():
-        # converged: the last shells are rounding noise, which no decay fit follows
-        tail = s_prev + s_last
+    else:
+        # converged when the last shells are rounding noise, which no decay
+        # fit follows: noise of the sum, or of factor entries (a table's
+        # entries carry noise at its largest entry's scale, not their own)
+        box = (ell[:, None], ell[None, :])
+        scale = np.abs(theta1(*box, lam)).max() * np.abs(theta2(*box, lam)).max()
+        if max(s_prev, s_last) < 1e-15 * max(shells.max(), scale):
+            tail = s_prev + s_last
     return complex(total), float(tail)
 
 

@@ -1,13 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hfourier.transform as transform
 from hfourier.fields import SampledField
 from hfourier.freq_space import FreqFunction, LambdaGrid
+from hfourier.hermite import hermite_rows
 from hfourier.profiles import heat_profile
 from hfourier.transform import (
     SpectralTable,
+    _rotation_block,
     forward_direct,
     forward_factored,
     inverse_at_point,
@@ -99,6 +105,109 @@ def test_factored_zero_field(small_grid):
     z = SampledField.zeros_like(gauss_field())
     table = forward_factored(z, 4, small_grid)
     assert np.abs(table.values).max() == 0.0
+
+
+def _product_projection(fld, n_max, grid, upsample=8):
+    """The factored forward with the Hermite pair h_n(sqrt|lam| (u + tau)),
+    h_m(sqrt|lam| (tau - u)) built on the whole (u, tau) grid: the projection
+    as it was before the 45-degree rotation, same nodes, cutoffs and skips."""
+    Ly, hy = fld.extents[0], fld.spacings[0]
+    eta, h_eta = fld.eta_axis, fld.spacings[1]
+    fs_up = transform._upsample_axis(transform._fs_many(fld, grid.lam), upsample, axis=0)
+    u = -Ly + (hy / upsample) * np.arange(fs_up.shape[0])
+    global_max = float(np.abs(fs_up).max())
+    root_pref = math.sqrt(2 * n_max + 1)
+    values = np.zeros((n_max + 1, n_max + 1, len(grid.lam)), dtype=complex)
+    for il, lam in enumerate(grid.lam):
+        slab = fs_up[:, :, il]
+        if abs(lam) > 0.98 * math.pi / fld.spacings[2] or (
+                np.abs(slab).max() < 1e-15 * global_max):
+            continue
+        al, rl = abs(lam), math.sqrt(abs(lam))
+        xi_cut = transform._xi_cutoff(slab, eta, h_eta)
+        extent = min((root_pref + 9.0) / rl + Ly, 1.15 * xi_cut / (2.0 * al))
+        bandwidth = rl * (2.0 * root_pref + 8.0) + 2.0 * al * abs(eta).max()
+        tau, wtau = transform._gl_panels(extent, bandwidth)
+        phi = slab @ (np.exp(-2j * lam * np.outer(eta, tau)) * h_eta)
+        hp = hermite_rows(n_max, rl * (u[:, None] + tau[None, :])) * al**0.25
+        hm = hermite_rows(n_max, rl * (tau[None, :] - u[:, None])) * al**0.25
+        values[:, :, il] = np.einsum("nuk,uk,muk->nm", hp, phi * wtau * (hy / upsample), hm)
+    return values
+
+
+def test_rotation_matches_exact_coefficients():
+    # C[n, m, k] = sqrt((N-k)! k! / (2^N n! m!)) [t^k] (1+t)^n (1-t)^m, N = n + m
+    worst = 0.0
+    for N in range(49):
+        rot = _rotation_block(N)
+        for n in range(max(0, N - 24), min(N, 24) + 1):
+            m = N - n
+            for k in range(N + 1):
+                poly = sum(math.comb(n, i) * math.comb(m, k - i) * (-1) ** (k - i)
+                           for i in range(max(0, k - m), min(n, k) + 1))
+                scale = Fraction(math.factorial(N - k) * math.factorial(k),
+                                 2**N * math.factorial(n) * math.factorial(m))
+                worst = max(worst, abs(rot[k, n] - poly * math.sqrt(scale)))
+    assert worst < 1e-14
+
+
+def test_rotation_blocks_orthogonal():
+    # every block up to 64, then a stride through the inverse's index range
+    for N in [*range(65), *range(80, 600, 37), 599, 600]:
+        rot = _rotation_block(N)
+        assert np.abs(rot.T @ rot - np.eye(N + 1)).max() < 1e-13, N
+    # orthogonal is not enough (expm of (pi/4) G_600 is orthogonal to 1e-12
+    # and wrong by 0.1): the identity itself at the top order
+    rot, n, k = _rotation_block(600), np.arange(601), np.arange(601)
+    for a, c in [(-17.5, 3.25), (8.0, 19.0)]:
+        root2 = math.sqrt(2.0)
+        ha, hc, hx, hy = hermite_rows(600, np.array([a, c, (a + c) / root2, (a - c) / root2])).T
+        assert np.abs(rot.T @ (ha[600 - k] * hc[k]) - hx[n] * hy[600 - n]).max() < 1e-13
+
+
+_BLOCKS = [_rotation_block(N) for N in range(81)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
+def test_rotation_identity(a, c):
+    # h_n((a+c)/sqrt2) h_m((a-c)/sqrt2) = sum_k C[n,m,k] h_{N-k}(a) h_k(c), n, m <= 40
+    root2 = math.sqrt(2.0)
+    ha, hc, hx, hy = hermite_rows(80, np.array([a, c, (a + c) / root2, (a - c) / root2])).T
+    for N, rot in enumerate(_BLOCKS):
+        n = np.arange(max(0, N - 40), min(N, 40) + 1)
+        k = np.arange(N + 1)
+        got = rot[:, n].T @ (ha[N - k] * hc[k])
+        assert np.abs(got - hx[n] * hy[N - n]).max() < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_forward_matches_product_projection(kind):
+    if kind == "real":
+        fld = gauss_field(0.8, 1.2)
+    else:
+        fld = SampledField.from_function(
+            lambda y, e, s: (1 + 0.4 * y - 0.3j * e)
+            * np.exp(-(y - 0.5) ** 2 - 0.8 * e**2 - (s - 0.3) ** 2), 1, EXTENT, POINTS)
+    grid = LambdaGrid(0.2, 4.0, 3)
+    want = _product_projection(fld, 6, grid)
+    got = forward_factored(fld, 6, grid).values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_forward_projects_through_two_hermite_rows_per_lambda(monkeypatch, small_grid):
+    shapes = []
+
+    def spy(n_max, x):
+        shapes.append((n_max, np.shape(x)))
+        return hermite_rows(n_max, x)
+
+    monkeypatch.setattr(transform, "hermite_rows", spy)
+    forward_factored(gauss_field(), 5, small_grid, n_pad=1)
+    # real input: the positive branch only, one call on tau and one on u each
+    assert len(shapes) == 2 * len(small_grid.lam[small_grid.lam > 0])
+    assert all(n_max == 12 and len(shape) == 1 for n_max, shape in shapes)
+    assert {shape for _, shape in shapes[1::2]} == {(8 * POINTS[0],)}
 
 
 def test_rep_matrix_route(f_unit):
@@ -213,6 +322,18 @@ def test_spectral_product_tail_of_converged_sum():
     # flat shells above the noise keep the unknown tail
     th = _floored(1e-3)
     assert spectral_product(th, th, (0,), (0,), 0.5, ell_max=24)[1] == math.inf
+
+
+def test_spectral_product_tails_of_c03_products_are_finite():
+    # the operands of verify's c03 check: radial Gaussians, whose tables are
+    # diagonal up to errors far below their largest entries; every product
+    # converges
+    lamgrid = LambdaGrid(0.4, 2.1, 4)
+    t1 = forward_factored(gauss_field(), 24, lamgrid).as_freq_function()
+    t2 = forward_factored(gauss_field(1.5, 1.5), 24, lamgrid).as_freq_function()
+    tails = [spectral_product(t1, t2, (n,), (m,), lam, ell_max=24)[1]
+             for lam in lamgrid.lam for n in range(5) for m in range(5)]
+    assert max(tails) < 1e-15
 
 
 def test_boundary_product_commutes():
