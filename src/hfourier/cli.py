@@ -81,11 +81,16 @@ def _distribution(spec, d=1):
     )
 
 
+# heat's output is an inverse transform, gated like ``transform --direction
+# inverse`` at its default --tail-tol
+_HEAT_TAIL_TOL = 1.0
+
+
 def _within_tail_tol(tail, tol):
     """True for a finite tail estimate at most ``tol``; else report it."""
     if math.isfinite(tail) and tail <= tol:
         return True
-    print(f"tail estimate {tail:.3g} above --tail-tol", file=sys.stderr)
+    print(f"tail estimate {tail:.3g} above {tol:g}", file=sys.stderr)
     return False
 
 
@@ -160,7 +165,7 @@ def cmd_heat(args):
         "field": "evolved.hfld",
     }
     _json_dump(summary, os.path.join(args.out, "summary.json"))
-    return 0 if _within_tail_tol(tail, args.tail_tol) else 1
+    return 0 if _within_tail_tol(tail, _HEAT_TAIL_TOL) else 1
 
 
 def cmd_pair(args):
@@ -240,7 +245,6 @@ def build_parser():
     h.add_argument("--time", type=float, required=True)
     h.add_argument("--config")
     h.add_argument("--out", required=True)
-    h.add_argument("--tail-tol", type=float, default=1.0)
     h.set_defaults(fn=cmd_heat)
 
     q = sub.add_parser("pair", help="pair a frequency distribution with a test function")

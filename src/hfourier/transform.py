@@ -706,8 +706,7 @@ def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
 
     Returns (value, tail_estimate); the tail uses the decay of the last
     two middle-index shells, or their sum once both are below 1e-15 of
-    the largest shell or of max|theta1| * max|theta2| over the middle-index
-    box at ``lam``.
+    the largest shell.
     """
     ell = np.array(multi_indices(d, ell_max)).reshape(-1, d)
     terms = theta1(n, ell, lam) * theta2(ell, m, lam)
@@ -721,14 +720,9 @@ def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
     elif s_prev > 0 and s_last < 0.95 * s_prev:
         q = s_last / s_prev
         tail = s_last * q / (1.0 - q)
-    else:
-        # converged when the last shells are rounding noise, which no decay
-        # fit follows: noise of the sum, or of factor entries (a table's
-        # entries carry noise at its largest entry's scale, not their own)
-        box = (ell[:, None], ell[None, :])
-        scale = np.abs(theta1(*box, lam)).max() * np.abs(theta2(*box, lam)).max()
-        if max(s_prev, s_last) < 1e-15 * max(shells.max(), scale):
-            tail = s_prev + s_last
+    elif max(s_prev, s_last) < 1e-15 * shells.max():
+        # converged: the last shells are rounding noise, which no decay fit follows
+        tail = s_prev + s_last
     return complex(total), float(tail)
 
 

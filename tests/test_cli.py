@@ -153,24 +153,26 @@ def test_heat_command(tmp_path, small_config, gauss_file):
     assert np.abs(fld.samples).max() < 1.0
 
 
-def test_inverse_and_heat_gate_on_tail(tmp_path, small_config, gauss_file, capsys):
+def test_inverse_and_heat_gate_on_tail(tmp_path, small_config, gauss_file, capsys, monkeypatch):
     fwd = tmp_path / "fwd"
     assert main(["transform", "--input", gauss_file, "--config", small_config,
                  "--out", str(fwd)]) == 0
-    runs = {
-        "inverse": ["transform", "--input", str(fwd / "table.csv"), "--direction", "inverse"],
-        "heat": ["heat", "--input", gauss_file, "--time", "0.2"],
-    }
-    for name, argv in runs.items():
+    inverse = ["transform", "--input", str(fwd / "table.csv"), "--direction", "inverse"]
+    heat = ["heat", "--input", gauss_file, "--time", "0.2"]
+    for name, argv in {"inverse": inverse, "heat": heat}.items():
         out = tmp_path / name
+        argv = argv + ["--config", small_config, "--out", str(out)]
+        assert main(argv) == 0
         capsys.readouterr()
-        assert main(argv + ["--config", small_config, "--out", str(out),
-                            "--tail-tol", "1e-12"]) == 1
-        assert "above --tail-tol" in capsys.readouterr().err
+        if name == "heat":
+            monkeypatch.setattr(cli, "_HEAT_TAIL_TOL", 1e-12)
+        else:
+            argv = argv + ["--tail-tol", "1e-12"]
+        assert main(argv) == 1
+        assert "above 1e-12" in capsys.readouterr().err
         # the summary is still written, so the rejected tail can be read
         tail = json.loads((out / "summary.json").read_text())["tail_estimate"]
         assert 1e-12 < tail <= 1.0
-        assert main(argv + ["--config", small_config, "--out", str(out)]) == 0
 
 
 def test_pair_command(tmp_path, capsys):
