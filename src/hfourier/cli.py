@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import default_config, load_config
 from .distributions import Distribution, pair
-from .fields import field_from_csv, read_field, write_field
+from .fields import _write_csv, field_from_csv, read_field, write_field
 from .profiles import heat_profile, profile_exp_floor, profile_gauss, profile_to_freq_function
 from .transform import (
     forward_factored,
@@ -196,13 +196,8 @@ def cmd_kernel(args):
     e = np.linspace(-g.extents[1], g.extents[1], g.points[1])
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "kernel.csv")
-    with open(path, "w") as fh:
-        fh.write("y,eta,re,im\n")
-        for yv in y:
-            row = boundary_kernel((args.xdot,), (args.k,), np.stack(
-                [np.full_like(e, yv), e], axis=-1))
-            for ev, val in zip(e, np.atleast_1d(row)):
-                fh.write(",".join(repr(float(v)) for v in (yv, ev, val.real, val.imag)) + "\n")
+    val = boundary_kernel((args.xdot,), (args.k,), np.stack(np.meshgrid(y, e, indexing="ij"), -1))
+    _write_csv(path, "y,eta,re,im", [y[:, None], e, val.real, val.imag])
     print(path)
     return 0
 

@@ -1,4 +1,4 @@
-"""Run configuration: grids, truncation caps, tolerances, fixtures.
+"""Run configuration: grids, truncation caps, fixtures.
 
 All discretization choices live here rather than being hard-coded; the
 JSON layout mirrors the dataclasses field-for-field.
@@ -33,8 +33,7 @@ class Config:
         default_factory=lambda: PhysGridSpec(extents=(6.0, 6.0, 20.0), points=(33, 33, 107))
     )
     seed: int = 20240901
-    fixtures: dict = field(default_factory=lambda: {"gauss_width": 1.0, "exp_floor_r0": 0.5})
-    tolerances: dict = field(default_factory=dict)
+    fixtures: dict = field(default_factory=lambda: {"exp_floor_r0": 0.5})
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -67,7 +66,7 @@ def load_config(path):
     with open(path) as fh:
         raw = json.load(fh)
     kwargs = {}
-    for key in ("d", "n_max", "seed", "fixtures", "tolerances"):
+    for key in ("d", "n_max", "seed", "fixtures"):
         if key in raw:
             kwargs[key] = raw[key]
     if "lambda_grid" in raw:

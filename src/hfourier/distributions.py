@@ -25,7 +25,8 @@ from functools import partial
 import numpy as np
 from scipy.special import jv
 
-from .freq_space import FreqFunction, LambdaGrid, integrate, multi_indices, shell_tail
+from .freq_space import (FreqFunction, LambdaGrid, gauss_legendre, integrate, multi_indices,
+                         shell_tail)
 from .wigner import boundary_kernel
 
 __all__ = [
@@ -199,16 +200,6 @@ def _finite_part(gamma, theta, grid, d, atol=1e-7, n_cap=4000):
     return complex(total + beyond), float(tail + strip)
 
 
-def _halfline_rule(x_max=28.0, panels=12, q=24):
-    xi, om = np.polynomial.legendre.leggauss(q)
-    edges = np.concatenate([[0.0], np.geomspace(0.02, x_max, panels)])
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs.append(0.5 * (a + b) + 0.5 * (b - a) * xi)
-        ws.append(0.5 * (b - a) * om)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 def _boundary_measure_pair(density, theta, d):
     """2^{-d-1} sum_k (both orthants) density * theta against dx (d = 1).
 
@@ -220,7 +211,8 @@ def _boundary_measure_pair(density, theta, d):
     if d != 1:
         raise ValueError("boundary-measure pairing implemented for d = 1")
     k_band = theta.band if theta.band is not None else 8
-    xs, ws = _halfline_rule()
+    # 24-point panels on [0, 0.02] and geometric ones out to x. = 28
+    xs, ws = gauss_legendre(np.concatenate([[0.0], np.geomspace(0.02, 28.0, 12)]), 24)
     ks = np.arange(-k_band, k_band + 1)
     total = 0.0 + 0.0j
     for sign in (-1.0, 1.0):
@@ -316,14 +308,14 @@ def g_hat_boundary_batch(g, xs, k_list):
     return out * g.cell_area
 
 
-def fourier_distribution(T, grid=None, n_max=24, phys_pipeline=None):
+def fourier_distribution(T, grid=None, n_max=24):
     """Fourier transform of a physical-side distribution, term by term.
 
     Closed forms: the origin point mass maps to the diagonal trace
     functional; the constant one to pi^{d+1}/2^{d-1} times the point mass
     at the distinguished boundary origin; g (x) 1 to 2 pi (G g) against
     the boundary measure.  Function-backed terms go through the factored
-    transform (``phys_pipeline`` overrides the table builder).
+    transform.
     """
     if T.side != "phys":
         raise ValueError("expected a physical-side distribution")
@@ -340,8 +332,7 @@ def fourier_distribution(T, grid=None, n_max=24, phys_pipeline=None):
         elif kind == "phys_function":
             from .transform import forward_factored
 
-            builder = phys_pipeline or forward_factored
-            table = builder(payload, n_max, grid if grid is not None else LambdaGrid())
+            table = forward_factored(payload, n_max, grid if grid is not None else LambdaGrid())
             out.append((coeff, "freq_function", table.as_freq_function()))
         else:  # pragma: no cover
             raise ValueError(kind)

@@ -272,21 +272,25 @@ def read_field(path):
     return fld
 
 
+def _write_csv(path, header, columns):
+    """Write the broadcast of ``columns`` (arrays of two or more axes after
+    broadcasting) as the columns of a CSV under ``header``, rows in C
+    order, each number as its shortest round-trip repr.  Rows are formatted
+    one slice of the leading axis at a time."""
+    columns = np.broadcast_arrays(*columns)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(columns[0].shape[0]):
+            fh.writelines(",".join(map(repr, row)) + "\n"
+                          for row in zip(*(col[i].ravel().tolist() for col in columns)))
+
+
 def field_to_csv(fld, path):
     """d = 1 export with columns y, eta, s, re, im (round-trip exact)."""
     if fld.d != 1:
         raise ValueError("CSV export is defined for d = 1 only")
-    y, e, s = fld.y_axis, fld.eta_axis, fld.s_axis
-    with open(path, "w") as fh:
-        fh.write("y,eta,s,re,im\n")
-        for i, yv in enumerate(y):
-            for j, ev in enumerate(e):
-                for k, sv in enumerate(s):
-                    v = fld.samples[i, j, k]
-                    fh.write(
-                        f"{float(yv)!r},{float(ev)!r},{float(sv)!r},"
-                        f"{float(v.real)!r},{float(v.imag)!r}\n"
-                    )
+    _write_csv(path, "y,eta,s,re,im", [fld.y_axis[:, None, None], fld.eta_axis[:, None],
+                                       fld.s_axis, fld.samples.real, fld.samples.imag])
 
 
 def field_from_csv(path):

@@ -25,6 +25,7 @@ evaluate their index shells in blocks.
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "one_plus_weight",
     "shell_tail",
     "simpson_log_weights",
+    "gauss_legendre",
 ]
 
 
@@ -162,6 +164,22 @@ def simpson_log_weights(count, step):
         w[-2] += 8.0 * step / 12.0
         w[-1] += 5.0 * step / 12.0
     return w
+
+
+@lru_cache(maxsize=None)
+def _legendre(q):
+    return np.polynomial.legendre.leggauss(q)
+
+
+def gauss_legendre(edges, q):
+    """Composite Gauss-Legendre rule: the q-point rule on each panel
+    between consecutive ``edges``.  Returns (nodes, weights), panel by
+    panel in the order of ``edges``."""
+    xi, om = _legendre(q)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * om).ravel()
 
 
 @dataclass

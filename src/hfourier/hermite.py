@@ -58,27 +58,13 @@ def hermite_rows(n_max, x):
 def hermite_selected(indices, x):
     """Evaluate h_n at ``x`` for the requested 1-d indices only.
 
-    Single pass of the recurrence keeping two rows; memory stays O(|x|)
-    even when the largest requested index is in the thousands.
-
-    Returns a dict ``{n: ndarray}``.
+    Returns a dict ``{n: ndarray}`` of rows of :func:`hermite_rows`.
     """
     wanted = sorted(set(int(n) for n in indices))
     if not wanted or wanted[0] < 0:
         raise ValueError("indices must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    out = {}
-    prev = np.zeros_like(x)
-    cur = _GROUND * np.exp(-0.5 * x * x)
-    if 0 in wanted:
-        out[0] = cur.copy()
-    for k in range(wanted[-1]):
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(
-            k / (k + 1.0)
-        ) * prev
-        if k + 1 in wanted:
-            out[k + 1] = cur.copy()
-    return out
+    rows = hermite_rows(wanted[-1], x)
+    return {n: rows[n] for n in wanted}
 
 
 def eval_hermite(n, x):

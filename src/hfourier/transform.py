@@ -35,11 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .fields import SampledField, cubic_weights
+from .fields import SampledField, _write_csv, cubic_weights
 from .freq_space import (
     FreqFunction,
     LambdaGrid,
     box_pairs,
+    gauss_legendre,
     integrate,
     multi_indices,
     simpson_log_weights,
@@ -134,19 +135,9 @@ def table_to_csv(table, path, sidecar=None):
     """CSV export (n.., m.., lambda, re, im) with a JSON sidecar; floats use
     round-trip-exact formatting."""
     d = table.d
-    cols = _csv_columns(d)
-    idx = multi_indices(d, table.n_max)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for n in idx:
-            for m in idx:
-                row = table.values[tuple(n) + tuple(m)]
-                for il, lam in enumerate(table.grid.lam):
-                    v = row[il]
-                    fields = [str(v2) for v2 in n + m] + [
-                        repr(float(lam)), repr(float(v.real)), repr(float(v.imag))
-                    ]
-                    fh.write(",".join(fields) + "\n")
+    index = np.indices(table.values.shape, sparse=True)[:-1]
+    _write_csv(path, ",".join(_csv_columns(d)),
+               [*index, table.grid.lam, table.values.real, table.values.imag])
     meta = {
         "d": d,
         "n_max": table.n_max,
@@ -202,15 +193,20 @@ def table_from_csv(path, sidecar=None):
 # vertical Fourier sums and helpers
 # ---------------------------------------------------------------------------
 
-def _fs(fld, lam):
-    """F_s f(Y, lam) = sum_s e^{-i s lam} f(Y, s) h_s for one lam."""
-    phase = np.exp(-1j * lam * fld.s_axis) * fld.spacings[2]
-    return fld.samples @ phase
-
-
 def _fs_many(fld, lams):
+    """F_s f(Y, lam) = sum_s e^{-i s lam} f(Y, s) h_s for each of ``lams``."""
     phase = np.exp(-1j * np.outer(fld.s_axis, np.asarray(lams))) * fld.spacings[2]
     return fld.samples @ phase  # (..Y.., L)
+
+
+def _lattice_sum(factors, values):
+    """sum over the (y_1..y_d, eta_1..eta_d) lattice of ``values`` times
+    the product of the per-coordinate ``factors``, factor j indexed by
+    (y_j, eta_j)."""
+    d = len(factors)
+    letters = "abcdefgh"
+    spec = ",".join(letters[j] + letters[d + j] for j in range(d))
+    return np.einsum(spec + "," + letters[: 2 * d] + "->", *factors, values)
 
 
 def forward_direct(fld, n, m, lam):
@@ -225,18 +221,9 @@ def forward_direct(fld, n, m, lam):
     n = tuple(int(v) for v in n)
     m = tuple(int(v) for v in m)
     d = fld.d
-    fs = _fs(fld, lam)  # (..Y..)
+    fs = _fs_many(fld, [lam])[..., 0]  # (..Y..)
     mats = [wigner_conj_grid(n[j], m[j], lam, fld.y_axis, fld.eta_axis) for j in range(d)]
-    if d == 1:
-        acc = np.sum(mats[0] * fs)
-    else:
-        letters = "abcdefgh"
-        terms = []
-        for j in range(d):
-            terms.append(mats[j])
-        spec = ",".join(letters[j] + letters[d + j] for j in range(d))
-        spec += "," + letters[: 2 * d] + "->"
-        acc = np.einsum(spec, *terms, fs)
+    acc = _lattice_sum(mats, fs)
     hy, he, _ = fld.spacings
     return complex(acc * hy**d * he**d)
 
@@ -257,15 +244,12 @@ def _upsample_axis(arr, factor, axis=0):
     return out
 
 
-def _gl_panels(extent, bandwidth, q=12):
+def _gl_panels(extent, bandwidth):
+    """Symmetric tau-rule on [-extent, extent]: equal 12-point panels on
+    the half-line, about 2.3 nodes per period of ``bandwidth``."""
     per_unit = max(2.3 * bandwidth / (2.0 * math.pi), 0.15)
-    panels = max(2, int(math.ceil(extent * per_unit / q)))
-    edges = np.linspace(0.0, extent, panels + 1)
-    xi, om = np.polynomial.legendre.leggauss(q)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
-    w = (half[:, None] * om[None, :]).ravel()
+    panels = max(2, int(math.ceil(extent * per_unit / 12)))
+    x, w = gauss_legendre(np.linspace(0.0, extent, panels + 1), 12)
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
@@ -314,7 +298,11 @@ def _rotation_block(N):
     return np.choose((p[:, None] - p[None, :]) % 4, [cos_part, -sin_part, -cos_part, sin_part])
 
 
-def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
+# trigonometric refinement of the lattice variable in the forward projection
+_UPSAMPLE = 8
+
+
+def forward_factored(fld, n_max, grid):
     """Full spectral table of a d = 1 field through the factored pipeline.
 
     Pipeline: (i) partial Fourier transform in (eta, s), evaluated at the
@@ -323,20 +311,16 @@ def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
     realized by rotating the projection coordinates; (iii) projection onto
     the Hermite pair h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) by
     composite Gauss-Legendre quadrature in tau and a Riemann sum in the
-    lattice variable u, trigonometrically refined (factor ``upsample``) to
-    stay alias-free across the whole (n, lam) range.  The pair is a
+    lattice variable u, trigonometrically refined (factor 8) to stay
+    alias-free across the whole (n, lam) range.  The pair is a
     45-degree rotation of h_{N-k}(a) h_k(c), a = sqrt(2|lam|) tau,
     c = sqrt(2|lam|) u, N = n + m (see :func:`_rotation_block`), so the
     quadrature reduces to the moments M[p, q] of h_p(a) h_q(c), one GEMM
-    pair per lam on Hermite rows to order 2 n_top, and each entry is
+    pair per lam on Hermite rows to order 2 n_max, and each entry is
     sqrt|lam| sum_k D_N[k, n] M[N-k, k].
-
-    ``n_pad`` extends the index box (used by calculus checks that need
-    one extra shell).
     """
     if fld.d != 1:
         raise ValueError("factored pipeline implemented for d = 1 (use forward_direct elsewhere)")
-    n_top = n_max + n_pad
     lam_all = grid.lam
     L = len(lam_all)
     real_input = fld.is_real()
@@ -351,17 +335,17 @@ def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
     else:
         lams = lam_all
     fs = _fs_many(fld, lams)                       # (y, eta, L+)
-    fs_up = _upsample_axis(fs, upsample, axis=0)   # trig refinement of y
-    u_axis = -Ly + (hy / upsample) * np.arange(fs_up.shape[0])
-    hu = hy / upsample
+    fs_up = _upsample_axis(fs, _UPSAMPLE, axis=0)  # trig refinement of y
+    hu = hy / _UPSAMPLE
+    u_axis = -Ly + hu * np.arange(fs_up.shape[0])
     global_max = float(np.abs(fs_up).max())
 
-    root_pref = math.sqrt(2 * n_top + 1)
+    root_pref = math.sqrt(2 * n_max + 1)
     # the sampled vertical axis resolves no frequency beyond pi / h_s; the
     # discrete sum would return the alias there, so those slices stay zero
     s_nyquist = math.pi / fld.spacings[2]
     # sqrt|lam| int h_p(a) h_q(c) phi du dtau, a = sqrt(2|lam|) tau, c = sqrt(2|lam|) u
-    moments = np.zeros((2 * n_top + 1, 2 * n_top + 1, L), dtype=complex)
+    moments = np.zeros((2 * n_max + 1, 2 * n_max + 1, L), dtype=complex)
 
     for col, lam in enumerate(lams):
         if abs(lam) > 0.98 * s_nyquist:
@@ -383,16 +367,16 @@ def forward_factored(fld, n_max, grid, n_pad=0, upsample=8):
         phase = np.exp(-2j * lam * np.outer(eta_axis, tau)) * h_eta
         phi = slab @ phase                         # (u, K)
 
-        h_tau = hermite_rows(2 * n_top, math.sqrt(2.0) * rl * tau)     # (p, K)
-        h_u = hermite_rows(2 * n_top, math.sqrt(2.0) * rl * u_axis)    # (q, u)
+        h_tau = hermite_rows(2 * n_max, math.sqrt(2.0) * rl * tau)     # (p, K)
+        h_u = hermite_rows(2 * n_max, math.sqrt(2.0) * rl * u_axis)    # (q, u)
         il = int(np.searchsorted(lam_all, lam))
         moments[:, :, il] = rl * h_tau @ (h_u @ (phi * (wtau * hu))).T
 
     # h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) = sum_k D_N[k, n] h_{N-k}(a) h_k(c), N = n+m
-    values = np.zeros((n_top + 1, n_top + 1, L), dtype=complex)
-    for N in range(2 * n_top + 1):
+    values = np.zeros((n_max + 1, n_max + 1, L), dtype=complex)
+    for N in range(2 * n_max + 1):
         k = np.arange(N + 1)
-        n = np.arange(max(0, N - n_top), min(N, n_top) + 1)
+        n = np.arange(max(0, N - n_max), min(N, n_max) + 1)
         values[n, N - n] = _rotation_block(N)[:, n].T @ moments[N - k, k]
     if real_input:
         pos = np.flatnonzero(lam_all > 0)
@@ -424,52 +408,30 @@ def rep_matrix_coeff(fld, lam, n, m):
     d = fld.d
     Ny = fld.points[0]
     hy = fld.spacings[0]
-    al = abs(lam)
-    rl = math.sqrt(al)
+    rl = math.sqrt(abs(lam))
 
     # lattice frequencies of the y axes; the phase factor moves the sample
     # origin from index 0 to the physical point y = -L
     kfreq = 2.0 * math.pi * (np.arange(Ny) - (Ny - 1) // 2) / (Ny * hy)
     origin_shift = np.exp(1j * kfreq * fld.extents[0])
-    phase_s = np.exp(-1j * lam * fld.s_axis) * fld.spacings[2]
-    he = fld.spacings[1]
     eta = fld.eta_axis
 
-    if d == 1:
-        spec = np.fft.fftshift(np.fft.fft(fld.samples, axis=0), axes=0)
-        spec = spec * origin_shift[:, None, None]
-        B = (spec @ phase_s) * he                   # (kappa, eta)
-        argn = (kfreq[:, None] / 2.0 - lam * eta[None, :]) / rl
-        argm = (kfreq[:, None] / 2.0 + lam * eta[None, :]) / rl
-        hn = hermite_rows(max(n[0], m[0]), np.stack([argn, argm]))
-        total = np.sum(B * hn[n[0], 0] * hn[m[0], 1])
-        pref = math.pi * (1j ** n[0]) * ((-1j) ** m[0]) / (rl * Ny)
-        return complex(pref * total)
-
-    # generic d: tensor lattice frequencies (test-scale only)
-    spec = fld.samples
+    # the vertical sum, then one lattice FFT per y axis
+    spec = _fs_many(fld, [lam])[..., 0]
     for ax in range(d):
         spec = np.fft.fftshift(np.fft.fft(spec, axis=ax), axes=ax)
         shape = [1] * spec.ndim
         shape[ax] = Ny
         spec = spec * origin_shift.reshape(shape)
-    B = (spec @ phase_s) * he**d
-    from itertools import product as _product
-
-    rowcache = hermite_rows(
-        max(max(n), max(m)),
+    B = spec * fld.spacings[1] ** d                  # (kappa.., eta..)
+    rows = hermite_rows(
+        max(n + m),
         np.stack([
             (kfreq[:, None] / 2.0 - lam * eta[None, :]) / rl,
             (kfreq[:, None] / 2.0 + lam * eta[None, :]) / rl,
         ]),
     )
-    total = 0.0 + 0.0j
-    for kidx in _product(range(Ny), repeat=d):
-        for eidx in _product(range(len(eta)), repeat=d):
-            w = B[kidx + eidx]
-            for j in range(d):
-                w = w * rowcache[n[j], 0, kidx[j], eidx[j]] * rowcache[m[j], 1, kidx[j], eidx[j]]
-            total += w
+    total = _lattice_sum([rows[n[j], 0] * rows[m[j], 1] for j in range(d)], B)
     pref = (math.pi ** d) * (1j ** sum(n)) * ((-1j) ** sum(m)) / (rl**d * Ny**d)
     return complex(pref * total)
 
@@ -502,10 +464,7 @@ def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
     # geometric envelope (the kernel's index oscillation must be resolved,
     # otherwise the correction overcounts the nearly cancelling Y-mass)
     decay = -math.log(r)
-    J = 18.0 / decay
-    xi, om = np.polynomial.legendre.leggauss(32)
-    j_nodes = 0.5 * (J + 0.5) * (xi + 1.0) - 0.5
-    j_w = 0.5 * (J + 0.5) * om
+    j_nodes, j_w = gauss_legendre([-0.5, 18.0 / decay], 32)
     # the zero-integer-index kernel slice is radial: a Bessel J0 profile
     radius = np.hypot(y_axis[:, None], e_axis[None, :])
     out = np.zeros(radius.shape, dtype=complex)

@@ -68,22 +68,16 @@ class CheckRecord:
         return asdict(self)
 
 
-def _check(test_id, identity, measured, expected, tolerance, gap, also=True, detail=""):
-    # the numeric condition is margin <= 1; `also` carries any further pass rule
-    margin = float(gap) / float(tolerance)
-    return CheckRecord(test_id, identity, float(np.real(measured)), float(expected),
-                       float(tolerance), bool(also and margin <= 1.0), margin, detail)
-
-
-def _rec(test_id, identity, measured, expected, tolerance, relative=False, detail=""):
+def _rec(test_id, identity, measured, expected, tolerance, relative=False, also=True, detail=""):
+    """Record with gap |measured - expected| (relative to |expected| when
+    ``relative``); the numeric condition is margin = gap / tolerance <= 1,
+    and ``also`` carries any further pass rule."""
     gap = abs(measured - expected)
     if relative:
         gap = gap / max(abs(expected), 1e-300)
-    return _check(test_id, identity, measured, expected, tolerance, gap, detail=detail)
-
-
-def _gap_rec(test_id, identity, gap, tolerance, detail=""):
-    return _check(test_id, identity, gap, 0.0, tolerance, gap, detail=detail)
+    margin = float(gap) / float(tolerance)
+    return CheckRecord(test_id, identity, float(np.real(measured)), float(expected),
+                       float(tolerance), bool(also and margin <= 1.0), margin, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +188,7 @@ def c02_inversion(ctx):
     gap = float(
         np.abs(rec_field.samples - truth.samples).max() / np.abs(truth.samples).max()
     )
-    return [_gap_rec("c02.inversion", "round-trip relative sup error", gap, 1e-2)]
+    return [_rec("c02.inversion", "round-trip relative sup error", gap, 0.0, 1e-2)]
 
 
 def c03_convolution(ctx):
@@ -219,8 +213,8 @@ def c03_convolution(ctx):
                 lhs = tc.values[n, m, il]
                 rhs, _ = spectral_product(th1, th2, (n,), (m,), lam, ell_max=cfg.n_max)
                 worst = max(worst, abs(lhs - rhs))
-    return [_gap_rec("c03.convolution", "transform of star vs matrix product", worst, 5e-3,
-                     detail=f"convolution_tail={tail:.3g}")]
+    return [_rec("c03.convolution", "transform of star vs matrix product", worst, 0.0, 5e-3,
+                 detail=f"convolution_tail={tail:.3g}")]
 
 
 _SPOT_POINTS = [
@@ -256,7 +250,7 @@ def c04_laplacian(ctx):
     n, m, lam = _spot_arrays(_SPOT_POINTS)
     rhs = -4.0 * np.abs(lam) * (2 * m[:, 0] + 1) * fhat(n, m, lam)
     worst = float(np.abs(_direct_at(lap, _SPOT_POINTS) - rhs).max())
-    return [_gap_rec("c04.sublaplacian", "transform intertwines sub-Laplacian", worst, 1e-4)]
+    return [_rec("c04.sublaplacian", "transform intertwines sub-Laplacian", worst, 0.0, 1e-4)]
 
 
 def c05_weight_identities(ctx):
@@ -285,8 +279,8 @@ def c05_weight_identities(ctx):
     w1 = max(w1, float(np.abs(_direct_at(m2b, spots) + delta_hat(bhat, n, m, lam)).max()))
     w2 = max(w2, float(np.abs(_direct_at(m0b, spots) - dlambda_hat(bhat, n, m, lam)).max()))
     return [
-        _gap_rec("c05.weight-laplacian", "squared weight maps to frequency Laplacian", w1, 1e-4),
-        _gap_rec("c05.weight-dlambda", "vertical weight maps to lambda derivative", w2, 1e-4),
+        _rec("c05.weight-laplacian", "squared weight maps to frequency Laplacian", w1, 0.0, 1e-4),
+        _rec("c05.weight-dlambda", "vertical weight maps to lambda derivative", w2, 0.0, 1e-4),
     ]
 
 
@@ -301,7 +295,7 @@ def c06_primitive(ctx):
         tm = forward_direct(f2, m, n, -lam)
         rhs = (tp - (-1.0) ** (n[0] + m[0]) * tm) / lam
         worst = max(worst, abs(lhs - rhs))
-    return [_gap_rec("c06.primitive", "vertical primitive maps to signed difference", worst, 1e-4)]
+    return [_rec("c06.primitive", "vertical primitive maps to signed difference", worst, 0.0, 1e-4)]
 
 
 def c07_wigner_symmetry(ctx):
@@ -317,9 +311,9 @@ def c07_wigner_symmetry(ctx):
                 worst_sym = max(worst_sym, float(np.abs(a - (-1.0) ** (n + m) * b).max()))
                 worst_mag = max(worst_mag, float(np.abs(a).max()))
     return [
-        _gap_rec("c07.wigner-symmetry", "index swap with sign flip", worst_sym, 1e-12),
-        _gap_rec("c07.wigner-bound", "modulus bounded by one", max(0.0, worst_mag - 1.0), 1e-12,
-                 detail=f"max|W|={worst_mag:.6f}"),
+        _rec("c07.wigner-symmetry", "index swap with sign flip", worst_sym, 0.0, 1e-12),
+        _rec("c07.wigner-bound", "modulus bounded by one", max(0.0, worst_mag - 1.0), 0.0, 1e-12,
+             detail=f"max|W|={worst_mag:.6f}"),
     ]
 
 
@@ -346,8 +340,8 @@ def c08_boundary_limit(ctx):
             worst_ratio = max(worst_ratio, fine / coarse)
     detail = "first-order constant non-increasing along dyadic lambda"
     records.append(
-        _check("c08.boundary-limit", "symbol tends to boundary kernel",
-               worst_ratio, 1.0, 1.10, worst_ratio, also=all_decreasing, detail=detail)
+        _rec("c08.boundary-limit", "symbol tends to boundary kernel",
+             worst_ratio, 0.0, 1.10, also=all_decreasing, detail=detail)
     )
     return records
 
@@ -370,8 +364,8 @@ def c09_boundary_extensions(ctx):
             orders.append(rels[1] / rels[2] if rels[2] > 0 else 2.0)
     detail = f"median halving ratio {np.median(orders):.2f} (first order ~ 2)"
     return [
-        _gap_rec("c09.boundary-extension", "interior calculus attains boundary formulas",
-                 worst_rel, 2e-2, detail=detail)
+        _rec("c09.boundary-extension", "interior calculus attains boundary formulas",
+             worst_rel, 0.0, 2e-2, detail=detail)
     ]
 
 
@@ -392,11 +386,11 @@ def c10_ladder(ctx):
         np.abs(_direct_at(Mm, _SPOT_POINTS) - ladder_freq("dhat_minus", fhat, n, m, lam)).max(),
     ]
     return [
-        _gap_rec("c10.ladder-x", "horizontal field maps to raising multiplier", w[0], 1e-4),
-        _gap_rec("c10.ladder-xi", "conjugate field maps to signed multiplier", w[1], 1e-4,
-                 detail="sign corrected for the transform conjugation"),
-        _gap_rec("c10.ladder-mplus", "y + i eta maps to branch multiplier", w[2], 1e-4),
-        _gap_rec("c10.ladder-mminus", "y - i eta maps to branch multiplier", w[3], 1e-4),
+        _rec("c10.ladder-x", "horizontal field maps to raising multiplier", w[0], 0.0, 1e-4),
+        _rec("c10.ladder-xi", "conjugate field maps to signed multiplier", w[1], 0.0, 1e-4,
+             detail="sign corrected for the transform conjugation"),
+        _rec("c10.ladder-mplus", "y + i eta maps to branch multiplier", w[2], 0.0, 1e-4),
+        _rec("c10.ladder-mminus", "y - i eta maps to branch multiplier", w[3], 0.0, 1e-4),
     ]
 
 
@@ -413,7 +407,7 @@ def c11_equivalence(ctx):
         a = forward_direct(f, (n,), (m,), lam)
         b = rep_matrix_coeff(f, lam, (n,), (m,))
         worst = max(worst, abs(a - b))
-    return [_gap_rec("c11.equivalence", "grid quadrature vs kernel route", worst, 1e-6)]
+    return [_rec("c11.equivalence", "grid quadrature vs kernel route", worst, 0.0, 1e-6)]
 
 
 def c12_distributions(ctx):
@@ -452,7 +446,7 @@ def c12_distributions(ctx):
         got = g_hat_boundary(gY, (xd,), (0,))
         worst = max(worst, abs(got - math.pi * math.exp(-xd)))
     records.append(
-        _gap_rec("c12.boundary-transform", "Y-Gaussian boundary transform", worst, 1e-6)
+        _rec("c12.boundary-transform", "Y-Gaussian boundary transform", worst, 0.0, 1e-6)
     )
     return records
 
@@ -466,11 +460,10 @@ def c13_moderate_growth(ctx):
         sums.append(l1m_norm(f1, 4, grid, ctx.cfg.n_max).value.real)
     deltas = [abs(sums[i + 1] - sums[i]) for i in range(3)]
     ratio = max(deltas[i + 1] / deltas[i] for i in range(2))
-    # one-sided: the ratio may fall below 0.5, giving a negative margin
-    rec1 = _check(
-        "c13.growth-convergent", "subcritical power integrable",
-        ratio, 0.5, 0.35, ratio - 0.5,
-        detail=f"refinement deltas {deltas}")
+    # convergent: each halving of lambda_min changes the sum by at most
+    # 0.85 of the change before
+    rec1 = _rec("c13.growth-convergent", "subcritical power integrable",
+                ratio, 0.0, 0.85, detail=f"refinement deltas {deltas}")
     # gamma = d + 1: logarithmic divergence at the printed rate
     f2 = make_f_gamma(2.0, 1)
     pts = []
@@ -505,8 +498,8 @@ def c14_sqrt_modulus(ctx):
             cs.append(float(np.max(vals / np.sqrt(x))))
         drift = abs(cs[-1] - cs[0]) / cs[0]
         records.append(
-            _check(f"c14.sqrt-modulus[{name}]", "square-root modulus of continuity",
-                   drift, 0.0, 0.10, drift, detail=f"fitted constants {cs}")
+            _rec(f"c14.sqrt-modulus[{name}]", "square-root modulus of continuity",
+                 drift, 0.0, 0.10, detail=f"fitted constants {cs}")
         )
     return records
 
@@ -537,9 +530,8 @@ def c15_mollifier(ctx):
             errs.append(abs(v.real - mu))
         decreasing = all(errs[i + 1] < errs[i] for i in range(3))
         records.append(
-            _check(f"c15.mollifier[{name}]", "concentrating profiles tend to the boundary measure",
-                   errs[-1], 0.0, 5e-3, errs[-1], also=decreasing,
-                   detail=f"errors along eps: {errs}")
+            _rec(f"c15.mollifier[{name}]", "concentrating profiles tend to the boundary measure",
+                 errs[-1], 0.0, 5e-3, also=decreasing, detail=f"errors along eps: {errs}")
         )
     return records
 
@@ -556,23 +548,23 @@ def c16_heat(ctx):
                 heat_profile(0.7), heat_profile(0.5), (i,), (i,), lam, ell_max=30
             )
             worst = max(worst, abs(v - want[i]))
-    records.append(_gap_rec("c16.semigroup", "heat semigroup composes", worst, 1e-14))
+    records.append(_rec("c16.semigroup", "heat semigroup composes", worst, 0.0, 1e-14))
     # scaling
     n = np.arange(5)[:, None, None]
     lam = np.array([0.25, 1.5, -0.7])
     worst = float(np.abs(heat_profile(2.0)(n, n, lam) - heat_profile(1.0)(n, n, 2.0 * lam)).max())
-    records.append(_gap_rec("c16.scaling", "time rescales the frequency", worst, 1e-15))
+    records.append(_rec("c16.scaling", "time rescales the frequency", worst, 0.0, 1e-15))
     # kernel reconstruction
     hfld, tail = ctx.heat_inverse_tall()
     scale = float(np.abs(hfld.samples.real).max())
     imag = float(np.abs(hfld.samples.imag).max())
-    records.append(_gap_rec("c16.kernel-real", "heat kernel is real", imag / scale, 1e-12))
+    records.append(_rec("c16.kernel-real", "heat kernel is real", imag / scale, 0.0, 1e-12))
     neg = max(0.0, -float(hfld.samples.real.min()))
     records.append(
-        _gap_rec("c16.kernel-positive", "heat kernel positive on the grid",
-                 neg / scale, 1e-8,
-                 detail=f"grid minimum {float(hfld.samples.real.min()):.3e} "
-                        "(boundary-kernel tail completion keeps the far field positive)")
+        _rec("c16.kernel-positive", "heat kernel positive on the grid",
+             neg / scale, 0.0, 1e-8,
+             detail=f"grid minimum {float(hfld.samples.real.min()):.3e} "
+                    "(boundary-kernel tail completion keeps the far field positive)")
     )
     mass = hfld.integral().real
     records.append(_rec("c16.kernel-mass", "heat kernel has unit mass", mass, 1.0, 1e-3))

@@ -198,6 +198,9 @@ def test_kernel_command(tmp_path, small_config):
     Y = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     want = boundary_kernel((1.0,), (0,), Y)
     assert np.array_equal(data, np.column_stack([Y, want.real, want.imag]))
+    # y-major rows of shortest-repr tokens
+    assert rows[1:] == [",".join(repr(float(v)) for v in (y, e, k.real, k.imag))
+                        for (y, e), k in zip(Y, want)]
 
 
 NON_FINITE = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+import hfourier.distributions as distributions
 from hfourier.distributions import (
     Distribution,
     fourier_distribution,
@@ -13,7 +14,7 @@ from hfourier.distributions import (
     pair,
 )
 from hfourier.fields import SampledField, YField
-from hfourier.freq_space import FreqFunction, LambdaGrid, integrate
+from hfourier.freq_space import FreqFunction, LambdaGrid, gauss_legendre, integrate
 from hfourier.profiles import heat_profile, profile_gauss, profile_to_freq_function
 from hfourier.transform import forward_factored, transpose_transform
 
@@ -45,6 +46,33 @@ def test_boundary_measure_normalization(grid):
     th = profile_to_freq_function(profile_gauss(1.0))
     res = pair(mu, th, grid)
     assert res.value.real == pytest.approx(0.5, abs=1e-9)
+
+
+def _old_halfline_rule(x_max=28.0, panels=12, q=24):
+    """The boundary-measure rule as it was built before the shared
+    Gauss-Legendre builder."""
+    xi, om = np.polynomial.legendre.leggauss(q)
+    edges = np.concatenate([[0.0], np.geomspace(0.02, x_max, panels)])
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        xs.append(0.5 * (a + b) + 0.5 * (b - a) * xi)
+        ws.append(0.5 * (b - a) * om)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def test_boundary_measure_runs_the_old_halfline_rule(monkeypatch, grid):
+    rules = []
+
+    def spy(edges, q):
+        rules.append(gauss_legendre(edges, q))
+        return rules[-1]
+
+    monkeypatch.setattr(distributions, "gauss_legendre", spy)
+    mu = Distribution.single("freq_boundary_measure", payload=lambda xd, k: 1.0)
+    pair(mu, heat_profile(1.0), grid)
+    assert len(rules) == 1
+    for got, want in zip(rules[0], _old_halfline_rule()):
+        assert np.array_equal(got, want)
 
 
 def test_finite_part_validity_range():

@@ -10,6 +10,7 @@ from hfourier.freq_space import (
     LambdaGrid,
     distance,
     freq_seminorm,
+    gauss_legendre,
     integrate,
     l1m_norm,
     weight_d0,
@@ -93,6 +94,22 @@ def test_lambda_grid_json_roundtrip():
     clone = LambdaGrid.from_json(grid.to_json())
     assert np.array_equal(clone.lam, grid.lam)
     assert "ratio" in grid.to_json()
+
+
+@pytest.mark.parametrize("q", [1, 4, 12, 24, 32])
+def test_gauss_legendre_exact_on_nonuniform_panels(q):
+    edges = [-0.5, 0.02, 0.3, 1.7, 2.0, 6.5]
+    x, w = gauss_legendre(edges, q)
+    assert x.shape == w.shape == (q * (len(edges) - 1),)
+    assert np.all(np.diff(x) > 0)
+    # degree 2q - 1 is exact, to rounding
+    for p in (0, 2 * q - 2, 2 * q - 1):
+        want = (edges[-1] ** (p + 1) - edges[0] ** (p + 1)) / (p + 1)
+        assert np.sum(w * x**p) == pytest.approx(want, rel=1e-13)
+    # the cached reference rule is never handed out
+    kept = x.copy(), w.copy()
+    x[:], w[:] = 0.0, 0.0
+    assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre(edges, q), kept))
 
 
 # ---- integration -----------------------------------------------------------

@@ -404,6 +404,20 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(field_from_csv(path).samples, f.samples)
 
 
+def test_csv_tokens_in_grid_order(tmp_path):
+    # every number is its shortest repr; rows run y-major, then eta, then s
+    f = small_field(points=5)
+    f.samples[0, 0, 0] = complex(-0.0, 1e-300)
+    f.samples[1, 2, 3] = complex(1e300, -2.5e-310)
+    path = tmp_path / "field.csv"
+    field_to_csv(f, path)
+    want = [",".join(repr(float(v)) for v in (y, e, s, f.samples[i, j, k].real,
+                                               f.samples[i, j, k].imag))
+            for i, y in enumerate(f.y_axis) for j, e in enumerate(f.eta_axis)
+            for k, s in enumerate(f.s_axis)]
+    assert path.read_text().splitlines() == ["y,eta,s,re,im"] + want
+
+
 def test_csv_rejects_inf(tmp_path):
     path, header, rows = _csv_rows(tmp_path)
     rows[7] = ",".join(rows[7].split(",")[:3] + ["inf", "0.0"])

@@ -124,6 +124,16 @@ def test_truncation_flag():
     assert out.values == {}
 
 
+def test_selected_rows_are_hermite_rows():
+    x = np.concatenate([np.linspace(-45.0, 45.0, 361), [-0.0, 1e-300, 7.123456789]])
+    rows = hermite_rows(600, x)
+    got = hermite_selected([600, 0, 1, 17, 17, 599, 2], x)
+    assert sorted(got) == [0, 1, 2, 17, 599, 600]
+    for n, row in got.items():
+        assert np.array_equal(row, rows[n])
+    assert np.array_equal(hermite_selected([600], 3.5)[600], hermite_rows(600, 3.5)[600])
+
+
 def test_quadrature_rule():
     nodes, weights = quadrature_rule(1)
     assert nodes[0] == pytest.approx(0.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import hfourier.transform as transform
 from hfourier.fields import SampledField
-from hfourier.freq_space import FreqFunction, LambdaGrid
+from hfourier.freq_space import FreqFunction, LambdaGrid, multi_indices
 from hfourier.hermite import hermite_rows
 from hfourier.profiles import heat_profile
 from hfourier.transform import (
@@ -107,12 +107,13 @@ def test_factored_zero_field(small_grid):
     assert np.abs(table.values).max() == 0.0
 
 
-def _product_projection(fld, n_max, grid, upsample=8):
+def _product_projection(fld, n_max, grid):
     """The factored forward with the Hermite pair h_n(sqrt|lam| (u + tau)),
     h_m(sqrt|lam| (tau - u)) built on the whole (u, tau) grid: the projection
     as it was before the 45-degree rotation, same nodes, cutoffs and skips."""
     Ly, hy = fld.extents[0], fld.spacings[0]
     eta, h_eta = fld.eta_axis, fld.spacings[1]
+    upsample = transform._UPSAMPLE
     fs_up = transform._upsample_axis(transform._fs_many(fld, grid.lam), upsample, axis=0)
     u = -Ly + (hy / upsample) * np.arange(fs_up.shape[0])
     global_max = float(np.abs(fs_up).max())
@@ -133,6 +134,26 @@ def _product_projection(fld, n_max, grid, upsample=8):
         hm = hermite_rows(n_max, rl * (tau[None, :] - u[:, None])) * al**0.25
         values[:, :, il] = np.einsum("nuk,uk,muk->nm", hp, phi * wtau * (hy / upsample), hm)
     return values
+
+
+def _old_gl_panels(extent, bandwidth, q=12):
+    """The tau-rule as it was built before the shared Gauss-Legendre builder."""
+    per_unit = max(2.3 * bandwidth / (2.0 * math.pi), 0.15)
+    panels = max(2, int(math.ceil(extent * per_unit / q)))
+    edges = np.linspace(0.0, extent, panels + 1)
+    xi, om = np.polynomial.legendre.leggauss(q)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    x = (mid[:, None] + half[:, None] * xi[None, :]).ravel()
+    w = (half[:, None] * om[None, :]).ravel()
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+@pytest.mark.parametrize("extent,bandwidth", [(0.7, 0.1), (3.2, 14.0), (41.5, 93.7)])
+def test_tau_panels_are_the_old_rule(extent, bandwidth):
+    for got, want in zip(transform._gl_panels(extent, bandwidth),
+                         _old_gl_panels(extent, bandwidth)):
+        assert np.array_equal(got, want)
 
 
 def test_rotation_matches_exact_coefficients():
@@ -203,7 +224,7 @@ def test_forward_projects_through_two_hermite_rows_per_lambda(monkeypatch, small
         return hermite_rows(n_max, x)
 
     monkeypatch.setattr(transform, "hermite_rows", spy)
-    forward_factored(gauss_field(), 5, small_grid, n_pad=1)
+    forward_factored(gauss_field(), 6, small_grid)
     # real input: the positive branch only, one call on tau and one on u each
     assert len(shapes) == 2 * len(small_grid.lam[small_grid.lam > 0])
     assert all(n_max == 12 and len(shape) == 1 for n_max, shape in shapes)
@@ -375,6 +396,28 @@ def test_table_csv_reads_by_columns(tmp_path, unit_table):
     assert np.array_equal(clone.values, unit_table.values)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_table_csv_tokens_in_index_order(tmp_path, d):
+    # every number is its shortest repr; rows run n-major, then m, then lambda
+    grid = LambdaGrid(0.3, 3.0, 2)
+    rng = np.random.default_rng(d)
+    shape = (3,) * (2 * d) + (4,)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values = values + 1j * rng.normal(size=shape)
+    values.flat[0] = complex(-0.0, 0.0)
+    table = SpectralTable(values, grid, d)
+    path = tmp_path / "table.csv"
+    table_to_csv(table, path)
+    want = []
+    for n in multi_indices(d, 2):
+        for m in multi_indices(d, 2):
+            for il, lam in enumerate(grid.lam):
+                v = values[n + m + (il,)]
+                want.append(",".join([str(i) for i in n + m]
+                                     + [repr(float(x)) for x in (lam, v.real, v.imag)]))
+    assert path.read_text().splitlines()[1:] == want
+
+
 def _bad_tables(rows):
     """(what, rows) pairs, each one defect away from the good rows."""
     def edit(i, col, token):
@@ -494,6 +537,16 @@ def test_two_dimensional_direct_routes():
         assert got == pytest.approx(exact2(n, m, lam), abs=5e-4)
     got = rep_matrix_coeff(f2, 0.8, (1, 0), (1, 0))
     assert got == pytest.approx(exact2((1, 0), (1, 0), 0.8), abs=5e-4)
+    # off-diagonal pairs of non-radial data: the two routes agree
+    g2 = SampledField.from_function(
+        lambda y1, y2, e1, e2, s: (1 + 0.6 * y1 - 0.5j * e2 + 0.4 * y1 * y2 + 0.3 * e1 * e2)
+        * np.exp(-(y1**2 + y2**2 + e1**2 + e2**2 + s**2) - 0.3 * s),
+        2, (5, 5, 5), (17, 17, 17),
+    )
+    for n, m, lam in [((0, 1), (1, 0), 0.7), ((1, 1), (0, 2), -0.6)]:
+        want = forward_direct(g2, n, m, lam)
+        assert abs(want) > 0.1
+        assert rep_matrix_coeff(g2, lam, n, m) == pytest.approx(want, abs=5e-4)
     for lam in LambdaGrid(0.5, 1.0, 2).lam:
         got = forward_direct(f2, (0, 0), (0, 0), lam)
         assert got == pytest.approx(exact2((0, 0), (0, 0), lam), abs=5e-4)
