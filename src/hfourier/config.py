@@ -1,7 +1,8 @@
-"""Run configuration: grids, truncation caps, fixtures.
+"""Run configuration: grids and truncation caps.
 
 All discretization choices live here rather than being hard-coded; the
-JSON layout mirrors the dataclasses field-for-field.
+JSON layout mirrors the dataclasses field-for-field, and a key that no
+field names is an error.
 """
 
 import json
@@ -33,7 +34,6 @@ class Config:
         default_factory=lambda: PhysGridSpec(extents=(6.0, 6.0, 20.0), points=(33, 33, 107))
     )
     seed: int = 20240901
-    fixtures: dict = field(default_factory=lambda: {"exp_floor_r0": 0.5})
 
     def __post_init__(self):
         if self.d not in (1, 2):
@@ -52,8 +52,16 @@ def default_config():
     return Config()
 
 
-def _spec_from(d, cls):
-    known = {f: d[f] for f in d if f in cls.__dataclass_fields__}
+def _check_keys(raw, cls, where):
+    """Refuse any key of ``raw`` that is not a field of ``cls``."""
+    unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown config key {where + unknown[0]!r}")
+
+
+def _spec_from(raw, cls, where):
+    _check_keys(raw, cls, where)
+    known = dict(raw)
     if "extents" in known:
         known["extents"] = tuple(known["extents"])
     if "points" in known:
@@ -62,17 +70,17 @@ def _spec_from(d, cls):
 
 
 def load_config(path):
-    """Read a Config from a JSON file; missing fields fall back to defaults."""
+    """Read a Config from a JSON file; missing fields fall back to defaults.
+
+    Raises ValueError naming the first key that no field of the
+    configuration (or of the grid it sits in) accepts.
+    """
     with open(path) as fh:
         raw = json.load(fh)
-    kwargs = {}
-    for key in ("d", "n_max", "seed", "fixtures"):
+    _check_keys(raw, Config, "")
+    kwargs = dict(raw)
+    for key, cls in (("lambda_grid", LambdaGrid), ("phys_grid", PhysGridSpec),
+                     ("heat_phys_grid", PhysGridSpec)):
         if key in raw:
-            kwargs[key] = raw[key]
-    if "lambda_grid" in raw:
-        kwargs["lambda_grid"] = _spec_from(raw["lambda_grid"], LambdaGrid)
-    if "phys_grid" in raw:
-        kwargs["phys_grid"] = _spec_from(raw["phys_grid"], PhysGridSpec)
-    if "heat_phys_grid" in raw:
-        kwargs["heat_phys_grid"] = _spec_from(raw["heat_phys_grid"], PhysGridSpec)
+            kwargs[key] = _spec_from(raw[key], cls, key + ".")
     return Config(**kwargs)

@@ -227,10 +227,14 @@ def pair(T, theta, grid=None, n_max=24, atol=1e-6):
     """Pairing of a frequency-side distribution with a test function.
 
     Returns a :class:`PairResult` with the value and a truncation-tail
-    estimate (zero for the exact point evaluations).
+    estimate (zero for the exact point evaluations).  Raises ValueError
+    when theta and T differ in dimension.
     """
     if T.side != "freq":
         raise ValueError("pair a frequency-side distribution (transform first)")
+    if theta.d != T.d:
+        raise ValueError(f"dimension mismatch: distribution has d = {T.d}, "
+                         f"test function d = {theta.d}")
     grid = grid if grid is not None else LambdaGrid()
     value = 0.0 + 0.0j
     tail = 0.0

@@ -125,9 +125,10 @@ class SampledField:
     def l2_norm_sq(self):
         return float((np.abs(self.samples) ** 2).sum() * self.cell_volume)
 
-    def is_real(self, tol=1e-13):
+    def is_real(self):
+        """True when every imaginary part is at most 1e-13 of the largest modulus."""
         scale = max(np.abs(self.samples).max(), 1e-300)
-        return float(np.abs(self.samples.imag).max()) <= tol * scale
+        return float(np.abs(self.samples.imag).max()) <= 1e-13 * scale
 
     # ---- interpolation -------------------------------------------------
     def interp(self, pts):

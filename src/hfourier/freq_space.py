@@ -48,6 +48,7 @@ __all__ = [
     "shell_tail",
     "simpson_log_weights",
     "gauss_legendre",
+    "sqrt_richardson",
 ]
 
 
@@ -241,8 +242,8 @@ class FreqFunction:
     ----------
     interior : callable (n, m, lam) -> complex array
         Follows the broadcast contract above.
-    dlam, dlam2 : callables, optional
-        Analytic lambda-derivatives of the same signature.
+    dlam : callable, optional
+        Analytic lambda-derivative of the same signature.
     boundary : callable (xdot, k) -> complex array, optional
         Continuous extension to the boundary points (x., k).  ``xdot`` is
         a float and ``k`` an integer array, each of shape S + (d,), and the
@@ -254,12 +255,11 @@ class FreqFunction:
         Shorthand for ``band=0``.
     """
 
-    def __init__(self, interior, d=1, dlam=None, dlam2=None, boundary=None,
+    def __init__(self, interior, d=1, dlam=None, boundary=None,
                  diagonal=False, band=None, label=""):
         self._interior = interior
         self.d = d
         self._dlam = dlam
-        self._dlam2 = dlam2
         self._boundary = boundary
         self.band = 0 if diagonal else band
         self.label = label
@@ -281,15 +281,6 @@ class FreqFunction:
         h = np.minimum(1e-4, np.abs(lam) / 8.0)
         return (self(n, m, lam + h) - self(n, m, lam - h)) / (2.0 * h)
 
-    def dlam2(self, n, m, lam):
-        n, m, lam = index_arrays(n, m, lam)
-        if self._dlam2 is not None:
-            return np.asarray(self._dlam2(n, m, lam), dtype=complex)
-        h = np.minimum(1e-4, np.abs(lam) / 8.0)
-        if self._dlam is not None:
-            return (self.dlam(n, m, lam + h) - self.dlam(n, m, lam - h)) / (2.0 * h)
-        return (self(n, m, lam + h) - 2.0 * self(n, m, lam) + self(n, m, lam - h)) / (h * h)
-
     @property
     def has_boundary(self):
         return self._boundary is not None
@@ -301,19 +292,26 @@ class FreqFunction:
         xdot, k = np.asarray(xdot, dtype=float), np.asarray(k, dtype=int)
         return np.asarray(self._boundary(xdot, k), dtype=complex)
 
-    def value_at_origin(self, grid=None):
+    def value_at_origin(self, grid):
         """theta(0^): boundary evaluator when present, else Richardson
-        extrapolation of theta(0, 0, +-lam) in sqrt(lam)."""
+        extrapolation in sqrt(lam) of theta(0, 0, +-lam) at lam =
+        ``grid.lambda_min`` and four times it."""
         if self._boundary is not None:
             return complex(self.at_boundary((0.0,) * self.d, (0,) * self.d))
         zero = np.zeros(self.d, dtype=int)
-        lam1 = grid.lambda_min if grid is not None else 1e-5
+        lam1 = grid.lambda_min
         lam2 = 4.0 * lam1
         v = self(zero, zero, np.array([lam1, -lam1, lam2, -lam2]))
         v1 = 0.5 * (v[0] + v[1])
         v2 = 0.5 * (v[2] + v[3])
-        r1, r2 = math.sqrt(lam1), math.sqrt(lam2)
-        return complex((r2 * v1 - r1 * v2) / (r2 - r1))
+        return complex(sqrt_richardson(lam1, v1, lam2, v2))
+
+
+def sqrt_richardson(lam1, v1, lam2, v2):
+    """Limit at lam -> 0 of a + b sqrt(lam) through (lam1, v1) and (lam2, v2):
+    one Richardson step in sqrt(lam).  ``v1`` and ``v2`` may be arrays."""
+    r1, r2 = math.sqrt(lam1), math.sqrt(lam2)
+    return (r2 * v1 - r1 * v2) / (r2 - r1)
 
 
 def index_arrays(n, m, lam):
@@ -368,7 +366,7 @@ def _as_eval(theta):
     raise TypeError("expected a FreqFunction")
 
 
-def integrate(theta, grid, n_max, d=None):
+def integrate(theta, grid, n_max):
     """Truncated integral of theta against the frequency measure.
 
     Sums theta(n, m, lam) |lam|^d over multi-indices with max entry
@@ -378,7 +376,7 @@ def integrate(theta, grid, n_max, d=None):
     estimate, not a certified bound).
     """
     fn = _as_eval(theta)
-    d = fn.d if d is None else d
+    d = fn.d
     lam = grid.lam
     meas = np.abs(lam) ** d * grid.weights
     P = grid.points_per_sign
@@ -417,35 +415,35 @@ def one_plus_weight(n, m, lam, d):
     return 1.0 + np.abs(lam) * (nm + d) + diff
 
 
-def l1m_norm(theta, p, grid, n_max, d=None):
+def l1m_norm(theta, p, grid, n_max):
     """Moderate-growth norm: integral of (1 + |lam|(|n+m|+d) + |n-m|)^{-p} |theta|."""
     fn = _as_eval(theta)
-    d = fn.d if d is None else d
+    d = fn.d
 
     def weighted(n, m, lam):
         return one_plus_weight(n, m, lam, d) ** (-p) * np.abs(fn(n, m, lam))
 
     wrapped = FreqFunction(weighted, d=d, band=fn.band)
-    return integrate(wrapped, grid, n_max, d=d)
+    return integrate(wrapped, grid, n_max)
 
 
-def freq_seminorm(theta, N, Np, n_sup=12, lam_values=None, grid=None):
+def freq_seminorm(theta, N, Np, n_sup=12, grid=None):
     """Schwartz seminorm on the frequency set.
 
     sup over the truncated point set of
         (1 + d0)^N (|Lap^Np theta| + |Dlam^Np theta| + |Sig0 Dlam^Np theta|),
     where d0 is the decay weight, Lap / Dlam / Sig0 the discrete
     frequency-space operators.  ``Np = 0`` reduces the bracket to 3|theta|.
+    The lambda values are about 96 evenly strided points of ``grid``
+    (default :class:`LambdaGrid`).
     """
     from . import diff_ops  # local import; diff_ops depends on this module
 
     fn = _as_eval(theta)
     d = fn.d
-    if lam_values is None:
-        if grid is None:
-            grid = LambdaGrid()
-        lam_values = grid.lam[:: max(1, len(grid.lam) // 96)]
-    lam_values = np.asarray(lam_values, dtype=float)
+    if grid is None:
+        grid = LambdaGrid()
+    lam = grid.lam[:: max(1, len(grid.lam) // 96)]
 
     work = theta
     for _ in range(Np):
@@ -459,8 +457,6 @@ def freq_seminorm(theta, N, Np, n_sup=12, lam_values=None, grid=None):
     # off-diagonal band of theta is preserved
     n, m = box_pairs(d, n_sup, fn.band)
     n, m = n[:, None], m[:, None]
-    w = one_plus_weight(n, m, lam_values, d) ** N
-    mag = np.abs(lap(n, m, lam_values)) + np.abs(work(n, m, lam_values)) + np.abs(
-        sig(n, m, lam_values)
-    )
+    w = one_plus_weight(n, m, lam, d) ** N
+    mag = np.abs(lap(n, m, lam)) + np.abs(work(n, m, lam)) + np.abs(sig(n, m, lam))
     return float(np.max(w * mag))

@@ -243,23 +243,22 @@ def _weight_pow(fld, n):
     return w ** (n / 2.0)
 
 
-def phys_seminorm(fld, N, variant="sup", K=None):
+def phys_seminorm(fld, N, variant="sup"):
     """Schwartz seminorm of a sampled field.
 
     ``variant='sup'`` returns  max_{|a| <= N} sup |(1 + |Y|^2 + s^2)^{N/2} d^a f|
     with derivatives by repeated fourth-order differencing.
 
     ``variant='l2'`` returns the L2-based family
-    sqrt(||f||^2 + ||M_H^K f||^2 + ||Lap^K f||^2) with K defaulting to N;
-    M_H multiplies by |Y|^2 - i s.
+    sqrt(||f||^2 + ||M_H^N f||^2 + ||Lap^N f||^2); M_H multiplies by
+    |Y|^2 - i s.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if variant == "l2":
-        K = N if K is None else K
         mh = fld
         lap = fld
-        for _ in range(K):
+        for _ in range(N):
             mh = apply_phys_op("MH", mh)
             lap = apply_phys_op("laplacian", lap)
         return math.sqrt(fld.l2_norm_sq() + mh.l2_norm_sq() + lap.l2_norm_sq())

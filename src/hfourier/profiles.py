@@ -86,12 +86,12 @@ def _bump_ratio_d2(t):
 class Profile:
     """Smooth profile f(x, k, lam) with analytic partial derivatives.
 
-    ``value/dx/dxx/dlam/dxlam/dlam2`` take (x, k, lam): x a float array
-    of shape S + (d,), k an integer array (or a tuple) of shape S + (d,)
-    and lam a float array broadcasting against S; the result has the
-    broadcast shape.  dx/dxx/dxlam take the coordinate j as a final
-    argument.  ``support`` is either ``("k_zero",)`` or ``("x_floor", r0)``
-    where the transition ramp runs on [r0/2, r0].
+    ``value/dx/dxx/dlam`` take (x, k, lam): x a float array of shape
+    S + (d,), k an integer array (or a tuple) of shape S + (d,) and lam a
+    float array broadcasting against S; the result has the broadcast
+    shape.  dx/dxx take the coordinate j as a final argument.
+    ``support`` is either ``("k_zero",)`` or ``("x_floor", r0)`` where the
+    transition ramp runs on [r0/2, r0].
     """
 
     value: callable
@@ -100,8 +100,6 @@ class Profile:
     dlam: callable
     support: tuple
     d: int = 1
-    dxlam: callable = None
-    dlam2: callable = None
     k_extent: int = 0  # largest |k| (per coordinate) carrying support
     label: str = ""
 
@@ -136,19 +134,11 @@ def profile_to_freq_function(P):
             out = out + np.sign(lam) * R[..., j] * P.dx(x, k, lam, j)
         return out
 
-    def dlam2(n, m, lam):
-        x, k, R = args(n, m, lam)
-        return (R[..., 0] ** 2 * P.dxx(x, k, lam, 0)
-                + 2.0 * np.sign(lam) * R[..., 0] * P.dxlam(x, k, lam, 0)
-                + P.dlam2(x, k, lam))
-
     def boundary(xdot, k):
         return P.value(np.abs(xdot), k, np.asarray(0.0))
 
-    has_dlam2 = d == 1 and P.dxlam is not None and P.dlam2 is not None
     return FreqFunction(
-        value, d=d, dlam=dlam, dlam2=dlam2 if has_dlam2 else None, boundary=boundary,
-        band=P.k_extent, label=P.label or "profile",
+        value, d=d, dlam=dlam, boundary=boundary, band=P.k_extent, label=P.label or "profile",
     )
 
 
@@ -182,8 +172,8 @@ def boundary_diff(P, b):
 def heat_profile(t, d=1):
     """Diagonal frequency function exp(-4 t |lam| (2|n| + d)) delta_{n,m}.
 
-    Carries analytic first and second lambda-derivatives and the boundary
-    extension exp(-4 t |x.|_1) delta_{k,0}.
+    Carries the analytic lambda-derivative and the boundary extension
+    exp(-4 t |x.|_1) delta_{k,0}.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError("time must be positive and finite")
@@ -200,16 +190,11 @@ def heat_profile(t, d=1):
         c, diag = rate(n, m)
         return np.where(diag, -c * np.sign(lam) * np.exp(-c * np.abs(lam)), 0.0) + 0j
 
-    def dlam2(n, m, lam):
-        c, diag = rate(n, m)
-        return np.where(diag, c * c * np.exp(-c * np.abs(lam)), 0.0) + 0j
-
     def boundary(xdot, k):
         return np.where((k == 0).all(axis=-1), np.exp(-4.0 * t * np.abs(xdot).sum(axis=-1)), 0.0)
 
     return FreqFunction(
-        interior, d=d, dlam=dlam, dlam2=dlam2, boundary=boundary,
-        band=0, label=f"heat(t={t})",
+        interior, d=d, dlam=dlam, boundary=boundary, band=0, label=f"heat(t={t})",
     )
 
 
@@ -234,8 +219,7 @@ def profile_heat(t, d=1):
         return np.zeros(np.broadcast_shapes(x.shape[:-1], np.shape(lam)), dtype=float)
 
     return Profile(value, dx, dxx, dlam, support=("k_zero",), d=d,
-                   dxlam=lambda x, k, lam, j: dlam(x, k, lam),
-                   dlam2=dlam, label=f"heat_profile(t={t})")
+                   label=f"heat_profile(t={t})")
 
 
 def profile_gauss(sigma=1.0, d=1):
@@ -257,29 +241,23 @@ def profile_gauss(sigma=1.0, d=1):
     def dlam(x, k, lam):
         return -(np.asarray(lam) / sigma**2) * parts(x, k, lam)
 
-    def dxlam(x, k, lam, j):
-        return (np.asarray(lam) / sigma**2) * parts(x, k, lam)
-
-    def dlam2(x, k, lam):
-        lam = np.asarray(lam)
-        return ((lam / sigma**2) ** 2 - 1.0 / sigma**2) * parts(x, k, lam)
-
     return Profile(value, dx, dxx, dlam, support=("k_zero",), d=d,
-                   dxlam=dxlam, dlam2=dlam2, label=f"gauss_profile(sigma={sigma})")
+                   label=f"gauss_profile(sigma={sigma})")
 
 
-def profile_exp_floor(r0=0.5, d=1, k_weights=(1.0, 0.5, 0.25), lam_slope=0.0):
+def profile_exp_floor(r0=0.5, d=1, lam_slope=0.0):
     """Floor-supported profile with small |k| support and the sign parity
     f(x, -k, lam) = (-1)^{|k|} f(x, k, lam).
 
     The ramp switches smoothly on over [r0/2, r0]; the profile is
-    exp(-sum x_j) times (1 + lam_slope * lam) exp(-lam^2), so a nonzero
+    exp(-sum x_j) times (1 + lam_slope * lam) exp(-lam^2), weighted by
+    1, 1/2, 1/4 at |k|_1 = 0, 1, 2 and zero beyond, so a nonzero
     ``lam_slope`` gives the lambda-derivative a nontrivial boundary value.
     """
     a, b = 0.5 * r0, r0
     scale = 1.0 / (b - a)
     q = float(lam_slope)
-    weights = np.asarray(k_weights, dtype=float)
+    weights = np.array([1.0, 0.5, 0.25])
 
     def coeff(k):
         k = np.asarray(k)
@@ -293,9 +271,7 @@ def profile_exp_floor(r0=0.5, d=1, k_weights=(1.0, 0.5, 0.25), lam_slope=0.0):
         e = np.exp(-(lam**2))
         if order == 0:
             return (1.0 + q * lam) * e
-        if order == 1:
-            return e * (q - 2.0 * lam - 2.0 * q * lam**2)
-        return e * (4.0 * q * lam**3 + 4.0 * lam**2 - 6.0 * q * lam - 2.0)
+        return e * (q - 2.0 * lam - 2.0 * q * lam**2)
 
     def pieces(x):
         t = (x - a) * scale
@@ -330,16 +306,8 @@ def profile_exp_floor(r0=0.5, d=1, k_weights=(1.0, 0.5, 0.25), lam_slope=0.0):
         t, g, ex = pieces(x)
         return coeff(k) * g * ex * lamfac(lam, 1)
 
-    def dxlam(x, k, lam, j):
-        return coeff(k) * _dx_core(x, j) * lamfac(lam, 1)
-
-    def dlam2(x, k, lam):
-        t, g, ex = pieces(x)
-        return coeff(k) * g * ex * lamfac(lam, 2)
-
     return Profile(value, dx, dxx, dlam, support=("x_floor", r0), d=d,
-                   dxlam=dxlam, dlam2=dlam2, k_extent=len(k_weights) - 1,
-                   label=f"exp_floor(r0={r0})")
+                   k_extent=len(weights) - 1, label=f"exp_floor(r0={r0})")
 
 
 def m_equiv_fit(theta1, theta2, M, N, samples):

@@ -44,6 +44,7 @@ from .freq_space import (
     integrate,
     multi_indices,
     simpson_log_weights,
+    sqrt_richardson,
 )
 from .hermite import hermite_rows
 from .wigner import wigner_conj_grid, wigner_eval, wigner_series
@@ -474,21 +475,22 @@ def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
     return out
 
 
-def _n_extent(theta, lam, n_cap, tol=1e-15):
+def _n_extent(theta, lam, n_cap):
     """Largest diagonal index with non-negligible weight at this lambda:
     the first of 4, 8, 16, ... below ``n_cap`` where |theta| falls under
-    ``tol`` times its value at index 0, else ``n_cap``."""
+    1e-15 times its value at index 0, else ``n_cap``."""
     probes = [0] + [4 << k for k in range(n_cap.bit_length()) if 4 << k < n_cap]
     idx = np.repeat(np.array(probes)[:, None], theta.d, axis=1)
     mags = np.abs(theta(idx, idx, lam))
     if mags[0] == 0.0:
         return 0
-    small = np.flatnonzero(mags[1:] < tol * mags[0])
+    small = np.flatnonzero(mags[1:] < 1e-15 * mags[0])
     return probes[1 + small[0]] if len(small) else n_cap
 
 
-def inverse_at_point(theta, w, grid, n_max, d=1):
+def inverse_at_point(theta, w, grid, n_max):
     """Inverse transform at a single physical point (any d; spot use)."""
+    d = theta.d
     w = np.asarray(w, dtype=float)
     Y, s = w[: 2 * d], w[-1]
     n, m = box_pairs(d, n_max, theta.band)
@@ -501,7 +503,7 @@ def inverse_at_point(theta, w, grid, n_max, d=1):
     return complex(total * 2.0 ** (d - 1) / math.pi ** (d + 1))
 
 
-def inverse_on_grid(theta, grid, n_max, d=1, extents=(6.0, 6.0, 6.0), points=(33, 33, 33),
+def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33, 33),
                     n_cap=600, assume_symmetric=False):
     """Inverse transform sampled on a full (y, eta, s) grid (d = 1).
 
@@ -518,6 +520,7 @@ def inverse_on_grid(theta, grid, n_max, d=1, extents=(6.0, 6.0, 6.0), points=(33
 
     Returns (SampledField, tail_estimate).
     """
+    d = theta.d
     if d != 1:
         raise ValueError("grid inverse implemented for d = 1")
     y_axis = np.linspace(-extents[0], extents[0], points[0])
@@ -616,8 +619,7 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
         # boundary limit of chi |lam|, recovered by sqrt(lam) extrapolation
         F1 = chi[..., 0] * lam_pos[0]
         F2 = chi[..., 1] * lam_pos[1]
-        r1, r2 = math.sqrt(lam_pos[0]), math.sqrt(lam_pos[1])
-        F0 = (r2 * F1 - r1 * F2) / (r2 - r1)
+        F0 = sqrt_richardson(lam_pos[0], F1, lam_pos[1], F2)
         contrib += (lam_pos[0] * 0.5 * (F0 + F1))[..., None] * np.ones(len(s_axis))
 
         if j < len(lam_pos) - 1:
@@ -633,10 +635,11 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
     return out
 
 
-def transpose_transform(theta, grid, n_max, d=1, **kw):
+def transpose_transform(theta, grid, n_max, **kw):
     """Transposed transform on a grid: the inverse with reflected (eta, s),
     scaled by pi^{d+1} / 2^{d-1}."""
-    fld, tail = inverse_on_grid(theta, grid, n_max, d=d, **kw)
+    d = theta.d
+    fld, tail = inverse_on_grid(theta, grid, n_max, **kw)
     refl = fld.samples[:, ::-1, ::-1]
     scale = math.pi ** (d + 1) / 2.0 ** (d - 1)
     return SampledField(scale * refl, fld.d, fld.extents), tail * scale
@@ -656,17 +659,20 @@ def plancherel_norms(fld, table):
         return (v * np.conj(v)).real
 
     wrapped = FreqFunction(sq, d=table.d)
-    res = integrate(wrapped, table.grid, table.n_max, d=table.d)
+    res = integrate(wrapped, table.grid, table.n_max)
     return phys, res
 
 
-def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
+def spectral_product(theta1, theta2, n, m, lam, ell_max):
     """Interior product: matrix composition over the middle index.
 
     Returns (value, tail_estimate); the tail uses the decay of the last
     two middle-index shells, or their sum once both are below 1e-15 of
     the largest shell.
     """
+    d = theta1.d
+    if theta2.d != d:
+        raise ValueError(f"dimension mismatch: theta1 has d = {d}, theta2 d = {theta2.d}")
     ell = np.array(multi_indices(d, ell_max)).reshape(-1, d)
     terms = theta1(n, ell, lam) * theta2(ell, m, lam)
     total = np.sum(terms)
@@ -685,12 +691,13 @@ def spectral_product(theta1, theta2, n, m, lam, ell_max, d=1):
     return complex(total), float(tail)
 
 
-def spectral_product_boundary(theta1, theta2, xdot, k, k_window=24):
-    """Boundary product: commutative convolution over the integer index."""
+def spectral_product_boundary(theta1, theta2, xdot, k):
+    """Boundary product: commutative convolution over the integer index,
+    summed over |k'| <= 24."""
     d = len(xdot)
     if d != 1:
         raise ValueError("boundary product implemented for d = 1")
-    kp = np.arange(-k_window, k_window + 1)[:, None]
+    kp = np.arange(-24, 25)[:, None]
     terms = theta1.at_boundary(xdot, kp) * theta2.at_boundary(xdot, np.asarray(k) - kp)
     return complex(np.sum(terms))
 

@@ -347,7 +347,7 @@ def c08_boundary_limit(ctx):
 
 
 def c09_boundary_extensions(ctx):
-    P = profile_exp_floor(ctx.cfg.fixtures.get("exp_floor_r0", 0.5), lam_slope=0.5)
+    P = profile_exp_floor(0.5, lam_slope=0.5)
     th = profile_to_freq_function(P)
     worst_rel = 0.0
     orders = []
@@ -511,9 +511,7 @@ def c15_mollifier(ctx):
     fixtures = {
         "heat(1)": heat_profile(1.0),
         "gauss_profile": profile_to_freq_function(profile_gauss(1.0)),
-        "exp_floor": profile_to_freq_function(
-            profile_exp_floor(ctx.cfg.fixtures.get("exp_floor_r0", 0.5), lam_slope=0.5)
-        ),
+        "exp_floor": profile_to_freq_function(profile_exp_floor(0.5, lam_slope=0.5)),
     }
     records = []
     for name, th in fixtures.items():
@@ -589,11 +587,7 @@ SUITES = {
     "mollifier": [c15_mollifier],
     "heat": [c16_heat],
 }
-SUITES["all"] = [fn for key in (
-    "plancherel", "inversion", "convolution", "sublaplacian", "weights", "primitive",
-    "wigner", "boundary-limit", "boundary-extension", "ladder", "equivalence",
-    "distributions", "moderate-growth", "sqrt-modulus", "mollifier", "heat",
-) for fn in SUITES[key]]
+SUITES["all"] = [fn for fns in SUITES.values() for fn in fns]
 
 
 def run_suites(names, cfg=None, ctx=None, echo=False):

@@ -7,6 +7,7 @@ import pytest
 import hfourier.cli as cli
 import hfourier.transform as transform
 from hfourier.cli import main
+from hfourier.config import load_config
 from hfourier.fields import SampledField, read_field, write_field
 from hfourier.transform import SpectralTable, inverse_on_grid, table_from_csv, table_to_csv
 from hfourier.wigner import boundary_kernel
@@ -182,6 +183,36 @@ def test_pair_command(tmp_path, capsys):
     rec = json.loads((tmp_path / "p" / "pairing.json").read_text())
     assert rec["value_re"] == pytest.approx(math.pi**2 / 64.0, abs=2e-4)
     assert "tail_bound" in rec
+
+
+BAD_CONFIGS = [
+    ({"nmax": 8}, "'nmax'"),
+    ({**SMALL_CFG, "phys_grid": {"extents": [5.0, 5.0, 5.0], "point": [21, 21, 21]}},
+     "'phys_grid.point'"),
+    ({**SMALL_CFG, "fixtures": {"exp_floor_r0": 0.5}}, "'fixtures'"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", BAD_CONFIGS, ids=["nmax", "phys_grid-point", "fixtures"])
+def test_config_rejects_unknown_keys(cfg, key, tmp_path, gauss_file, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["transform", "--input", gauss_file, "--config", str(path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config key") and key in err
+    assert not out.exists()
+
+
+def test_config_accepts_every_field(tmp_path):
+    cfg = {**SMALL_CFG, "seed": 7, "heat_phys_grid": {"extents": [5.0, 5.0, 9.0],
+                                                       "points": [21, 21, 41]}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    loaded = load_config(path)
+    assert (loaded.n_max, loaded.seed, loaded.heat_phys_grid.points) == (8, 7, (21, 21, 41))
+    assert loaded.lambda_grid.points_per_sign == 32
 
 
 def test_kernel_command(tmp_path, small_config):

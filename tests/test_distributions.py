@@ -32,6 +32,12 @@ def test_trace_pairing_heat(grid):
     assert res.tail_bound < 1e-3
 
 
+def test_pair_rejects_dimension_mismatch(grid):
+    I = Distribution.single("freq_identity_sum")
+    with pytest.raises(ValueError, match="dimension"):
+        pair(I, heat_profile(1.0, d=2), grid)
+
+
 def test_dirac_origin_pairing(grid):
     D = Distribution.single("freq_dirac_origin", coeff=2.5)
     assert pair(D, heat_profile(1.0), grid).value == pytest.approx(2.5)

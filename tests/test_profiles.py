@@ -170,16 +170,6 @@ def test_m_equiv_compact_lambda_support():
         assert np.isfinite(m_equiv_fit(th, zero, M, 2, samples))
 
 
-def test_profile_dlam2_consistency():
-    # analytic second lambda-derivative vs finite differences of the first
-    for th in (profile_to_freq_function(profile_gauss(1.0)),
-               profile_to_freq_function(profile_exp_floor(0.5, lam_slope=0.5))):
-        la = np.array([0.7])
-        h = 1e-4
-        fd = (th.dlam((2,), (2,), la + h) - th.dlam((2,), (2,), la - h)) / (2 * h)
-        assert th.dlam2((2,), (2,), la)[0] == pytest.approx(fd[0], rel=1e-6, abs=1e-8)
-
-
 def test_heat_consistency_multiplier_vs_product():
     # evolving a transform by the heat multiplier equals the spectral
     # product with the heat profile (diagonal collapse)

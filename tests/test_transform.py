@@ -324,6 +324,22 @@ def test_spectral_product_zero_and_semigroup():
             assert v == pytest.approx(want, abs=1e-14)
 
 
+def test_spectral_product_takes_d_from_theta():
+    # d = 2: the middle index runs over the whole box [0, ell_max]^2
+    v, _ = spectral_product(heat_profile(0.7, d=2), heat_profile(0.5, d=2), (1, 2), (1, 2), 0.4,
+                            ell_max=12)
+    want = heat_profile(1.2, d=2)((1, 2), (1, 2), np.array([0.4]))[0]
+    assert v == pytest.approx(want, abs=1e-14)
+    with pytest.raises(ValueError, match="dimension"):
+        spectral_product(heat_profile(0.7, d=2), heat_profile(0.5), (1, 2), (1, 2), 0.4, 4)
+
+
+def test_inverse_on_grid_rejects_d2():
+    with pytest.raises(ValueError, match="d = 1"):
+        inverse_on_grid(heat_profile(1.0, d=2), LambdaGrid(1e-3, 10.0, 8), 4,
+                        extents=(1.0, 1.0, 1.0), points=(5, 5, 5))
+
+
 def _floored(floor):
     """Entries exp(-(n + m)^2) that decay onto a flat floor."""
     def interior(n, m, lam):
