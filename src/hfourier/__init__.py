@@ -32,14 +32,7 @@ from .heisenberg import (
     group_mul,
     phys_seminorm,
 )
-from .hermite import (
-    CoeffSeq,
-    eval_hermite,
-    eval_rescaled,
-    hermite_rows,
-    ladder_apply,
-    quadrature_rule,
-)
+from .hermite import hermite_rows
 from .diff_ops import delta_hat, dlambda_hat, ladder_freq, lift, mhat, sigma0_hat
 from .profiles import (
     Profile,
@@ -48,8 +41,6 @@ from .profiles import (
     m_equiv_fit,
     profile_exp_floor,
     profile_gauss,
-    profile_heat,
-    profile_theta,
     profile_to_freq_function,
 )
 from .transform import (

@@ -52,15 +52,16 @@ def _finite(value, what):
     return number
 
 
-def _theta_fixture(spec):
+def _theta_fixture(spec, d):
     kind, _, arg = spec.partition(":")
     if kind == "heat":
-        return heat_profile(_finite(arg or 1.0, "heat:T"))
+        return heat_profile(_finite(arg or 1.0, "heat:T"), d=d)
     if kind == "gauss_profile":
-        return profile_to_freq_function(profile_gauss(_finite(arg or 1.0, "gauss_profile:S")))
+        sigma = _finite(arg or 1.0, "gauss_profile:S")
+        return profile_to_freq_function(profile_gauss(sigma, d=d))
     if kind == "exp_floor":
         r0 = _finite(arg or 0.5, "exp_floor:R0")
-        return profile_to_freq_function(profile_exp_floor(r0, lam_slope=0.5))
+        return profile_to_freq_function(profile_exp_floor(r0, d=d, lam_slope=0.5))
     raise SystemExit(f"unknown test function {spec!r} (use heat:T, gauss_profile:S, exp_floor:R0)")
 
 
@@ -171,7 +172,7 @@ def cmd_heat(args):
 def cmd_pair(args):
     cfg = load_config(args.config) if args.config else default_config()
     grid = cfg.lambda_grid
-    theta = _theta_fixture(args.theta)
+    theta = _theta_fixture(args.theta, cfg.d)
     dist = _distribution(args.distribution, d=cfg.d)
     res = pair(dist, theta, grid, n_max=cfg.n_max)
     record = {

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "SampledField",
     "YField",
-    "cubic_weights",
     "read_field",
     "write_field",
     "field_from_csv",
@@ -23,16 +22,6 @@ __all__ = [
 ]
 
 _MAGIC = b"HFLD1\n"
-
-
-def cubic_weights(t):
-    """4-point Lagrange weights on the nodes -1, 0, 1, 2 at offset t in [0, 1]."""
-    return (
-        -t * (t - 1) * (t - 2) / 6.0,
-        (t + 1) * (t - 1) * (t - 2) / 2.0,
-        -(t + 1) * t * (t - 2) / 2.0,
-        (t + 1) * t * (t - 1) / 6.0,
-    )
 
 
 def _axis(extent, points):
@@ -129,52 +118,6 @@ class SampledField:
         """True when every imaginary part is at most 1e-13 of the largest modulus."""
         scale = max(np.abs(self.samples).max(), 1e-300)
         return float(np.abs(self.samples.imag).max()) <= 1e-13 * scale
-
-    # ---- interpolation -------------------------------------------------
-    def interp(self, pts):
-        """Separable cubic interpolation at points of shape (..., 2 d + 1).
-
-        Four-point Lagrange weights per axis; zero extension outside the
-        box.  On-grid coordinates reproduce samples exactly.
-        """
-        pts = np.asarray(pts, dtype=float)
-        shape = pts.shape[:-1]
-        flat = pts.reshape(-1, 2 * self.d + 1)
-        n = flat.shape[0]
-        hy, he, hs = self.spacings
-        steps = [hy] * self.d + [he] * self.d + [hs]
-        L = [self.extents[0]] * self.d + [self.extents[1]] * self.d + [self.extents[2]]
-        sizes = self.samples.shape
-
-        base, frac = [], []
-        for ax in range(2 * self.d + 1):
-            u = (flat[:, ax] + L[ax]) / steps[ax]
-            b = np.floor(u).astype(np.int64)
-            t = u - b
-            # fold exact upper edge back into range
-            hit = (b == sizes[ax] - 1) & (t < 1e-12)
-            b = np.where(hit, b - 1, b)
-            t = np.where(hit, 1.0, t)
-            base.append(b)
-            frac.append(t)
-
-        weights = [cubic_weights(t) for t in frac]
-        out = np.zeros(n, dtype=complex)
-        pad = self.samples  # gather with explicit masks, no actual padding
-        from itertools import product
-
-        for combo in product(range(4), repeat=2 * self.d + 1):
-            w = np.ones(n)
-            idx = []
-            ok = np.ones(n, dtype=bool)
-            for ax, r in enumerate(combo):
-                i = base[ax] + (r - 1)
-                ok &= (i >= 0) & (i < sizes[ax])
-                idx.append(np.clip(i, 0, sizes[ax] - 1))
-                w = w * weights[ax][r]
-            vals = pad[tuple(idx)]
-            out += np.where(ok, w, 0.0) * vals
-        return out.reshape(shape)
 
 
 @dataclass
@@ -322,5 +265,6 @@ def field_from_csv(path):
     if flat.size != math.prod(shape):
         raise ValueError(f"{path}: CSV does not cover the full tensor grid")
     grid = np.zeros(math.prod(shape), dtype=complex)
-    grid[flat] = data[:, 3] + 1j * data[:, 4]
+    grid.real[flat] = data[:, 3]
+    grid.imag[flat] = data[:, 4]
     return SampledField(grid.reshape(shape), 1, tuple(float(ax[-1]) for ax in axes))

@@ -222,11 +222,6 @@ class LambdaGrid:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text):
-        raw = json.loads(text)
-        return cls(raw["lambda_min"], raw["lambda_max"], int(raw["points_per_sign"]))
-
 
 # ---- frequency functions ---------------------------------------------------
 

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 from scipy.fft import fft, fftfreq, ifft, next_fast_len
-from scipy.integrate import cumulative_trapezoid
 
 from .fields import SampledField
 
@@ -209,7 +208,8 @@ def _op_samples(fld, name, j):
         # half the cumulative vertical integral of the odd part,
         # lower limit realized at the bottom of the s-grid
         odd = fld.samples - fld.samples[..., ::-1]
-        prim = cumulative_trapezoid(odd, dx=hs, axis=-1, initial=0.0)
+        prim = np.zeros_like(odd)
+        prim[..., 1:] = np.cumsum(hs * (odd[..., 1:] + odd[..., :-1]) / 2.0, axis=-1)
         return 0.5 * prim
     raise ValueError(f"unknown operator {name!r}")
 

@@ -23,16 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freq_space import BoundaryPoint, FreqFunction, FreqPoint, one_plus_weight
+from .freq_space import BoundaryPoint, FreqFunction, one_plus_weight
 
 __all__ = [
     "Profile",
-    "profile_theta",
     "profile_to_freq_function",
     "boundary_diff",
     "heat_profile",
     "m_equiv_fit",
-    "profile_heat",
     "profile_gauss",
     "profile_exp_floor",
 ]
@@ -102,16 +100,6 @@ class Profile:
     d: int = 1
     k_extent: int = 0  # largest |k| (per coordinate) carrying support
     label: str = ""
-
-
-def profile_theta(P, point):
-    """Evaluate Theta_P at an interior or boundary point of the completion."""
-    theta = profile_to_freq_function(P)
-    if isinstance(point, FreqPoint):
-        return complex(theta(point.n, point.m, point.lam))
-    if isinstance(point, BoundaryPoint):
-        return complex(theta.at_boundary(point.xdot, point.k))
-    raise TypeError("expected a FreqPoint or BoundaryPoint")
 
 
 def profile_to_freq_function(P):
@@ -201,25 +189,6 @@ def heat_profile(t, d=1):
 def _on_k0(k, v, lam):
     """v on the ``k_zero`` support k = 0 and 0 elsewhere, broadcast against lam."""
     return np.where((np.asarray(k) == 0).all(axis=-1), v, np.zeros(np.shape(lam)))
-
-
-def profile_heat(t, d=1):
-    """Profile form of the heat fixture: exp(-4 t sum x_j), k = 0 only."""
-
-    def value(x, k, lam):
-        return _on_k0(k, np.exp(-4.0 * t * x.sum(axis=-1)), lam)
-
-    def dx(x, k, lam, j):
-        return -4.0 * t * value(x, k, lam)
-
-    def dxx(x, k, lam, j):
-        return 16.0 * t * t * value(x, k, lam)
-
-    def dlam(x, k, lam):
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], np.shape(lam)), dtype=float)
-
-    return Profile(value, dx, dxx, dlam, support=("k_zero",), d=d,
-                   label=f"heat_profile(t={t})")
 
 
 def profile_gauss(sigma=1.0, d=1):

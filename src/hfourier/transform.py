@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .fields import SampledField, _write_csv, cubic_weights
+from .fields import SampledField, _write_csv
 from .freq_space import (
     FreqFunction,
     LambdaGrid,
@@ -564,6 +564,16 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     return fld, tail
 
 
+def _cubic_weights(t):
+    """4-point Lagrange weights on the nodes -1, 0, 1, 2 at offset t in [0, 1]."""
+    return (
+        -t * (t - 1) * (t - 2) / 6.0,
+        (t + 1) * (t - 1) * (t - 2) / 2.0,
+        -(t + 1) * t * (t - 2) / 2.0,
+        (t + 1) * t * (t - 1) / 6.0,
+    )
+
+
 def _resample_log(chi, lam_src, lam_dst):
     """Cubic (4-point Lagrange) resampling along the last axis, uniform in
     log lambda; both grids on one sign branch, ascending."""
@@ -571,7 +581,7 @@ def _resample_log(chi, lam_src, lam_dst):
     h = t_src[1] - t_src[0]
     u = (np.log(lam_dst) - t_src[0]) / h
     base = np.clip(np.floor(u).astype(int), 1, len(lam_src) - 3)
-    w0, w1, w2, w3 = cubic_weights(u - base)
+    w0, w1, w2, w3 = _cubic_weights(u - base)
     return (
         chi[..., base - 1] * w0
         + chi[..., base] * w1

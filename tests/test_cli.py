@@ -185,6 +185,25 @@ def test_pair_command(tmp_path, capsys):
     assert "tail_bound" in rec
 
 
+def test_pair_command_at_d2(tmp_path, capsys):
+    # every test function is built at the config's d, so d = 2 pairs without a mismatch
+    config = tmp_path / "d2.json"
+    config.write_text(json.dumps({"d": 2}))
+
+    def run(distribution, theta):
+        assert main(["pair", "--distribution", distribution, "--theta", theta,
+                     "--config", str(config)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    rec = run("dirac-origin", "heat:1.0")
+    assert (rec["value_re"], rec["value_im"], rec["tail_bound"]) == (1.0, 0.0, 0.0)
+    for theta, want in [("heat:1.0", -2.3434), ("gauss_profile:1.0", -1.8011),
+                        ("exp_floor:0.5", 0.063685)]:
+        rec = run("finite-part:3.2", theta)
+        assert rec["value_re"] == pytest.approx(want, rel=1e-4)
+        assert math.isfinite(rec["tail_bound"])
+
+
 BAD_CONFIGS = [
     ({"nmax": 8}, "'nmax'"),
     ({**SMALL_CFG, "phys_grid": {"extents": [5.0, 5.0, 5.0], "point": [21, 21, 21]}},

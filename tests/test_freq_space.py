@@ -17,6 +17,7 @@ from hfourier.freq_space import (
 )
 from hfourier.profiles import heat_profile, profile_gauss, profile_to_freq_function
 from hfourier.distributions import make_f_gamma
+from hfourier.transform import SpectralTable, table_from_csv, table_to_csv
 
 
 def random_point(rng, kind=None):
@@ -89,9 +90,12 @@ def test_lambda_grid_quadrature_accuracy():
     assert got == pytest.approx(want, rel=2e-6)
 
 
-def test_lambda_grid_json_roundtrip():
+def test_lambda_grid_json_roundtrip(tmp_path):
+    # the grid's JSON travels in a table's sidecar, and table_from_csv rebuilds it
     grid = LambdaGrid(1e-3, 8.0, 40)
-    clone = LambdaGrid.from_json(grid.to_json())
+    path = tmp_path / "table.csv"
+    table_to_csv(SpectralTable(np.zeros((1, 1, len(grid.lam))), grid), path)
+    clone = table_from_csv(path).grid
     assert np.array_equal(clone.lam, grid.lam)
     assert "ratio" in grid.to_json()
 

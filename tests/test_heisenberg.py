@@ -1,7 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hfourier.fields import SampledField, field_from_csv, field_to_csv, read_field, write_field
 from hfourier.heisenberg import (
@@ -22,11 +27,12 @@ def small_field(fn=gauss, extent=5.0, points=33):
     return SampledField.from_function(fn, 1, (extent,) * 3, (points,) * 3)
 
 
-def left_translate(fld, w):
-    """Samples of v -> f(w . v), by cubic interpolation (d = 1)."""
-    pts = np.stack(np.meshgrid(fld.y_axis, fld.eta_axis, fld.s_axis, indexing="ij"), axis=-1)
-    moved = group_mul(np.asarray(w, dtype=float), pts.reshape(-1, 3))
-    return SampledField(fld.interp(moved).reshape(fld.samples.shape), 1, fld.extents)
+def group_points(d, count, bound):
+    """``count`` points of H^d with coordinates in [-bound, bound]."""
+    return arrays(float, (count, 2 * d + 1), elements=st.floats(-bound, bound))
+
+
+dims = st.sampled_from([1, 2])
 
 
 # ---- group law -------------------------------------------------------------
@@ -35,31 +41,32 @@ def test_group_law_example():
     assert np.allclose(group_mul([1, 0, 0], [0, 1, 0]), [1, 1, -2])
 
 
-def test_inverse_is_negation():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        w = rng.normal(size=3)
-        assert np.allclose(group_mul(w, group_inverse(w)), 0.0, atol=1e-14)
+@settings(max_examples=50, deadline=None)
+@given(d=dims, data=st.data())
+def test_inverse_is_negation(d, data):
+    (w,) = data.draw(group_points(d, 1, 4.0))
+    assert np.allclose(group_mul(w, group_inverse(w), d=d), 0.0, atol=1e-14)
 
 
-def test_associativity():
-    rng = np.random.default_rng(1)
-    for _ in range(25):
-        a, b, c = rng.normal(size=(3, 3)) * 2
-        lhs = group_mul(group_mul(a, b), c)
-        rhs = group_mul(a, group_mul(b, c))
-        assert np.abs(lhs - rhs).max() < 1e-12
+@settings(max_examples=100, deadline=None)
+@given(d=dims, data=st.data())
+def test_associativity(d, data):
+    a, b, c = data.draw(group_points(d, 3, 4.0))
+    lhs = group_mul(group_mul(a, b, d=d), c, d=d)
+    rhs = group_mul(a, group_mul(b, c, d=d), d=d)
+    assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_dilation():
+@settings(max_examples=50, deadline=None)
+@given(d=dims, t=st.floats(0.5, 3.0), data=st.data())
+def test_dilation(d, t, data):
     assert np.allclose(dilate(2.0, [1, 1, 1]), [2, 2, 4])
     w = np.array([0.3, -1.0, 0.5])
     assert np.allclose(dilate(1.0, w), w)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        a, b = rng.normal(size=(2, 3))
-        t = float(rng.uniform(0.5, 3.0))
-        assert np.abs(dilate(t, group_mul(a, b)) - group_mul(dilate(t, a), dilate(t, b))).max() < 1e-12
+    a, b = data.draw(group_points(d, 2, 2.0))
+    lhs = dilate(t, group_mul(a, b, d=d), d=d)
+    rhs = group_mul(dilate(t, a, d=d), dilate(t, b, d=d), d=d)
+    assert np.abs(lhs - rhs).max() < 1e-12
     with pytest.raises(ValueError):
         dilate(-1.0, w)
 
@@ -254,6 +261,23 @@ def test_primitive_on_even_and_odd():
     assert np.abs(got.samples - want.samples).max() < 3e-3
 
 
+def test_primitive_is_the_cumulative_trapezoid():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(4)
+    f = small_field(points=9)
+    f.samples = f.samples * (rng.normal(size=f.samples.shape) + 1j * rng.normal(size=f.samples.shape))
+    odd = f.samples - f.samples[..., ::-1]
+    want = 0.5 * cumulative_trapezoid(odd, dx=f.spacings[-1], axis=-1, initial=0.0)
+    assert np.array_equal(apply_phys_op("P", f).samples, want)
+
+
+def test_import_leaves_out_scipy_integrate():
+    code = "import sys, hfourier, hfourier.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_primitive_derivative_identity():
     fo = SampledField.from_function(
         lambda y, e, s: (0.3 + s + 0.2 * s**2) * gauss(y, e, s), 1, (5, 5, 5), (49, 49, 49)
@@ -288,12 +312,19 @@ def test_multiplications():
 
 
 def test_left_invariance_fourth_order():
+    # X (tau_w f) = tau_w (X f) for the left translate tau_w f(v) = f(w . v); with
+    # f Gaussian, (X f)(u) = (d_y f + 2 eta d_s f)(u) = (-2 u_y - 4 u_eta u_s) f(u)
     w = np.array([0.3, -0.2, 0.4])
 
+    def translated(fn):
+        return lambda y, e, s: fn(*np.moveaxis(group_mul(w, np.stack([y, e, s], axis=-1)), -1, 0))
+
     def err(points):
-        f = SampledField.from_function(gauss, 1, (5, 5, 5), (points,) * 3)
-        lhs = apply_phys_op("X", left_translate(f, w))
-        rhs = left_translate(apply_phys_op("X", f), w)
+        f = SampledField.from_function(translated(gauss), 1, (5, 5, 5), (points,) * 3)
+        lhs = apply_phys_op("X", f)
+        rhs = SampledField.from_function(
+            translated(lambda y, e, s: (-2.0 * y - 4.0 * e * s) * gauss(y, e, s)),
+            1, (5, 5, 5), (points,) * 3)
         k = points // 6
         return np.abs(lhs.samples - rhs.samples)[k:-k, k:-k, k:-k].max()
 
@@ -335,15 +366,34 @@ def test_seminorm_l2_variant():
 
 # ---- containers ------------------------------------------------------------
 
-def test_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(11)
-    f = small_field(points=9)
-    f.samples += 1j * rng.normal(size=f.samples.shape)
-    path = tmp_path / "field.hfld"
+def random_field(d, data, lengths):
+    """A field of the drawn shape whose samples include -0.0 and subnormals."""
+    ny, ne, ns = (data.draw(st.sampled_from(lengths)) for _ in range(3))
+    shape = (ny,) * d + (ne,) * d + (ns,)
+    parts = [data.draw(arrays(float, shape, elements=st.floats(allow_nan=False,
+                                                               allow_infinity=False)))
+             for _ in range(2)]
+    samples = np.empty(shape, dtype=complex)
+    samples.real, samples.imag = parts  # not re + 1j * im, which turns -0.0 into 0.0
+    samples.flat[0] = complex(-0.0, -0.0)
+    samples.flat[-1] = complex(5e-324, -2.5e-310)
+    extents = data.draw(st.tuples(*[st.floats(1e-3, 1e3)] * 3))
+    return SampledField(samples, d, extents)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=dims, data=st.data())
+def test_binary_roundtrip(d, data, tmp_path_factory):
+    f = random_field(d, data, [3, 5, 7] if d == 1 else [3, 5])
+    path = tmp_path_factory.mktemp("hfld") / "field.hfld"
     write_field(f, path)
     g = read_field(path)
-    assert g.d == 1 and g.extents == f.extents
-    assert np.array_equal(g.samples, f.samples)
+    assert g.d == d and g.extents == f.extents
+    assert np.array_equal(bits(g.samples), bits(f.samples))
 
 
 def test_binary_bad_magic(tmp_path):
@@ -391,17 +441,19 @@ def _csv_rows(tmp_path):
     return path, header, rows
 
 
-def test_csv_roundtrip(tmp_path):
-    f = small_field(points=9)
-    path = tmp_path / "field.csv"
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_csv_roundtrip(data, tmp_path_factory):
+    f = random_field(1, data, [3, 5, 7])
+    path = tmp_path_factory.mktemp("csv") / "field.csv"
     field_to_csv(f, path)
-    g = field_from_csv(path)
-    assert np.allclose(g.samples, f.samples, rtol=0, atol=0)
-    assert g.extents == f.extents
     # rows in any order
     header, *rows = path.read_text().splitlines()
-    path.write_text("\n".join([header] + rows[::-1]) + "\n")
-    assert np.array_equal(field_from_csv(path).samples, f.samples)
+    order = data.draw(st.permutations(range(len(rows))))
+    path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+    g = field_from_csv(path)
+    assert g.extents == f.extents
+    assert np.array_equal(bits(g.samples), bits(f.samples))
 
 
 def test_csv_tokens_in_grid_order(tmp_path):
@@ -445,12 +497,3 @@ def test_csv_rejects_non_uniform_axis(tmp_path):
     path.write_text("\n".join([header] + rows) + "\n")
     with pytest.raises(ValueError, match="field.csv: grid axes must be uniform"):
         field_from_csv(path)
-
-
-def test_interp_reproduces_grid_and_zero_outside():
-    f = small_field(points=17)
-    pts = np.stack(np.meshgrid(f.y_axis, f.eta_axis, f.s_axis, indexing="ij"), axis=-1)
-    vals = f.interp(pts.reshape(-1, 3)).reshape(f.samples.shape)
-    assert np.abs(vals - f.samples).max() < 1e-12
-    outside = f.interp(np.array([[20.0, 0.0, 0.0], [0.0, 0.0, -30.0]]))
-    assert np.abs(outside).max() == 0.0

@@ -11,8 +11,6 @@ from hfourier.profiles import (
     m_equiv_fit,
     profile_exp_floor,
     profile_gauss,
-    profile_heat,
-    profile_theta,
     profile_to_freq_function,
 )
 
@@ -35,24 +33,32 @@ def test_heat_profile_short_time_limit():
         assert heat_profile(1e-9)((n,), (n,), la)[0].real == pytest.approx(1.0, abs=1e-7)
 
 
-def test_profile_heat_matches_analytic():
-    th = profile_to_freq_function(profile_heat(1.0))
-    h = heat_profile(1.0)
+def _gauss_closed_form(n, lam, sigma):
+    # Theta(n, n, lam) = exp(-|lam|(2n + 1) - lam^2 / (2 sigma^2)) and its lam-derivative
+    v = math.exp(-abs(lam) * (2 * n + 1) - lam**2 / (2.0 * sigma**2))
+    return v, -(math.copysign(2 * n + 1, lam) + lam / sigma**2) * v
+
+
+def test_profile_gauss_matches_analytic():
+    sigma = 1.5
+    th = profile_to_freq_function(profile_gauss(sigma))
     rng = np.random.default_rng(5)
     for _ in range(10):
-        n = (int(rng.integers(0, 8)),)
-        lam = np.array([float(rng.uniform(-2, 2)) or 0.3])
-        assert th(n, n, lam)[0] == pytest.approx(h(n, n, lam)[0], abs=1e-14)
-        assert th.dlam(n, n, lam)[0] == pytest.approx(h.dlam(n, n, lam)[0], abs=1e-12)
+        n = int(rng.integers(0, 8))
+        lam = float(rng.uniform(-2, 2)) or 0.3
+        value, dlam = _gauss_closed_form(n, lam, sigma)
+        assert th((n,), (n,), np.array([lam]))[0] == pytest.approx(value, abs=1e-14)
+        assert th.dlam((n,), (n,), np.array([lam]))[0] == pytest.approx(dlam, abs=1e-12)
 
 
 def test_profile_theta_points():
-    P = profile_heat(1.0)
-    v = profile_theta(P, FreqPoint((1,), (1,), 0.5))
-    assert v.real == pytest.approx(math.exp(-4 * 0.5 * 3))
-    b = profile_theta(P, BoundaryPoint((0.8,), (0,)))
-    assert b.real == pytest.approx(math.exp(-4 * 0.8))
-    assert profile_theta(P, FreqPoint((0,), (1,), 0.5)) == 0  # off support
+    th = profile_to_freq_function(profile_gauss(2.0))
+    v = complex(th((1,), (1,), 0.5))
+    assert v.real == pytest.approx(_gauss_closed_form(1, 0.5, 2.0)[0])
+    b = complex(th.at_boundary((0.8,), (0,)))
+    assert b.real == pytest.approx(math.exp(-0.8))
+    assert complex(th((0,), (1,), 0.5)) == 0  # off support
+    assert complex(th.at_boundary((0.8,), (1,))) == 0
 
 
 def test_profile_decay_bound_sampled():
