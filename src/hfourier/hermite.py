@@ -7,12 +7,16 @@ members obey the normalized three-term recurrence
     h_{k+1}(x) = sqrt(2/(k+1)) * x * h_k(x) - sqrt(k/(k+1)) * h_{k-1}(x),
 
 which is stable for k well into the hundreds.  Multi-dimensional functions
-are plain tensor products over the coordinates.
+are plain tensor products over the coordinates.  Pairs of them of total
+order N turn into each other under a 45-degree rotation of the plane
+(:func:`_rotation_block`).
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = ["hermite_rows", "hermite_selected"]
 
@@ -56,3 +60,35 @@ def hermite_selected(indices, x):
         raise ValueError("indices must be nonnegative")
     rows = hermite_rows(wanted[-1], x)
     return {n: rows[n] for n in wanted}
+
+
+# every order an n_max <= 64 table reaches (N <= 128, about 6 MB); the
+# config caps n_max there, so the forward and the inverse share the blocks
+@lru_cache(maxsize=129)
+def _rotation_block(N):
+    """Hermite pairs of total order N under the 45-degree rotation.
+
+    Returns the orthogonal (N+1) x (N+1) matrix D with
+
+        h_n((a + c)/sqrt 2) h_{N-n}((a - c)/sqrt 2) = sum_k D[k, n] h_{N-k}(a) h_k(c),
+
+    the Hermite-Gaussian mode-converter coefficients (Beijersbergen et al.,
+    Opt. Commun. 96 (1993) 123).  D = exp((pi/4) G) for the antisymmetric
+    tridiagonal G with G[j+1, j] = sqrt((j+1)(N-j)).  G is similar, through
+    diag(i^j), to i T with T the symmetric tridiagonal of the same
+    off-diagonal, whose eigenvalues are the integers -N, -N+2, .., N (Feng et
+    al., Phys. Rev. E 92 (2015) 043307).  So D needs one real eigensolve and
+    the trigonometric values at those integers: no factorial (they overflow
+    past N ~ 170), and orthogonal to rounding at N in the hundreds.
+
+    Blocks are cached and returned read-only, since every caller shares them.
+    """
+    j = np.arange(N)
+    ell, vecs = eigh_tridiagonal(np.zeros(N + 1), np.sqrt((j + 1.0) * (N - j)))
+    angle = 0.25 * math.pi * np.round(ell)
+    cos_part = (vecs * np.cos(angle)) @ vecs.T
+    sin_part = (vecs * np.sin(angle)) @ vecs.T
+    p = np.arange(N + 1)
+    block = np.choose((p[:, None] - p[None, :]) % 4, [cos_part, -sin_part, -cos_part, sin_part])
+    block.flags.writeable = False
+    return block

@@ -23,9 +23,11 @@ Three numerical routes are provided and cross-checked:
 
 The inverse sums e^{i s lam} W theta against the frequency measure with
 the constant 2^{d-1} / pi^{d+1}.  On a grid, each lambda slice
-sum_{n,m} theta W is a sum of Laguerre functions in rho^2 = 2 |lam| |Y|^2
-(one recurrence per band |n - m|); the oscillatory lambda stage then
-integrates the slices against e^{i s lam}.
+sum_{n,m} theta W goes through the forward's 45-degree rotation when theta
+is dense (two Hermite row evaluations and one GEMM pair), and is a sum of
+Laguerre functions in rho^2 = 2 |lam| |Y|^2 when theta is banded (one
+recurrence per band |n - m|); the oscillatory lambda stage then integrates
+the slices against e^{i s lam} through one (lambda, s) weight matrix.
 """
 
 import json
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .fields import SampledField, _write_csv
 from .freq_space import (
@@ -46,8 +47,8 @@ from .freq_space import (
     simpson_log_weights,
     sqrt_richardson,
 )
-from .hermite import hermite_rows
-from .wigner import wigner_conj_grid, wigner_eval, wigner_series
+from .hermite import _rotation_block, hermite_rows
+from .wigner import wigner_conj_grid, wigner_eval, wigner_series, wigner_series_dense
 
 __all__ = [
     "SpectralTable",
@@ -274,31 +275,6 @@ def _xi_cutoff(fs_up, eta_axis, h_eta):
     return nyquist
 
 
-def _rotation_block(N):
-    """Hermite pairs of total order N under the 45-degree rotation.
-
-    Returns the orthogonal (N+1) x (N+1) matrix D with
-
-        h_n((a + c)/sqrt 2) h_{N-n}((a - c)/sqrt 2) = sum_k D[k, n] h_{N-k}(a) h_k(c),
-
-    the Hermite-Gaussian mode-converter coefficients (Beijersbergen et al.,
-    Opt. Commun. 96 (1993) 123).  D = exp((pi/4) G) for the antisymmetric
-    tridiagonal G with G[j+1, j] = sqrt((j+1)(N-j)).  G is similar, through
-    diag(i^j), to i T with T the symmetric tridiagonal of the same
-    off-diagonal, whose eigenvalues are the integers -N, -N+2, .., N (Feng et
-    al., Phys. Rev. E 92 (2015) 043307).  So D needs one real eigensolve and
-    the trigonometric values at those integers: no factorial (they overflow
-    past N ~ 170), and orthogonal to rounding at N in the hundreds.
-    """
-    j = np.arange(N)
-    ell, vecs = eigh_tridiagonal(np.zeros(N + 1), np.sqrt((j + 1.0) * (N - j)))
-    angle = 0.25 * math.pi * np.round(ell)
-    cos_part = (vecs * np.cos(angle)) @ vecs.T
-    sin_part = (vecs * np.sin(angle)) @ vecs.T
-    p = np.arange(N + 1)
-    return np.choose((p[:, None] - p[None, :]) % 4, [cos_part, -sin_part, -cos_part, sin_part])
-
-
 # trigonometric refinement of the lattice variable in the forward projection
 _UPSAMPLE = 8
 
@@ -503,6 +479,11 @@ def inverse_at_point(theta, w, grid, n_max):
     return complex(total * 2.0 ** (d - 1) / math.pi ** (d + 1))
 
 
+# largest index cap summed through the rotation: the config's n_max cap,
+# whose blocks (N <= 128) all stay in the _rotation_block cache
+_DENSE_MAX_TOP = 64
+
+
 def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33, 33),
                     n_cap=600, assume_symmetric=False):
     """Inverse transform sampled on a full (y, eta, s) grid (d = 1).
@@ -511,8 +492,14 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     frequency functions the diagonal extent adapts per lambda up to
     ``n_cap`` (the skipped remainder is bounded by 1/(32 pi^2 n_cap) per
     unit lambda mass and folded into the reported tail).  Each lambda
-    slice chi = sum_{n,m} theta_nm W_nm is summed on the (y, eta) grid by
-    the Laguerre-function recurrence of :func:`hfourier.wigner.wigner_series`.
+    slice chi = sum_{n,m} theta_nm W_nm is summed on the (y, eta) grid by a
+    route chosen from ``theta.band``: a dense theta (tables and their
+    multipliers) through the 45-degree rotation of
+    :func:`hfourier.wigner.wigner_series_dense`; a diagonal theta, evaluated
+    on the diagonal only, by one Laguerre recurrence; a banded theta by one
+    Laguerre recurrence per band (:func:`hfourier.wigner.wigner_series`).
+    The rotation needs blocks to twice the index cap, so a dense theta
+    beyond n = 64 takes the band loop too.
 
     ``assume_symmetric=True`` skips the negative-lambda half and doubles
     the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
@@ -543,12 +530,19 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
             if n_top == n_cap:
                 tail += wlam / (8.0 * al * n_cap) if al * n_cap < 4.0 else 0.0
 
-        n, m = box_pairs(1, n_top, theta.band)
-        rows = np.zeros((n_top + 1, n_top + 1), dtype=complex)
-        rows[n[:, 0], m[:, 0]] = theta(n, m, lam)
+        if theta.band == 0:
+            idx = np.arange(n_top + 1)[:, None]
+            rows = theta(idx, idx, lam)
+        else:
+            n, m = box_pairs(1, n_top, theta.band)
+            rows = np.zeros((n_top + 1, n_top + 1), dtype=complex)
+            rows[n[:, 0], m[:, 0]] = theta(n, m, lam)
         if not np.any(rows):
             continue
-        chi = wigner_series(rows, lam, y_axis, e_axis)
+        if theta.band is None and n_top <= _DENSE_MAX_TOP:
+            chi = wigner_series_dense(rows, lam, y_axis, e_axis)
+        else:
+            chi = wigner_series(rows, lam, y_axis, e_axis)
         if theta.diagonal and not table_n and n_top == n_cap:
             tail_row = _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis)
             if tail_row is not None:
@@ -574,20 +568,19 @@ def _cubic_weights(t):
     )
 
 
-def _resample_log(chi, lam_src, lam_dst):
-    """Cubic (4-point Lagrange) resampling along the last axis, uniform in
-    log lambda; both grids on one sign branch, ascending."""
+def _resample_log(lam_src, lam_dst):
+    """Matrix (len(lam_dst), len(lam_src)) of cubic (4-point Lagrange)
+    weights, uniform in log lambda, taking samples on ``lam_src`` to
+    ``lam_dst``; both grids on one sign branch, ascending."""
     t_src = np.log(lam_src)
     h = t_src[1] - t_src[0]
     u = (np.log(lam_dst) - t_src[0]) / h
     base = np.clip(np.floor(u).astype(int), 1, len(lam_src) - 3)
-    w0, w1, w2, w3 = _cubic_weights(u - base)
-    return (
-        chi[..., base - 1] * w0
-        + chi[..., base] * w1
-        + chi[..., base + 1] * w2
-        + chi[..., base + 2] * w3
-    )
+    out = np.zeros((len(lam_dst), len(lam_src)))
+    row = np.arange(len(lam_dst))
+    for offset, w in zip((-1, 0, 1, 2), _cubic_weights(u - base)):
+        out[row, base + offset] = w
+    return out
 
 
 def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmetric):
@@ -598,7 +591,8 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
     (where the geometric spacing still resolves the phase) the source grid
     integrates directly; above it the slices are resampled onto a dense
     uniform grid (cubic in log lambda, where they are smooth) and summed
-    by composite Simpson.
+    by composite Simpson.  Both pieces are linear in the source slices, so
+    they fold into one (lambda, s) matrix and one contraction per branch.
     """
     s_max = float(np.abs(s_axis).max())
     h_d = min(0.02, 2.0 * math.pi / (48.0 * max(s_max, 1.0)))
@@ -618,12 +612,19 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
         j = int(np.searchsorted(lam_pos, lam_split))
         j = min(max(j, 4), len(lam_pos) - 1)
 
-        contrib = np.zeros(yshape + (len(s_axis),), dtype=complex)
         # geometric piece [lam_min, lam_j]: phase resolved by the source grid
         sub = lam_pos[: j + 1]
         wts = simpson_log_weights(len(sub), h_t) * sub
-        phase = np.exp(1j * sign * np.outer(sub, s_axis))
-        contrib += np.tensordot(chi[..., : j + 1] * (sub * wts), phase, axes=([2], [0]))
+        kernel = np.zeros((len(lam_pos), len(s_axis)), dtype=complex)
+        kernel[: j + 1] = (sub * wts)[:, None] * np.exp(1j * sign * np.outer(sub, s_axis))
+        if j < len(lam_pos) - 1:
+            lo, hi = lam_pos[j], lam_pos[-1]
+            count = max(int((hi - lo) / h_d) | 1, 5)
+            lam_dense = np.linspace(lo, hi, count)
+            wts_d = simpson_log_weights(count, lam_dense[1] - lam_dense[0])
+            dense = (lam_dense * wts_d)[:, None] * np.exp(1j * sign * np.outer(lam_dense, s_axis))
+            kernel += _resample_log(lam_pos, lam_dense).T @ dense
+        contrib = np.tensordot(chi, kernel, axes=([2], [0]))
 
         # covered range starts at lam_min; the strip (0, lam_min] carries the
         # boundary limit of chi |lam|, recovered by sqrt(lam) extrapolation
@@ -631,15 +632,6 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
         F2 = chi[..., 1] * lam_pos[1]
         F0 = sqrt_richardson(lam_pos[0], F1, lam_pos[1], F2)
         contrib += (lam_pos[0] * 0.5 * (F0 + F1))[..., None] * np.ones(len(s_axis))
-
-        if j < len(lam_pos) - 1:
-            lo, hi = lam_pos[j], lam_pos[-1]
-            count = max(int((hi - lo) / h_d) | 1, 5)
-            lam_dense = np.linspace(lo, hi, count)
-            dense = _resample_log(chi, lam_pos, lam_dense)
-            wts_d = simpson_log_weights(count, lam_dense[1] - lam_dense[0])
-            phase = np.exp(1j * sign * np.outer(lam_dense, s_axis))
-            contrib += np.tensordot(dense * (lam_dense * wts_d), phase, axes=([2], [0]))
 
         out += 2.0 * contrib.real if symmetric else contrib
     return out

@@ -20,6 +20,13 @@ z = 2a + ib for n >= m, z = -2a + ib for n < m,
 The normalized functions ell_k^alpha are computed by their three-term
 recurrence in k, which is stable for k in the hundreds.
 
+A dense sum over (n, m) instead goes through the 45-degree rotation of the
+Hermite pairs (:func:`wigner_series_dense`): with N = n + m,
+h_n(a + v) h_m(v - a) = sum_k D_N[k, n] h_{N-k}(sqrt2 v) h_k(sqrt2 a), and
+the Hermite functions are eigenfunctions of the Fourier transform, so
+
+    I(n, m, a, b) = sqrt(pi) sum_k D_N[k, n] i^{N-k} h_{N-k}(b / sqrt2) h_k(sqrt2 a).
+
 As the frequency point degenerates (lam -> 0 with lam(n + m) fixed) the
 symbol tends to the compact boundary kernel
 
@@ -35,7 +42,10 @@ import math
 import numpy as np
 from scipy.special import jv, xlogy
 
-__all__ = ["wigner_eval", "wigner_conj_grid", "wigner_series", "boundary_kernel"]
+from .hermite import _rotation_block, hermite_rows
+
+__all__ = ["wigner_eval", "wigner_conj_grid", "wigner_series", "wigner_series_dense",
+           "boundary_kernel"]
 
 # an exact power of two, so rescaling the recurrence loses no bits
 _RESCALE = 2.0 ** 400
@@ -142,13 +152,17 @@ def wigner_conj_grid(n, m, lam, y_axis, eta_axis):
 def wigner_series(rows, lam, y_axis, eta_axis):
     """sum_{n, m} rows[n, m] W(n, m, lam, .) on a tensor (y, eta) grid, d = 1.
 
-    One recurrence per band alpha = |n - m| serves both of its diagonals;
-    bands that are zero throughout are skipped, so a diagonal ``rows``
-    costs a single recurrence.
+    One Laguerre recurrence per band alpha = |n - m| serves both of its
+    diagonals; bands that are zero throughout are skipped.  A 1-d ``rows``
+    is the diagonal alone and costs a single recurrence.  Suited to banded
+    rows at any index cap; dense rows are cheaper through
+    :func:`wigner_series_dense`.
     """
     y = np.asarray(y_axis, dtype=float)[:, None]
     eta = np.asarray(eta_axis, dtype=float)[None, :]
     a, b, rho2 = _scaled_coords(lam, y, eta)
+    if rows.ndim == 1:
+        return _laguerre_sum(0, rows, rho2)
     out = np.zeros(rho2.shape, dtype=complex)
     n_idx, m_idx = np.nonzero(rows)
     for alpha in np.unique(np.abs(n_idx - m_idx)).tolist():
@@ -159,6 +173,37 @@ def wigner_series(rows, lam, y_axis, eta_axis):
         lower, upper = _laguerre_sum(alpha, band, rho2)
         out += lower * _phase(alpha, a, b, 1.0) + upper * _phase(alpha, a, b, -1.0)
     return out
+
+
+# i^j for j mod 4, exact
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def wigner_series_dense(rows, lam, y_axis, eta_axis):
+    """The sum of :func:`wigner_series` for a square ``rows``, through the
+    45-degree rotation of the Hermite pairs.
+
+    With a = sqrt|lam| y and b = 2 sgn(lam) sqrt|lam| eta the slice is
+
+        sqrt(pi) H_a^T A^T H_b,   A[N-k, k] = i^{N-k} sum_n D_N[k, n] rows[n, N-n],
+
+    H_a = h_0..h_{2K}(sqrt2 a) and H_b = h_0..h_{2K}(b / sqrt2) for
+    K = len(rows) - 1: two Hermite row evaluations and one GEMM pair,
+    whatever the band.  The blocks D_N reach N = 2K.
+    """
+    K = rows.shape[0] - 1
+    top = 2 * K
+    a, b, _ = _scaled_coords(lam, np.asarray(y_axis, dtype=float)[:, None],
+                             np.asarray(eta_axis, dtype=float)[None, :])
+    coeffs = np.zeros((top + 1, top + 1), dtype=complex)
+    for N in range(top + 1):
+        n = np.arange(max(0, N - K), min(N, K) + 1)
+        k = np.arange(N + 1)
+        coeffs[N - k, k] = _rotation_block(N)[:, n] @ rows[n, N - n]
+    coeffs *= _I_POWERS[np.arange(top + 1) % 4, None]
+    h_a = hermite_rows(top, math.sqrt(2.0) * a.ravel())
+    h_b = hermite_rows(top, b.ravel() / math.sqrt(2.0))
+    return math.sqrt(math.pi) * (h_a.T @ (coeffs.T @ h_b))
 
 
 # ---- boundary kernel -------------------------------------------------------

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hfourier.transform as transform
+import hfourier.wigner as wigner
 from hfourier.fields import SampledField
 from hfourier.freq_space import FreqFunction, LambdaGrid, multi_indices
 from hfourier.hermite import hermite_rows
-from hfourier.profiles import heat_profile
+from hfourier.profiles import heat_profile, profile_exp_floor, profile_to_freq_function
 from hfourier.transform import (
     SpectralTable,
+    _resample_log,
     _rotation_block,
     forward_direct,
     forward_factored,
@@ -301,6 +303,109 @@ def test_inverse_at_point_matches_grid():
     iy = int(np.argmin(np.abs(fld.y_axis - 0.5)))
     ks = int(np.argmin(np.abs(fld.s_axis - 0.6)))
     assert v == pytest.approx(complex(fld.samples[iy, 2, ks]), abs=2e-4)
+
+
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_table_inverse_sums_through_the_rotation(monkeypatch, unit_table):
+    laguerre = _spy(monkeypatch, wigner, "_laguerre_sum")
+    rows = _spy(monkeypatch, wigner, "hermite_rows")
+    lam = unit_table.grid.lam
+    inverse_on_grid(unit_table.as_freq_function(), unit_table.grid, 8, points=(9, 9, 9),
+                    assume_symmetric=True)
+    summed = sum(bool(np.any(unit_table.values[..., il])) for il in np.flatnonzero(lam > 0))
+    assert summed > 0 and not laguerre
+    assert len(rows) == 2 * summed
+    assert all(n == 16 and x.shape == (9,) for n, x in rows)
+
+
+def test_diagonal_inverse_runs_one_recurrence_per_lambda(monkeypatch, small_grid):
+    laguerre = _spy(monkeypatch, wigner, "_laguerre_sum")
+    series = _spy(monkeypatch, transform, "wigner_series")
+    inverse_on_grid(heat_profile(1.0), small_grid, 8, points=(9, 9, 9), n_cap=48,
+                    assume_symmetric=True)
+    assert len(laguerre) == np.count_nonzero(small_grid.lam > 0)
+    assert all(alpha == 0 and np.ndim(coeffs) == 1 for alpha, coeffs, _ in laguerre)
+    # theta is evaluated on the diagonal only: no (n_top + 1)^2 rows
+    assert all(np.ndim(rows) == 1 for rows, *_ in series)
+
+
+def test_banded_inverse_builds_no_rotation_block(monkeypatch, small_grid):
+    theta = profile_to_freq_function(profile_exp_floor(0.5))
+    assert theta.band == 2
+    laguerre = _spy(monkeypatch, wigner, "_laguerre_sum")
+    _rotation_block.cache_clear()
+    inverse_on_grid(theta, small_grid, 8, points=(9, 9, 9), n_cap=64, assume_symmetric=True)
+    info = _rotation_block.cache_info()
+    assert info.hits == info.misses == 0
+    assert {alpha for alpha, _, _ in laguerre} == {0, 1, 2}
+
+
+def test_forward_and_inverse_share_rotation_blocks(small_grid):
+    _rotation_block.cache_clear()
+    table = forward_factored(gauss_field(), 8, small_grid)
+    inverse_on_grid(table.as_freq_function(), small_grid, 8, points=(9, 9, 9),
+                    assume_symmetric=True)
+    # orders N = 0 .. 16, each built once
+    assert _rotation_block.cache_info().misses == 17
+
+
+def test_cached_rotation_blocks_are_read_only():
+    block = _rotation_block(5)
+    with pytest.raises(ValueError):
+        block[0, 0] = 2.0
+    assert _rotation_block(5)[0, 0] == block[0, 0]
+
+
+def _gather_four_slices(chi, lam_src, lam_dst):
+    """The log-lambda cubic resampling as a gather of four source slices."""
+    t_src = np.log(lam_src)
+    h = t_src[1] - t_src[0]
+    u = (np.log(lam_dst) - t_src[0]) / h
+    base = np.clip(np.floor(u).astype(int), 1, len(lam_src) - 3)
+    t = u - base
+    return (chi[..., base - 1] * (-t * (t - 1) * (t - 2) / 6.0)
+            + chi[..., base] * ((t + 1) * (t - 1) * (t - 2) / 2.0)
+            + chi[..., base + 1] * (-(t + 1) * t * (t - 2) / 2.0)
+            + chi[..., base + 2] * ((t + 1) * t * (t - 1) / 6.0))
+
+
+_LAM_SRC = LambdaGrid(1e-3, 16.0, 32).lam[32:]
+_LAM_DST = np.linspace(_LAM_SRC[6], _LAM_SRC[-1], 801)
+
+
+def test_resample_rows_sum_to_one():
+    R = _resample_log(_LAM_SRC, _LAM_DST)
+    assert R.shape == (801, 32)
+    assert np.abs(R.sum(axis=1) - 1.0).max() < 1e-14
+
+
+def test_resample_reproduces_cubics_in_log_lambda():
+    def cubic(lam):
+        t = np.log(lam)
+        return 0.3 - 0.7 * t + 0.2 * t**2 - 0.05 * t**3
+
+    want = cubic(_LAM_DST)
+    got = _resample_log(_LAM_SRC, _LAM_DST) @ cubic(_LAM_SRC)
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+
+def test_resample_matrix_equals_four_slice_gather():
+    rng = np.random.default_rng(5)
+    chi = rng.normal(size=(3, 4, 32)) + 1j * rng.normal(size=(3, 4, 32))
+    want = _gather_four_slices(chi, _LAM_SRC, _LAM_DST)
+    got = chi @ _resample_log(_LAM_SRC, _LAM_DST).T
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_plancherel_scaling_invariance(f_unit, small_grid, unit_table):

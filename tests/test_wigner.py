@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from hfourier.hermite import hermite_selected
-from hfourier.wigner import boundary_kernel, wigner_eval, wigner_series
+from hfourier.wigner import boundary_kernel, wigner_eval, wigner_series, wigner_series_dense
 
 
 def test_orthonormality_at_origin():
@@ -189,6 +189,42 @@ def test_series_matches_termwise_sum():
         want = sum(rows[n, m] * wigner_eval((n,), (m,), lam, pts)
                    for n in range(7) for m in range(7))
         assert np.abs(wigner_series(rows, lam, y, eta) - want).max() < 1e-13
+        assert np.abs(wigner_series_dense(rows, lam, y, eta) - want).max() < 1e-13
+
+
+def test_series_diagonal_vector_is_the_diagonal_matrix():
+    diag = np.random.default_rng(3).normal(size=40) + 0j
+    axis = np.linspace(-4.0, 4.0, 9)
+    for lam in (0.02, -2.5):
+        assert np.array_equal(wigner_series(diag, lam, axis, axis),
+                              wigner_series(np.diag(diag), lam, axis, axis))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_top=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
+    lam=st.floats(1e-4, 16.0), sign=st.sampled_from([-1.0, 1.0]),
+    y=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+    eta=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
+)
+def test_dense_series_matches_termwise_sum(n_top, seed, lam, sign, y, eta):
+    # complex rows without Hermitian symmetry, every band occupied
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n_top + 1,) * 2) + 1j * rng.normal(size=(n_top + 1,) * 2)
+    pts = np.stack(np.meshgrid(y, eta, indexing="ij"), axis=-1)
+    want = sum(rows[n, m] * wigner_eval((n,), (m,), sign * lam, pts)
+               for n in range(n_top + 1) for m in range(n_top + 1))
+    got = wigner_series_dense(rows, sign * lam, y, eta)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lam", [16.0, -16.0])
+def test_band_loop_and_rotation_agree(lam):
+    rng = np.random.default_rng(24)
+    rows = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+    axis = np.linspace(-6.0, 6.0, 33)
+    want = wigner_series(rows, lam, axis, axis)
+    assert np.abs(wigner_series_dense(rows, lam, axis, axis) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---- boundary kernel --------------------------------------------------------
