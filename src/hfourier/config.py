@@ -12,6 +12,9 @@ from .freq_space import LambdaGrid
 
 __all__ = ["Config", "PhysGridSpec", "default_config", "load_config"]
 
+# largest accepted n_max; hermite sizes its rotation-block cache from it
+N_MAX_CAP = 64
+
 
 @dataclass
 class PhysGridSpec:
@@ -38,8 +41,8 @@ class Config:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError("d must be 1 or 2")
-        if not (1 <= self.n_max <= 64):
-            raise ValueError("n_max must lie in [1, 64]")
+        if not (1 <= self.n_max <= N_MAX_CAP):
+            raise ValueError(f"n_max must lie in [1, {N_MAX_CAP}]")
         for h in self.phys_grid.extents:
             if h <= 0:
                 raise ValueError("grid extents must be positive")

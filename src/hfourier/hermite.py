@@ -18,6 +18,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .config import N_MAX_CAP
+
 __all__ = ["hermite_rows", "hermite_selected"]
 
 _GROUND = math.pi ** -0.25
@@ -62,9 +64,10 @@ def hermite_selected(indices, x):
     return {n: rows[n] for n in wanted}
 
 
-# every order an n_max <= 64 table reaches (N <= 128, about 6 MB); the
-# config caps n_max there, so the forward and the inverse share the blocks
-@lru_cache(maxsize=129)
+# every order a table within the config's n_max cap reaches (N <= 128 at
+# the cap of 64, about 6 MB), so the forward and the inverse share the
+# blocks; callers past the cap get correct blocks but evict each other
+@lru_cache(maxsize=2 * N_MAX_CAP + 1)
 def _rotation_block(N):
     """Hermite pairs of total order N under the 45-degree rotation.
 

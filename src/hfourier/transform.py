@@ -479,11 +479,6 @@ def inverse_at_point(theta, w, grid, n_max):
     return complex(total * 2.0 ** (d - 1) / math.pi ** (d + 1))
 
 
-# largest index cap summed through the rotation: the config's n_max cap,
-# whose blocks (N <= 128) all stay in the _rotation_block cache
-_DENSE_MAX_TOP = 64
-
-
 def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33, 33),
                     n_cap=600, assume_symmetric=False):
     """Inverse transform sampled on a full (y, eta, s) grid (d = 1).
@@ -498,8 +493,6 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     :func:`hfourier.wigner.wigner_series_dense`; a diagonal theta, evaluated
     on the diagonal only, by one Laguerre recurrence; a banded theta by one
     Laguerre recurrence per band (:func:`hfourier.wigner.wigner_series`).
-    The rotation needs blocks to twice the index cap, so a dense theta
-    beyond n = 64 takes the band loop too.
 
     ``assume_symmetric=True`` skips the negative-lambda half and doubles
     the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
@@ -539,7 +532,7 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
             rows[n[:, 0], m[:, 0]] = theta(n, m, lam)
         if not np.any(rows):
             continue
-        if theta.band is None and n_top <= _DENSE_MAX_TOP:
+        if theta.band is None:
             chi = wigner_series_dense(rows, lam, y_axis, e_axis)
         else:
             chi = wigner_series(rows, lam, y_axis, e_axis)

@@ -218,13 +218,16 @@ def test_dense_series_matches_termwise_sum(n_top, seed, lam, sign, y, eta):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+# n_top 64 is the config's n_max cap, the top of the range tables reach
+# (measured gap 1.1e-14 there, 3.6e-15 at n_top 24)
+@pytest.mark.parametrize("n_top,bound", [(24, 1e-13), (64, 1e-12)])
 @pytest.mark.parametrize("lam", [16.0, -16.0])
-def test_band_loop_and_rotation_agree(lam):
+def test_band_loop_and_rotation_agree(lam, n_top, bound):
     rng = np.random.default_rng(24)
-    rows = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+    rows = rng.normal(size=(n_top + 1,) * 2) + 1j * rng.normal(size=(n_top + 1,) * 2)
     axis = np.linspace(-6.0, 6.0, 33)
     want = wigner_series(rows, lam, axis, axis)
-    assert np.abs(wigner_series_dense(rows, lam, axis, axis) - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(wigner_series_dense(rows, lam, axis, axis) - want).max() <= bound * np.abs(want).max()
 
 
 # ---- boundary kernel --------------------------------------------------------
