@@ -91,9 +91,14 @@ class PairResult:
     tail_bound: float
 
 
-# index shells per theta call in the band sums; the arrays of one block set
-# the peak memory (perfbench pairings, numpy 2.4: +7 % at 256 shells, +0.6 % at 64)
+# index shells (band-sum samples) per theta call in the band sums; the arrays
+# of one block set the peak memory (perfbench pairings, numpy 2.4: +7 % at
+# 256 shells, +0.6 % at 64)
 _BLOCK = 64
+
+# beyond shell 8 the band sum samples n on a stride of about this width in
+# x. = |lam|(2n + k + 1); halving it moves c15's errors by at most 2e-6
+_XDOT_STEP = 0.05
 
 
 def _stop_in_block(prev, sizes, shells, atol, tail):
@@ -109,13 +114,47 @@ def _stop_in_block(prev, sizes, shells, atol, tail):
     return end, bool(len(stops)), (float(fitted[-1]) if len(fitted) else tail)
 
 
-def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
-    """sum over the support band around the diagonal of the measure sum;
-    the diagonal extent adapts with a power-decay tail estimate (d = 1).
+def _sample_weights(j, stride):
+    """Weights of the band-sum samples ``j`` (shape (J, 1)) at the strides
+    of each lambda (shape (lambda,)), as a (J, lambda) array.
 
-    Shells are evaluated in blocks (one theta call per block); the stopping
-    rule still runs shell by shell, so the same shell ends the sum as
-    with one shell at a time.
+    Samples j < 8 are single shells.  From j = 8 on, a stride s > 1 makes
+    the samples a rule for the integral over n >= 8 (s times Gregory's
+    end weights 3/8, 7/6, 23/24, then s), completed to the shell sum by
+    the Euler-Maclaurin terms g(8)/2 - g'(8)/12, with
+    g'(8) = (-3 g_0 + 4 g_1 - g_2) / (2 s) from the first three samples.
+    At s = 1 every weight is exactly 1.
+    """
+    s = stride.astype(float)
+    head = np.array([3.0 / 8.0 * s + 0.5 + 3.0 / (24.0 * s),
+                     7.0 / 6.0 * s - 4.0 / (24.0 * s),
+                     23.0 / 24.0 * s + 1.0 / (24.0 * s)])                # (3, lambda)
+    w = np.where(j < 11, head[np.clip(j[:, 0] - 8, 0, 2)], s)
+    return np.where((j < 8) | (stride == 1), 1.0, w)
+
+
+def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
+    """Sum of theta over its support band against the frequency measure.
+
+    d = 1: for fixed lambda, sum_n theta(n, n + k, lambda) 2|lambda| is a
+    Riemann sum of step 2|lambda| in x. = |lambda|(2n + k + 1), the
+    variable of the boundary the interior tends to as lambda -> 0.  So
+    each lambda samples its index shells on a stride in x. rather than at
+    every integer n: shells n < 8 one by one, then sample j >= 8 at
+    n = 8 + (j - 8) s, with s = max(1, floor(_XDOT_STEP / (2|lambda|))).
+    Where s > 1 the samples carry s times Gregory's end weights and the
+    Euler-Maclaurin start correction (:func:`_sample_weights`); where
+    s = 1 (|lambda| > _XDOT_STEP / 4) every weight is 1 and the sum is
+    the exact shell sum.
+
+    Samples are evaluated in blocks (one theta call per block of j across
+    all lambda).  The power-law stopping rule runs sample by sample over
+    j, so the j-th sample of every lambda plays the part of a shell, and
+    ``n_cap`` caps j.  The tail adds to the fitted power-law tail the
+    uncovered strip |lambda| < lambda_min, with |theta| frozen at the
+    edge and each sample counted with its weight.
+
+    d > 1: a fixed 24-box, with an infinite tail.
     """
     lam = grid.lam
     meas = np.abs(lam) ** d * grid.weights
@@ -123,25 +162,26 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
         idx = np.array(multi_indices(d, 24))[:, None]
         return complex(np.sum(theta(idx, idx, lam) * meas)), math.inf
     band = theta.band or 0
-    offsets = np.arange(-band, band + 1)
-    P = grid.points_per_sign
+    offsets = np.arange(-band, band + 1)[:, None]
+    stride = np.maximum(1, np.floor(_XDOT_STEP / (2.0 * np.abs(lam)))).astype(int)
+    edge = [grid.points_per_sign - 1, grid.points_per_sign]                # lambda = -+lambda_min
     total = 0.0 + 0.0j
     strip = 0.0
     tail = math.inf
     prev = math.nan
-    for n0 in range(0, n_cap + 1, _BLOCK):
-        shells = np.arange(n0, min(n0 + _BLOCK, n_cap + 1))
-        n = np.repeat(shells, len(offsets))
-        m = n + np.tile(offsets, len(shells))
-        n, m = n[m >= 0], m[m >= 0]
-        vals = theta(n[:, None, None], m[:, None, None], lam)     # (pairs, lambda)
-        sums = (vals * meas).sum(axis=1)
-        sizes = np.bincount(n - shells[0], weights=np.abs(sums), minlength=len(shells))
-        end, stopped, tail = _stop_in_block(prev, sizes, shells, atol, tail)
-        kept = n < shells[0] + end
-        total += np.sum(sums[kept])
-        strip += np.sum((np.abs(vals[kept, P - 1]) + np.abs(vals[kept, P]))
-                        * grid.lambda_min ** (d + 1) / (d + 1))
+    for j0 in range(0, n_cap + 1, _BLOCK):
+        j = np.arange(j0, min(j0 + _BLOCK, n_cap + 1))[:, None]
+        n = np.where(j < 8, j, 8 + (j - 8) * stride)                     # (J, lambda)
+        m = n[:, None] + offsets                                         # (J, pairs, lambda)
+        w = _sample_weights(j, stride)
+        vals = theta(n[:, None, :, None], np.maximum(m, 0)[..., None], lam)
+        vals = np.where(m >= 0, vals, 0.0)
+        sums = (vals * (w * meas)[:, None]).sum(axis=-1)                 # (J, pairs)
+        sizes = np.abs(sums).sum(axis=1)
+        end, stopped, tail = _stop_in_block(prev, sizes, j[:, 0], atol, tail)
+        total += np.sum(sums[:end])
+        strip += np.sum(np.abs(vals[:end, :, edge]) * w[:end, None, edge]) \
+            * grid.lambda_min ** (d + 1) / (d + 1)
         if stopped:
             break
         prev = sizes[-1]

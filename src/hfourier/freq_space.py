@@ -19,7 +19,9 @@ broadcast shape.  Boundary values follow the same contract, with x. and k
 of shape S + (d,).  ``band`` (largest |m - n|; 0 diagonal, None dense)
 alone describes the support, so every sum is one array reduction over the
 band; the adaptive diagonal sums of :mod:`hfourier.distributions`
-evaluate their index shells in blocks.
+evaluate blocks of samples per call: the finite part every index shell,
+the band sum (d = 1) the shells n < 8 and then a stride of n per lambda,
+evenly spaced in x. = |lam|(2n + k + 1).
 """
 
 import json

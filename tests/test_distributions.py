@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 import hfourier.distributions as distributions
@@ -15,7 +17,8 @@ from hfourier.distributions import (
 )
 from hfourier.fields import SampledField, YField
 from hfourier.freq_space import FreqFunction, LambdaGrid, gauss_legendre, integrate
-from hfourier.profiles import heat_profile, profile_gauss, profile_to_freq_function
+from hfourier.profiles import (heat_profile, profile_exp_floor, profile_gauss,
+                               profile_to_freq_function)
 from hfourier.transform import forward_factored, transpose_transform
 
 
@@ -30,6 +33,65 @@ def test_trace_pairing_heat(grid):
     assert res.value.real == pytest.approx(math.pi**2 / 64.0, abs=1e-4)
     assert res.value.imag == 0
     assert res.tail_bound < 1e-3
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.floats(0.25, 2.0))
+def test_trace_pairing_heat_over_time(t):
+    # <I, heat(t)> = sum_n int exp(-4t(2n+1)|lam|) |lam| dlam = pi^2 / (64 t^2)
+    res = pair(Distribution.single("freq_identity_sum"), heat_profile(t), LambdaGrid())
+    want = math.pi**2 / (64.0 * t * t)
+    assert abs(res.value.real - want) <= 1e-3 * want
+    assert res.value.imag == 0
+
+
+def _band_fixture(name):
+    if name == "heat":
+        return heat_profile(1.0)
+    if name == "gauss_profile":
+        return profile_to_freq_function(profile_gauss(1.0))
+    return profile_to_freq_function(profile_exp_floor(0.5, lam_slope=0.5))   # band 2
+
+
+@pytest.mark.parametrize("name", ["heat", "gauss_profile", "exp_floor"])
+def test_band_sum_is_the_shell_sum_where_every_stride_is_one(name):
+    # |lam| >= 0.05 > _XDOT_STEP / 4: every sample is one shell with weight 1,
+    # so the band sum is the plain sum over a full index box
+    th = _band_fixture(name)
+    grid = LambdaGrid(0.05, 16.0, 40)
+    v, _ = distributions._diagonal_band_sum(th, grid, 1, atol=1e-13)
+    want = integrate(th, grid, n_max=400).value
+    assert abs(v - want) <= 2e-12 * abs(want)
+
+
+@pytest.mark.parametrize("name", ["heat", "gauss_profile", "exp_floor"])
+def test_strided_band_sum_matches_the_full_index_box(name):
+    # strides up to 25 at |lam| = 1e-3; the box of 6000 shells reaches
+    # x. = |lam|(2n + 1) > 12 there
+    th = _band_fixture(name)
+    grid = LambdaGrid(1e-3, 16.0, 80)
+    v, _ = distributions._diagonal_band_sum(th, grid, 1, atol=1e-10)
+    want = integrate(th, grid, n_max=6000).value
+    assert abs(v - want) <= 1e-6 * abs(want)
+
+
+def test_mollifier_error_falls_at_second_order():
+    # c15's sums: eps^-1 psi(lam/eps) theta tends to <mu, theta> at O(eps^2),
+    # so halving eps divides the error by about 4 unless the band sum is
+    # truncated before it converges
+    fine = LambdaGrid(1e-6, 16.0, 240)
+    for name in ("heat", "gauss_profile", "exp_floor"):
+        th = _band_fixture(name)
+        mu = distributions._boundary_measure_pair(lambda xd, k: 1.0, th, 1).real
+        errs = []
+        for eps in (0.05, 0.025):
+            def weighted(n, m, lam, _e=eps):
+                return np.exp(-((lam / _e) ** 2)) / (_e * math.sqrt(math.pi)) * th(n, m, lam)
+
+            v, _ = distributions._diagonal_band_sum(FreqFunction(weighted, d=1, band=th.band),
+                                                    fine, 1, atol=1e-8)
+            errs.append(abs(v.real - mu))
+        assert errs[1] <= 0.35 * errs[0], (name, errs)
 
 
 def test_pair_rejects_dimension_mismatch(grid):

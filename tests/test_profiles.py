@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hfourier.freq_space import BoundaryPoint, FreqPoint, LambdaGrid
+from hfourier.freq_space import BoundaryPoint, FreqFunction, FreqPoint, LambdaGrid, one_plus_weight
 from hfourier.diff_ops import delta_hat
 from hfourier.profiles import (
     boundary_diff,
@@ -145,8 +147,6 @@ def test_m_equiv_trivial_and_taylor():
         # the samples lie on the diagonal, k = m - n = 0
         return base(n, m, lam) + 2.0 * np.abs(lam) * np.asarray(P.dx(x, (0,), lam, 0))
 
-    from hfourier.freq_space import FreqFunction
-
     th_shift = FreqFunction(shifted, d=1, diagonal=True)
     th_taylor = FreqFunction(taylor, d=1, diagonal=True)
     cs = []
@@ -157,14 +157,31 @@ def test_m_equiv_trivial_and_taylor():
     assert max(cs) < 1.5 * min(cs) + 1e-12
 
 
+samples = st.lists(
+    st.builds(lambda n, m, lam, sign: FreqPoint((n,), (m,), sign * lam),
+              st.integers(0, 8), st.integers(0, 8), st.floats(0.1, 4.0), st.sampled_from([-1, 1])),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(C=st.floats(0.1, 10.0), M=st.integers(0, 2), N=st.integers(0, 3), pts=samples)
+def test_m_equiv_fit_recovers_the_constant(C, M, N, pts):
+    # theta + C |lam|^M (1 + w)^-N is M-equivalent to theta with constant exactly C
+    th = heat_profile(1.0)
+
+    def shifted(n, m, lam):
+        return th(n, m, lam) + C * np.abs(lam) ** M * one_plus_weight(n, m, lam, 1) ** (-N)
+
+    fit = m_equiv_fit(FreqFunction(shifted, d=1), th, M, N, pts)
+    assert fit == pytest.approx(C, rel=1e-12)
+
+
 def test_m_equiv_compact_lambda_support():
     # vanishing near lam = 0 makes the fit finite for any order
     def bump(n, m, lam):
         lam = np.asarray(lam, dtype=float)
         inside = (np.abs(lam) > 0.5) & (np.abs(lam) < 2.0)
         return np.where(inside & (n == m).all(-1), 1.0, 0.0).astype(complex)
-
-    from hfourier.freq_space import FreqFunction
 
     th = FreqFunction(bump, d=1, diagonal=True)
     zero = FreqFunction(
