@@ -151,8 +151,11 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
     all lambda).  The power-law stopping rule runs sample by sample over
     j, so the j-th sample of every lambda plays the part of a shell, and
     ``n_cap`` caps j.  The tail adds to the fitted power-law tail the
-    uncovered strip |lambda| < lambda_min, with |theta| frozen at the
-    edge and each sample counted with its weight.
+    uncovered strip |lambda| < lambda_min.  As lambda -> 0 the shells
+    that carry mass grow like 1/|lambda| while the x.-sum
+    sum_n |theta| |lambda|^d tends to a constant, so the strip freezes
+    that sum at +-lambda_min (each sample counted with its weight) and
+    multiplies it by the strip width lambda_min.
 
     d > 1: a fixed 24-box, with an infinite tail.
     """
@@ -181,7 +184,7 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
         end, stopped, tail = _stop_in_block(prev, sizes, j[:, 0], atol, tail)
         total += np.sum(sums[:end])
         strip += np.sum(np.abs(vals[:end, :, edge]) * w[:end, None, edge]) \
-            * grid.lambda_min ** (d + 1) / (d + 1)
+            * grid.lambda_min ** (d + 1)
         if stopped:
             break
         prev = sizes[-1]

@@ -26,8 +26,10 @@ the constant 2^{d-1} / pi^{d+1}.  On a grid, each lambda slice
 sum_{n,m} theta W goes through the forward's 45-degree rotation when theta
 is dense (two Hermite row evaluations and one GEMM pair), and is a sum of
 Laguerre functions in rho^2 = 2 |lam| |Y|^2 when theta is banded (one
-recurrence per band |n - m|); the oscillatory lambda stage then integrates
-the slices against e^{i s lam} through one (lambda, s) weight matrix.
+recurrence per band |n - m|).  A diagonal slice is radial in Y: it is
+summed on the distinct radii of the grid only, every lambda in one
+recurrence.  The oscillatory lambda stage then integrates the slices
+against e^{i s lam} through one (lambda, s) weight matrix.
 """
 
 import json
@@ -48,7 +50,8 @@ from .freq_space import (
     sqrt_richardson,
 )
 from .hermite import _rotation_block, hermite_rows
-from .wigner import wigner_conj_grid, wigner_eval, wigner_series, wigner_series_dense
+from .wigner import (wigner_conj_grid, wigner_eval, wigner_series, wigner_series_dense,
+                     wigner_series_radial)
 
 __all__ = [
     "SpectralTable",
@@ -417,8 +420,9 @@ def rep_matrix_coeff(fld, lam, n, m):
 # inverse transform
 # ---------------------------------------------------------------------------
 
-def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
-    """Boundary-kernel estimate of the capped diagonal remainder.
+def _diagonal_tail_correction(theta, lam, n_top, radius):
+    """Boundary-kernel estimate of the capped diagonal remainder at the
+    radii |Y| = ``radius``.
 
     Indices above the cap sit close to the completion boundary (lam n
     bounded), where the symbol rows are near the boundary kernel slices;
@@ -443,7 +447,6 @@ def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
     decay = -math.log(r)
     j_nodes, j_w = gauss_legendre([-0.5, 18.0 / decay], 32)
     # the zero-integer-index kernel slice is radial: a Bessel J0 profile
-    radius = np.hypot(y_axis[:, None], e_axis[None, :])
     out = np.zeros(radius.shape, dtype=complex)
     for j, w in zip(j_nodes, j_w):
         x_j = abs(lam) * (2.0 * (n_top + 1 + j) + 1.0)
@@ -452,16 +455,17 @@ def _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis):
 
 
 def _n_extent(theta, lam, n_cap):
-    """Largest diagonal index with non-negligible weight at this lambda:
-    the first of 4, 8, 16, ... below ``n_cap`` where |theta| falls under
-    1e-15 times its value at index 0, else ``n_cap``."""
-    probes = [0] + [4 << k for k in range(n_cap.bit_length()) if 4 << k < n_cap]
-    idx = np.repeat(np.array(probes)[:, None], theta.d, axis=1)
-    mags = np.abs(theta(idx, idx, lam))
-    if mags[0] == 0.0:
-        return 0
-    small = np.flatnonzero(mags[1:] < 1e-15 * mags[0])
-    return probes[1 + small[0]] if len(small) else n_cap
+    """Largest diagonal index with non-negligible weight at each lambda of
+    the array ``lam``, from one theta call: the first of 4, 8, 16, ...
+    below ``n_cap`` where |theta| falls under 1e-15 times its value at
+    index 0, else ``n_cap``; 0 where theta vanishes at index 0."""
+    probes = [4 << k for k in range(n_cap.bit_length()) if 4 << k < n_cap]
+    idx = np.repeat(np.array([0] + probes)[:, None, None], theta.d, axis=2)
+    mags = np.abs(theta(idx, idx, lam))                          # (probes, lambda)
+    # a last row of True picks n_cap where no probe falls small
+    small = np.vstack([mags[1:] < 1e-15 * mags[0], np.ones(mags.shape[1], dtype=bool)])
+    top = np.array(probes + [n_cap])[np.argmax(small, axis=0)]
+    return np.where(mags[0] == 0.0, 0, top)
 
 
 def inverse_at_point(theta, w, grid, n_max):
@@ -484,15 +488,21 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     """Inverse transform sampled on a full (y, eta, s) grid (d = 1).
 
     For table-backed ``theta`` the index box is the table's; for analytic
-    frequency functions the diagonal extent adapts per lambda up to
-    ``n_cap`` (the skipped remainder is bounded by 1/(32 pi^2 n_cap) per
-    unit lambda mass and folded into the reported tail).  Each lambda
-    slice chi = sum_{n,m} theta_nm W_nm is summed on the (y, eta) grid by a
-    route chosen from ``theta.band``: a dense theta (tables and their
-    multipliers) through the 45-degree rotation of
-    :func:`hfourier.wigner.wigner_series_dense`; a diagonal theta, evaluated
-    on the diagonal only, by one Laguerre recurrence; a banded theta by one
-    Laguerre recurrence per band (:func:`hfourier.wigner.wigner_series`).
+    frequency functions the diagonal extent n_top adapts per lambda up to
+    ``n_cap`` (one probe call for every lambda; the skipped remainder is
+    bounded by 1/(32 pi^2 n_cap) per unit lambda mass and folded into the
+    reported tail).  Each lambda slice chi = sum_{n,m} theta_nm W_nm is
+    summed by a route chosen from ``theta.band``: a dense theta (tables
+    and their multipliers) on the (y, eta) grid through the 45-degree
+    rotation of :func:`hfourier.wigner.wigner_series_dense`; a banded
+    theta on the grid by one Laguerre recurrence per band
+    (:func:`hfourier.wigner.wigner_series`); a diagonal theta, whose slice
+    is radial in Y, on the distinct values of |Y|^2 of the grid, by one
+    Laguerre recurrence for every lambda at once
+    (:func:`hfourier.wigner.wigner_series_radial`, theta evaluated once on
+    the diagonal up to the largest n_top, each lambda zeroed past its
+    own).  The oscillatory lambda stage then runs on those radii, and one
+    gather spreads them over the grid.
 
     ``assume_symmetric=True`` skips the negative-lambda half and doubles
     the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
@@ -506,45 +516,48 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     y_axis = np.linspace(-extents[0], extents[0], points[0])
     e_axis = np.linspace(-extents[1], extents[1], points[1])
     s_axis = np.linspace(-extents[2], extents[2], points[2])
-    chi_slices = {}
 
-    lam_list = grid.lam[grid.lam > 0] if assume_symmetric else grid.lam
+    cols = np.flatnonzero(grid.lam > 0) if assume_symmetric else np.arange(len(grid.lam))
+    lam_list = grid.lam[cols]
     table_n = theta.label.startswith("table")
+    n_tops = np.full(len(cols), n_max) if table_n else _n_extent(theta, lam_list, n_cap)
+    capped = (n_tops == n_cap) & (not table_n)
     tail = 0.0
-
-    for lam in lam_list:
-        il = int(np.searchsorted(grid.lam, lam))
-        wlam = grid.weights[il] * abs(lam)
+    for lam, weight in zip(lam_list[capped], grid.weights[cols[capped]]):
         al = abs(lam)
-        if table_n:
-            n_top = n_max
-        else:
-            n_top = min(_n_extent(theta, lam, n_cap), n_cap)
-            if n_top == n_cap:
-                tail += wlam / (8.0 * al * n_cap) if al * n_cap < 4.0 else 0.0
+        tail += weight * al / (8.0 * al * n_cap) if al * n_cap < 4.0 else 0.0
 
-        if theta.band == 0:
-            idx = np.arange(n_top + 1)[:, None]
-            rows = theta(idx, idx, lam)
-        else:
+    if theta.band == 0:
+        r2, ring = np.unique((y_axis[:, None] ** 2 + e_axis[None, :] ** 2).ravel(),
+                             return_inverse=True)
+        yshape = r2.shape
+        idx = np.arange(n_tops.max() + 1)[:, None, None]
+        rows = np.where(idx[:, :, 0] <= n_tops, theta(idx, idx, lam_list), 0.0)  # (n, lambda)
+        chi = wigner_series_radial(rows, lam_list, r2)             # (lambda, radii)
+        for il in np.flatnonzero(capped):
+            tail_row = _diagonal_tail_correction(theta, lam_list[il], n_cap, np.sqrt(r2))
+            if tail_row is not None:
+                chi[il] += tail_row
+        chi_slices = dict(zip(lam_list, chi))
+    else:
+        yshape = (points[0], points[1])
+        chi_slices = {}
+        for lam, n_top in zip(lam_list, n_tops.tolist()):
             n, m = box_pairs(1, n_top, theta.band)
             rows = np.zeros((n_top + 1, n_top + 1), dtype=complex)
             rows[n[:, 0], m[:, 0]] = theta(n, m, lam)
-        if not np.any(rows):
-            continue
-        if theta.band is None:
-            chi = wigner_series_dense(rows, lam, y_axis, e_axis)
-        else:
-            chi = wigner_series(rows, lam, y_axis, e_axis)
-        if theta.diagonal and not table_n and n_top == n_cap:
-            tail_row = _diagonal_tail_correction(theta, lam, n_top, y_axis, e_axis)
-            if tail_row is not None:
-                chi = chi + tail_row
-        chi_slices[lam] = chi
+            if not np.any(rows):
+                continue
+            if theta.band is None:
+                chi_slices[lam] = wigner_series_dense(rows, lam, y_axis, e_axis)
+            else:
+                chi_slices[lam] = wigner_series(rows, lam, y_axis, e_axis)
 
-    out = _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis,
-                                    (points[0], points[1]), assume_symmetric)
+    out = _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape,
+                                    assume_symmetric)
     out *= 2.0 ** (d - 1) / math.pi ** (d + 1)
+    if theta.band == 0:
+        out = out[ring].reshape(points[0], points[1], -1)
     # uncovered |lam| < lambda_min strip, crude mass bound
     tail += 2.0 * grid.lambda_min / (8.0 * math.pi**2)
     fld = SampledField(out, 1, tuple(extents))
@@ -617,7 +630,7 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
             wts_d = simpson_log_weights(count, lam_dense[1] - lam_dense[0])
             dense = (lam_dense * wts_d)[:, None] * np.exp(1j * sign * np.outer(lam_dense, s_axis))
             kernel += _resample_log(lam_pos, lam_dense).T @ dense
-        contrib = np.tensordot(chi, kernel, axes=([2], [0]))
+        contrib = np.tensordot(chi, kernel, axes=([-1], [0]))
 
         # covered range starts at lam_min; the strip (0, lam_min] carries the
         # boundary limit of chi |lam|, recovered by sqrt(lam) extrapolation

@@ -18,7 +18,10 @@ z = 2a + ib for n >= m, z = -2a + ib for n < m,
     ell_k^alpha(x) = sqrt(k! / (k + alpha)!) x^{alpha/2} e^{-x/2} L_k^alpha(x).
 
 The normalized functions ell_k^alpha are computed by their three-term
-recurrence in k, which is stable for k in the hundreds.
+recurrence in k, which is stable for k in the hundreds.  On the diagonal
+(alpha = 0) the symbol ell_n^0(2 |lam| |Y|^2) is radial in Y, so a
+diagonal sum needs only the distinct radii of a grid, and one recurrence
+serves every lam at once (:func:`wigner_series_radial`).
 
 A dense sum over (n, m) instead goes through the 45-degree rotation of the
 Hermite pairs (:func:`wigner_series_dense`): with N = n + m,
@@ -44,8 +47,8 @@ from scipy.special import jv, xlogy
 
 from .hermite import _rotation_block, hermite_rows
 
-__all__ = ["wigner_eval", "wigner_conj_grid", "wigner_series", "wigner_series_dense",
-           "boundary_kernel"]
+__all__ = ["wigner_eval", "wigner_conj_grid", "wigner_series", "wigner_series_radial",
+           "wigner_series_dense", "boundary_kernel"]
 
 # an exact power of two, so rescaling the recurrence loses no bits
 _RESCALE = 2.0 ** 400
@@ -55,8 +58,10 @@ _LOG_RESCALE = 400.0 * math.log(2.0)
 def _laguerre_sum(alpha, coeffs, x):
     """sum_k coeffs[k] ell_k^alpha(x) for k = 0 .. len(coeffs) - 1.
 
-    ``coeffs`` has shape (K + 1,) + c and the result c + x.shape.  The
-    recurrence
+    ``coeffs`` has shape (K + 1,) + c, and each coeffs[k] broadcasts
+    against x: the result has the broadcast shape of c and x.shape, whose
+    trailing axes must be x's own (so c = (L, 1) against x of shape
+    (L, R) sums a separate series on each row of x).  The recurrence
 
         sqrt((k + 1)(k + alpha + 1)) ell_{k+1}
             = (2k + 1 + alpha - x) ell_k - sqrt(k (k + alpha)) ell_{k-1}
@@ -71,14 +76,14 @@ def _laguerre_sum(alpha, coeffs, x):
     log_scale = 0.5 * xlogy(alpha, x) - 0.5 * x - 0.5 * math.lgamma(alpha + 1.0)
     prev = np.zeros(x.shape)
     cur = np.ones(x.shape)
-    acc = np.multiply.outer(coeffs[0], cur)
+    acc = coeffs[0] * cur
     live = np.any(coeffs.reshape(len(coeffs), -1), axis=1).tolist()
     for k in range(len(coeffs) - 1):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - math.sqrt(k * (k + alpha)) * prev) / (
             math.sqrt((k + 1) * (k + alpha + 1.0))
         )
         if live[k + 1]:
-            acc += np.multiply.outer(coeffs[k + 1], cur)
+            acc += coeffs[k + 1] * cur
         big = np.abs(cur) > _RESCALE
         if big.any():
             cur[big] /= _RESCALE
@@ -149,20 +154,37 @@ def wigner_conj_grid(n, m, lam, y_axis, eta_axis):
     return np.conj(_factor(n, m, lam, y, eta))
 
 
+def wigner_series_radial(diag, lam, r2):
+    """sum_n diag[n] W(n, n, lam, Y) at |Y|^2 = ``r2``, d = 1.
+
+    The diagonal symbol is the Laguerre function ell_n^0(2 |lam| |Y|^2),
+    radial in Y, so the sum needs the distinct radii only.  ``lam`` may
+    be an array: ``diag`` then has shape (K + 1,) + lam.shape, column by
+    column, and one recurrence serves every lam.  Returns an array of
+    shape lam.shape + r2.shape.
+    """
+    lam = np.asarray(lam, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    if np.any(lam == 0):
+        raise ValueError("lam must be nonzero")
+    spread = (1,) * r2.ndim
+    x = 2.0 * np.abs(lam).reshape(lam.shape + spread) * r2
+    diag = np.asarray(diag)
+    return _laguerre_sum(0, diag.reshape(diag.shape + spread), x)
+
+
 def wigner_series(rows, lam, y_axis, eta_axis):
     """sum_{n, m} rows[n, m] W(n, m, lam, .) on a tensor (y, eta) grid, d = 1.
 
     One Laguerre recurrence per band alpha = |n - m| serves both of its
-    diagonals; bands that are zero throughout are skipped.  A 1-d ``rows``
-    is the diagonal alone and costs a single recurrence.  Suited to banded
-    rows at any index cap; dense rows are cheaper through
-    :func:`wigner_series_dense`.
+    diagonals; bands that are zero throughout are skipped.  Suited to
+    banded rows at any index cap; dense rows are cheaper through
+    :func:`wigner_series_dense`, and a diagonal alone through
+    :func:`wigner_series_radial`.
     """
     y = np.asarray(y_axis, dtype=float)[:, None]
     eta = np.asarray(eta_axis, dtype=float)[None, :]
     a, b, rho2 = _scaled_coords(lam, y, eta)
-    if rows.ndim == 1:
-        return _laguerre_sum(0, rows, rho2)
     out = np.zeros(rho2.shape, dtype=complex)
     n_idx, m_idx = np.nonzero(rows)
     for alpha in np.unique(np.abs(n_idx - m_idx)).tolist():
@@ -170,7 +192,7 @@ def wigner_series(rows, lam, y_axis, eta_axis):
             out += _laguerre_sum(0, np.diagonal(rows), rho2)
             continue
         band = np.stack([np.diagonal(rows, -alpha), np.diagonal(rows, alpha)], axis=1)
-        lower, upper = _laguerre_sum(alpha, band, rho2)
+        lower, upper = _laguerre_sum(alpha, band[:, :, None, None], rho2)
         out += lower * _phase(alpha, a, b, 1.0) + upper * _phase(alpha, a, b, -1.0)
     return out
 

@@ -45,6 +45,16 @@ def test_trace_pairing_heat_over_time(t):
     assert res.value.imag == 0
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_band_sum_tail_covers_the_strip(t):
+    # converged in n, the error is the uncovered strip |lam| < lambda_min:
+    # there sum_n exp(-4t(2n+1)|lam|) |lam| tends to 1/(8t), so the strip
+    # holds lambda_min / (4t), all of which the tail must count
+    res = pair(Distribution.single("freq_identity_sum"), heat_profile(t), LambdaGrid(),
+               atol=1e-10)
+    assert abs(res.value - math.pi**2 / (64.0 * t * t)) <= res.tail_bound
+
+
 def _band_fixture(name):
     if name == "heat":
         return heat_profile(1.0)

@@ -11,7 +11,8 @@ import hfourier.wigner as wigner
 from hfourier.fields import SampledField
 from hfourier.freq_space import FreqFunction, LambdaGrid, multi_indices
 from hfourier.hermite import hermite_rows
-from hfourier.profiles import heat_profile, profile_exp_floor, profile_to_freq_function
+from hfourier.profiles import (heat_profile, profile_exp_floor, profile_gauss,
+                               profile_to_freq_function)
 from hfourier.transform import (
     SpectralTable,
     _resample_log,
@@ -329,15 +330,84 @@ def test_table_inverse_sums_through_the_rotation(monkeypatch, unit_table):
     assert all(n == 16 and x.shape == (9,) for n, x in rows)
 
 
-def test_diagonal_inverse_runs_one_recurrence_per_lambda(monkeypatch, small_grid):
+def test_diagonal_inverse_runs_one_recurrence(monkeypatch, small_grid):
     laguerre = _spy(monkeypatch, wigner, "_laguerre_sum")
-    series = _spy(monkeypatch, transform, "wigner_series")
-    inverse_on_grid(heat_profile(1.0), small_grid, 8, points=(9, 9, 9), n_cap=48,
-                    assume_symmetric=True)
-    assert len(laguerre) == np.count_nonzero(small_grid.lam > 0)
-    assert all(alpha == 0 and np.ndim(coeffs) == 1 for alpha, coeffs, _ in laguerre)
+    heat, indices = heat_profile(1.0), []
+
+    def interior(n, m, lam):
+        indices.append((n, m))
+        return heat(n, m, lam)
+
+    theta = FreqFunction(interior, band=0, label=heat.label)
+    inverse_on_grid(theta, small_grid, 8, points=(9, 9, 9), n_cap=48, assume_symmetric=True)
+    # y, eta = 1.5 (i, j) with |i|, |j| <= 4: 15 distinct values of i^2 + j^2
+    assert len(laguerre) == 1
+    alpha, _, x = laguerre[0]
+    assert alpha == 0 and x.shape == (np.count_nonzero(small_grid.lam > 0), 15)
     # theta is evaluated on the diagonal only: no (n_top + 1)^2 rows
-    assert all(np.ndim(rows) == 1 for rows, *_ in series)
+    assert indices and all(np.array_equal(n, m) for n, m in indices)
+
+
+def _as_band_one(theta):
+    """The diagonal theta with an empty first band, so the inverse sums it
+    slice by slice on the full grid (:func:`wigner.wigner_series`)."""
+    def interior(n, m, lam):
+        return np.where((n == m).all(axis=-1), theta(n, m, lam), 0.0)
+
+    return FreqFunction(interior, band=1, label=theta.label)
+
+
+def _complex_diagonal(n, m, lam):
+    # complex, and theta(n, n, -lam) is not conj(theta(n, n, lam))
+    decay = np.exp(-(2.0 * n[..., 0] + 1.0) * np.abs(lam) * (1.0 + 0.7j) + 0.4j * lam)
+    return np.where((n == m).all(axis=-1), decay * (1.0 + 0.5 * np.tanh(lam)), 0.0)
+
+
+@pytest.mark.parametrize("name,theta", [
+    ("heat", heat_profile(0.7)),
+    ("gauss_profile", profile_to_freq_function(profile_gauss(1.0))),
+    ("complex", FreqFunction(_complex_diagonal, band=0, label="complex")),
+])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_radial_inverse_matches_the_banded_route(name, theta, symmetric):
+    # every slice of this grid stops below n_cap, so neither route adds a
+    # tail correction; the non-square grid catches a transposed gather
+    grid = LambdaGrid(0.05, 16.0, 24)
+    assert (transform._n_extent(theta, grid.lam, 600) < 600).all()
+    kw = dict(extents=(5.0, 6.5, 4.0), points=(9, 13, 11), assume_symmetric=symmetric)
+    got, got_tail = inverse_on_grid(theta, grid, 8, **kw)
+    want, want_tail = inverse_on_grid(_as_band_one(theta), grid, 8, **kw)
+    assert got.samples.shape == (9, 13, 11)
+    assert np.abs(got.samples - want.samples).max() <= 1e-14 * np.abs(want.samples).max()
+    assert got_tail == want_tail
+
+
+def _grid_tail_correction(theta, lam, n_top, y_axis, e_axis):
+    """The capped diagonal remainder point by point on the (y, eta) grid,
+    the reference for the correction on the distinct radii."""
+    from scipy.special import j0
+
+    nxt = np.array([[n_top + 1], [n_top + 2]])
+    t1, t2 = (complex(v) for v in theta(nxt, nxt, lam))
+    r = (t2 / t1).real
+    j_nodes, j_w = transform.gauss_legendre([-0.5, 18.0 / -math.log(r)], 32)
+    radius = np.hypot(y_axis[:, None], e_axis[None, :])
+    out = np.zeros(radius.shape, dtype=complex)
+    for j, w in zip(j_nodes, j_w):
+        x_j = abs(lam) * (2.0 * (n_top + 1 + j) + 1.0)
+        out += (w * t1 * (r**j)) * j0(2.0 * math.sqrt(x_j) * radius)
+    return out
+
+
+@pytest.mark.parametrize("lam", [1e-3, -4e-3])
+def test_tail_correction_on_radii_matches_the_grid(lam):
+    theta = heat_profile(1.0)
+    assert transform._n_extent(theta, np.array([lam]), 600)[0] == 600
+    y, e = np.linspace(-5.0, 5.0, 9), np.linspace(-6.5, 6.5, 13)
+    r2, ring = np.unique((y[:, None] ** 2 + e[None, :] ** 2).ravel(), return_inverse=True)
+    got = transform._diagonal_tail_correction(theta, lam, 600, np.sqrt(r2))[ring].reshape(9, 13)
+    want = _grid_tail_correction(theta, lam, 600, y, e)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_banded_inverse_builds_no_rotation_block(monkeypatch, small_grid):

@@ -3,13 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import j0
 
 from hfourier.hermite import hermite_selected
-from hfourier.wigner import boundary_kernel, wigner_eval, wigner_series, wigner_series_dense
+from hfourier.wigner import (_laguerre_sum, boundary_kernel, wigner_eval, wigner_series,
+                             wigner_series_dense, wigner_series_radial)
 
 
 def test_orthonormality_at_origin():
@@ -195,9 +196,37 @@ def test_series_matches_termwise_sum():
 def test_series_diagonal_vector_is_the_diagonal_matrix():
     diag = np.random.default_rng(3).normal(size=40) + 0j
     axis = np.linspace(-4.0, 4.0, 9)
-    for lam in (0.02, -2.5):
-        assert np.array_equal(wigner_series(diag, lam, axis, axis),
-                              wigner_series(np.diag(diag), lam, axis, axis))
+    r2 = axis[:, None] ** 2 + axis[None, :] ** 2
+    lams = np.array([0.02, -2.5])
+    # one recurrence for both lambdas, on |Y|^2 rather than (y, eta)
+    both = wigner_series_radial(np.stack([diag, 2.0 * diag], axis=1), lams, r2)
+    assert both.shape == (2, 9, 9)
+    for lam, scale, got in zip(lams, (1.0, 2.0), both):
+        want = wigner_series(np.diag(scale * diag), lam, axis, axis)
+        assert np.abs(wigner_series_radial(scale * diag, lam, r2) - want).max() \
+            <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(got, wigner_series_radial(scale * diag, lam, r2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(0, 60), L=st.integers(1, 4), R=st.integers(1, 6), alpha=st.integers(0, 3),
+    x_max=st.sampled_from([5.0, 200.0, 3000.0]), seed=st.integers(0, 2**32 - 1),
+)
+def test_laguerre_sum_broadcasts_coefficients_bit_exactly(K, L, R, alpha, x_max, seed):
+    # x up to 3000 crosses the 2^400 rescaling; zeroed tails skip rows
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, x_max, size=(L, R))
+    coeffs = rng.normal(size=(K + 1, L)) + 1j * rng.normal(size=(K + 1, L))
+    coeffs[np.arange(K + 1)[:, None] > rng.integers(0, K + 1, size=L)] = 0.0
+    # a column of coefficients per row of x, against one call per row
+    rows = np.stack([_laguerre_sum(alpha, coeffs[:, i], x[i]) for i in range(L)])
+    assert np.array_equal(_laguerre_sum(alpha, coeffs[:, :, None], x), rows)
+    # a band's two diagonals against a grid of x: with a 1-d coefficient
+    # vector the former outer product and the broadcast are one product
+    band = coeffs[:, :2] if L >= 2 else np.concatenate([coeffs, -coeffs], axis=1)
+    both = np.stack([_laguerre_sum(alpha, band[:, i], x) for i in range(2)])
+    assert np.array_equal(_laguerre_sum(alpha, band[:, :, None, None], x), both)
 
 
 @settings(max_examples=30, deadline=None)
@@ -207,6 +236,8 @@ def test_series_diagonal_vector_is_the_diagonal_matrix():
     y=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
     eta=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3),
 )
+# rho^2 = 1464: both routes return e^{-732} ~ 1.6e-319, one subnormal ulp apart
+@example(n_top=0, seed=0, lam=12.0, sign=-1.0, y=[5.0], eta=[6.0])
 def test_dense_series_matches_termwise_sum(n_top, seed, lam, sign, y, eta):
     # complex rows without Hermitian symmetry, every band occupied
     rng = np.random.default_rng(seed)
@@ -215,7 +246,10 @@ def test_dense_series_matches_termwise_sum(n_top, seed, lam, sign, y, eta):
     want = sum(rows[n, m] * wigner_eval((n,), (m,), sign * lam, pts)
                for n in range(n_top + 1) for m in range(n_top + 1))
     got = wigner_series_dense(rows, sign * lam, y, eta)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # below the smallest normal float the spacing is 4.9e-324, so a sum
+    # there holds fewer digits than the relative bound asks for
+    scale = max(np.abs(want).max(), np.finfo(float).tiny)
+    assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 # n_top 64 is the config's n_max cap, the top of the range tables reach
