@@ -461,7 +461,8 @@ def _n_extent(theta, lam, n_cap):
     index 0, else ``n_cap``; 0 where theta vanishes at index 0."""
     probes = [4 << k for k in range(n_cap.bit_length()) if 4 << k < n_cap]
     idx = np.repeat(np.array([0] + probes)[:, None, None], theta.d, axis=2)
-    mags = np.abs(theta(idx, idx, lam))                          # (probes, lambda)
+    # a theta whose interior ignores lambda returns one column: spread it
+    mags = np.broadcast_to(np.abs(theta(idx, idx, lam)), (len(probes) + 1, np.size(lam)))
     # a last row of True picks n_cap where no probe falls small
     small = np.vstack([mags[1:] < 1e-15 * mags[0], np.ones(mags.shape[1], dtype=bool)])
     top = np.array(probes + [n_cap])[np.argmax(small, axis=0)]
@@ -522,10 +523,9 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     table_n = theta.label.startswith("table")
     n_tops = np.full(len(cols), n_max) if table_n else _n_extent(theta, lam_list, n_cap)
     capped = (n_tops == n_cap) & (not table_n)
-    tail = 0.0
-    for lam, weight in zip(lam_list[capped], grid.weights[cols[capped]]):
-        al = abs(lam)
-        tail += weight * al / (8.0 * al * n_cap) if al * n_cap < 4.0 else 0.0
+    # a running sum in lambda order (np.sum's pairwise order moves the last bit)
+    tail = sum((grid.weights[cols] / (8.0 * n_cap))[capped & (np.abs(lam_list) * n_cap < 4.0)]
+               .tolist(), 0.0)
 
     if theta.band == 0:
         r2, ring = np.unique((y_axis[:, None] ** 2 + e_axis[None, :] ** 2).ravel(),

@@ -410,6 +410,18 @@ def test_tail_correction_on_radii_matches_the_grid(lam):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_lambda_free_diagonal_theta_gets_an_extent_per_lambda(small_grid):
+    # the interior ignores lam, so one call returns a single lambda column
+    theta = FreqFunction(lambda n, m, lam: np.where((n == m).all(axis=-1),
+                                                    np.exp(-n.sum(axis=-1)), 0.0),
+                         diagonal=True)
+    lams = np.array([-2.0, 0.5, 3.0])
+    assert theta(np.zeros((2, 1, 1), int), np.zeros((2, 1, 1), int), lams).shape == (2, 1)
+    assert transform._n_extent(theta, lams, 600).tolist() == [64, 64, 64]
+    fld, _ = inverse_on_grid(theta, small_grid, 8, points=(5, 5, 5))
+    assert np.isfinite(fld.samples).all()
+
+
 def test_banded_inverse_builds_no_rotation_block(monkeypatch, small_grid):
     theta = profile_to_freq_function(profile_exp_floor(0.5))
     assert theta.band == 2
