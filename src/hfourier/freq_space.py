@@ -19,9 +19,10 @@ broadcast shape.  Boundary values follow the same contract, with x. and k
 of shape S + (d,).  ``band`` (largest |m - n|; 0 diagonal, None dense)
 alone describes the support, so every sum is one array reduction over the
 band; the adaptive diagonal sums of :mod:`hfourier.distributions`
-evaluate blocks of samples per call: the finite part every index shell,
-the band sum (d = 1) the shells n < 8 and then a stride of n per lambda,
-evenly spaced in x. = |lam|(2n + k + 1).
+evaluate blocks of samples per call: the finite part (d = 1) the shells
+n < 32 and then integer nodes geometric in x. = |lam|(2n + 1), shared by
+every lambda, the band sum (d = 1) the shells n < 8 and then a stride of
+n per lambda, evenly spaced in x. = |lam|(2n + k + 1).
 """
 
 import json
@@ -332,17 +333,19 @@ def box_pairs(d, n_max, band=None):
     return n[keep], m[keep]
 
 
-def shell_tail(prev, last, n):
+def shell_tail(prev, last, n, prev_n=None):
     """Tail sum_{j > n} s_j of index-shell sums that decay like a power.
 
-    The power law s_j ~ C j^-p is fitted to two consecutive shells,
-    ``prev`` = s_{n-1} and ``last`` = s_n, giving last * n / (p - 1).
-    The tail is 0 after an empty shell and inf unless the shells fall
-    faster than j^-1.05.  Broadcasts over arrays of shells.
+    The power law s_j ~ C j^-p is fitted to two shells, ``prev`` at
+    ``prev_n`` (default n - 1) and ``last`` at n, giving last * n / (p - 1),
+    which is also the integral of the fit beyond n.  The tail is 0 after
+    an empty shell and inf unless the shells fall faster than j^-1.05.
+    Broadcasts over arrays of shells.
     """
     prev, last, n = (np.asarray(v, dtype=float) for v in (prev, last, n))
+    prev_n = n - 1.0 if prev_n is None else np.asarray(prev_n, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.log(prev / last) / np.log(n / (n - 1.0))
+        p = np.log(prev / last) / np.log(n / prev_n)
         fit = last * n / (p - 1.0)
     return np.where(last == 0.0, 0.0, np.where((last < prev) & (p > 1.05), fit, math.inf))
 

@@ -191,17 +191,16 @@ def test_pair_command_at_d2(tmp_path, capsys):
     config.write_text(json.dumps({"d": 2}))
 
     def run(distribution, theta):
-        assert main(["pair", "--distribution", distribution, "--theta", theta,
-                     "--config", str(config)]) == 0
-        return json.loads(capsys.readouterr().out)
+        return main(["pair", "--distribution", distribution, "--theta", theta,
+                     "--config", str(config)])
 
-    rec = run("dirac-origin", "heat:1.0")
+    assert run("dirac-origin", "heat:1.0") == 0
+    rec = json.loads(capsys.readouterr().out)
     assert (rec["value_re"], rec["value_im"], rec["tail_bound"]) == (1.0, 0.0, 0.0)
-    for theta, want in [("heat:1.0", -2.3434), ("gauss_profile:1.0", -1.8011),
-                        ("exp_floor:0.5", 0.063685)]:
-        rec = run("finite-part:3.2", theta)
-        assert rec["value_re"] == pytest.approx(want, rel=1e-4)
-        assert math.isfinite(rec["tail_bound"])
+    # the finite part is summed at d = 1 only, and refused above
+    for theta in ("heat:1.0", "gauss_profile:1.0", "exp_floor:0.5"):
+        assert run("finite-part:3.2", theta) == 1
+        assert "finite part implemented for d = 1" in capsys.readouterr().err
 
 
 BAD_CONFIGS = [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
+from scipy.special import zeta
 
 import hfourier.distributions as distributions
 from hfourier.distributions import (
@@ -198,9 +199,72 @@ def test_finite_part_reduces_to_plain_integral(grid):
         w = (np.abs(lam) * (2 * n.sum(-1) + 1.0)) ** (-gdx)
         return w * away(n, m, lam)
 
-    # match the adaptive diagonal depth of the finite-part sum
-    rhs = integrate(FreqFunction(weighted, d=1, diagonal=True), grid, 4000).value.real
+    # 40000 shells cover the support x. < 8 down to lambda_min = 1e-4
+    rhs = integrate(FreqFunction(weighted, d=1, diagonal=True), grid, 40000).value.real
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+def _full_shell_sum(gammas, theta, grid, x_cut=60.0, block=8192):
+    """The finite part on the grid with every index shell summed, one value
+    per exponent: the theta part shell by shell until x. = lam (2n + 1)
+    passes ``x_cut`` at every lambda (the fixtures fall like e^{-x.}
+    there), the origin part 2^{-gamma} zeta(gamma, 1/2) in closed form."""
+    pos = grid.lam[grid.lam > 0]
+    wpos = grid.weights[grid.lam > 0]
+    gammas = np.asarray(gammas)[:, None, None]
+    part = np.zeros(gammas.shape[0], dtype=complex)
+    for n0 in range(0, int(x_cut / (2.0 * pos[0])) + block, block):
+        live = (2.0 * n0 + 1.0) * pos < x_cut
+        if not live.any():
+            break
+        lam = pos[live]
+        n = np.arange(n0, n0 + block)[:, None]
+        vals = theta(n[:, None], n[:, None], np.concatenate([lam, -lam]))
+        both = vals[:, : len(lam)] + vals[:, len(lam):]
+        part += np.sum(both * (2.0 * n + 1.0) ** -gammas * wpos[live] * lam ** (1.0 - gammas),
+                       axis=(1, 2))
+    g = gammas[:, 0, 0]
+    coef = np.sum(wpos * pos ** (1.0 - g[:, None]), axis=1) + grid.lambda_max ** (2.0 - g) / (g - 2.0)
+    return part - 2.0 * theta.value_at_origin(grid) * 2.0 ** -g * zeta(g, 0.5) * coef
+
+
+@pytest.mark.parametrize("name", ["heat", "gauss_profile", "exp_floor"])
+def test_finite_part_matches_the_full_shell_sum(grid, name):
+    # the geometric node rule against every shell summed, on the same grid
+    th = _band_fixture(name)
+    gammas = (2.1, 2.3, 2.45)
+    want = _full_shell_sum(gammas, th, grid)
+    for g, w in zip(gammas, want):
+        v, _ = distributions._finite_part(g, th, grid, 1, atol=1e-6)
+        assert abs(v - w) <= 1e-6, (g, v, w)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_finite_part_closed_form_on_a_deep_grid(t):
+    # down to lambda_min = 1e-8 the uncovered strip is about 1e-8, so the
+    # value meets the closed form (pi^2/4) Gamma(2 - gamma) (4t)^{gamma - 2}
+    g = 2.1
+    res = pair(Distribution.single("freq_finite_part", payload=g), heat_profile(t),
+               LambdaGrid(1e-8, 16.0, 240))
+    want = (math.pi**2 / 4.0) * gamma_fn(2.0 - g) * (4.0 * t) ** (g - 2.0)
+    assert res.value.real == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("g", [2.1, 2.3, 2.45])
+def test_finite_part_samples_few_entries(g):
+    # the node rule stops once the theta part has decayed: a shell-by-shell
+    # sum to n = 4000 would evaluate 1.28e6 entries on the default grid
+    heat = heat_profile(0.5)
+    sizes = []
+
+    def counted(n, m, lam):
+        out = heat(n, m, lam)
+        sizes.append(out.size)
+        return out
+
+    spy = FreqFunction(counted, d=1, band=0, boundary=heat.at_boundary)
+    pair(Distribution.single("freq_finite_part", payload=g), spy, LambdaGrid())
+    assert 0 < sum(sizes) <= 1.5e5
 
 
 def test_g_hat_boundary_oracles():
