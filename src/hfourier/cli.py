@@ -32,10 +32,22 @@ from .verify import SUITES, run_suites
 from .wigner import boundary_kernel
 
 
+def _json_safe(obj):
+    """``obj`` with every non-finite float as None: JSON has no inf or nan."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _json_text(obj, indent=None):
+    return json.dumps(_json_safe(obj), indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _json_dump(obj, path):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(obj, indent=2) + "\n")
 
 
 def _load_field(path):
@@ -185,7 +197,7 @@ def cmd_pair(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _json_dump(record, os.path.join(args.out, "pairing.json"))
-    print(json.dumps(record, sort_keys=True))
+    print(_json_text(record))
     return 0
 
 

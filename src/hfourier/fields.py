@@ -219,14 +219,23 @@ def read_field(path):
 def _write_csv(path, header, columns):
     """Write the broadcast of ``columns`` (arrays of two or more axes after
     broadcasting) as the columns of a CSV under ``header``, rows in C
-    order, each number as its shortest round-trip repr.  Rows are formatted
-    one slice of the leading axis at a time."""
-    columns = np.broadcast_arrays(*columns)
+    order, each number as its shortest round-trip repr.  A column smaller
+    than the broadcast (an index or an axis) has its distinct values
+    formatted once; only the full columns pay a repr per row.  Rows are
+    formatted one slice of the leading axis at a time."""
+    shape = np.broadcast_shapes(*(np.shape(col) for col in columns))
+    fields, cells = [], []
+    for col in map(np.asarray, columns):
+        small = col.size < math.prod(shape)
+        if small:
+            col = np.array(list(map(repr, col.ravel().tolist())), dtype=object).reshape(col.shape)
+        fields.append("%s" if small else "%r")
+        cells.append(np.broadcast_to(col, shape))
+    row = ",".join(fields) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(columns[0].shape[0]):
-            fh.writelines(",".join(map(repr, row)) + "\n"
-                          for row in zip(*(col[i].ravel().tolist() for col in columns)))
+        for i in range(shape[0]):
+            fh.writelines(map(row.__mod__, zip(*(cell[i].ravel().tolist() for cell in cells))))
 
 
 def field_to_csv(fld, path):

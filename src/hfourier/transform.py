@@ -15,21 +15,24 @@ Three numerical routes are provided and cross-checked:
   so the partial-transform argument stays on the (trigonometrically
   refined) y-lattice and no polynomial interpolation ever enters; the
   Hermite pair in those coordinates is a finite orthogonal sum of products
-  h_p(a) h_q(c), so the projection is two small GEMMs per lambda;
+  h_p(a) h_q(c), so the projection contracts the u-lattice for a whole
+  block of lambdas in one stacked GEMM and leaves two small GEMMs per
+  lambda on the tau side;
 * ``rep_matrix_coeff`` -- matrix coefficients of the operator-valued
   transform through its integral kernel, with the projection integrals
   done in closed form via the Fourier eigenfunction property of the
   Hermite functions.
 
 The inverse sums e^{i s lam} W theta against the frequency measure with
-the constant 2^{d-1} / pi^{d+1}.  On a grid, each lambda slice
-sum_{n,m} theta W goes through the forward's 45-degree rotation when theta
-is dense (two Hermite row evaluations and one GEMM pair), and is a sum of
-Laguerre functions in rho^2 = 2 |lam| |Y|^2 when theta is banded (one
-recurrence per band |n - m|).  A diagonal slice is radial in Y: it is
-summed on the distinct radii of the grid only, every lambda in one
-recurrence.  The oscillatory lambda stage then integrates the slices
-against e^{i s lam} through one (lambda, s) weight matrix.
+the constant 2^{d-1} / pi^{d+1}.  On a grid, the lambda slices
+sum_{n,m} theta W go through the forward's 45-degree rotation when theta
+is dense (every lambda at once: two Hermite row evaluations and one
+stacked GEMM pair), and are sums of Laguerre functions in
+rho^2 = 2 |lam| |Y|^2 when theta is banded (one recurrence per band
+|n - m| and lambda).  A diagonal slice is radial in Y: it is summed on
+the distinct radii of the grid only, every lambda in one recurrence.  The
+oscillatory lambda stage then integrates the stacked slices against
+e^{i s lam} through one (lambda, s) weight matrix.
 """
 
 import json
@@ -186,7 +189,7 @@ def table_from_csv(path, sidecar=None):
     if not np.all(np.isfinite(data[:, 2 * d + 1 :])):
         raise ValueError(f"{path}: non-finite value")
     flat = np.ravel_multi_index(tuple(idx.astype(int).T) + (il,), shape)
-    if np.unique(flat).size != flat.size:
+    if np.bincount(flat).max() > 1:
         raise ValueError(f"{path}: duplicate (n, m, lambda) rows")
     values = np.zeros(math.prod(shape), dtype=complex)
     values.real[flat] = data[:, 2 * d + 1]
@@ -238,14 +241,16 @@ def forward_direct(fld, n, m, lam):
 # ---------------------------------------------------------------------------
 
 def _upsample_axis(arr, factor, axis=0):
-    """Trigonometric refinement of a uniformly sampled axis (odd length)."""
+    """Trigonometric refinement of a uniformly sampled axis (odd length):
+    the spectrum zero-padded between its nonnegative and negative halves."""
     N = arr.shape[axis]
-    spec = np.fft.fftshift(np.fft.fft(arr, axis=axis), axes=axis)
-    pad = [(0, 0)] * arr.ndim
-    extra = (N * factor - N)
-    pad[axis] = (extra // 2 + (extra % 2), extra // 2)
-    spec = np.pad(spec, pad)
-    out = np.fft.ifft(np.fft.ifftshift(spec, axes=axis), axis=axis) * factor
+    spec = np.moveaxis(np.fft.fft(arr, axis=axis), axis, 0)
+    padded = np.zeros((N * factor,) + spec.shape[1:], dtype=complex)
+    half = (N + 1) // 2
+    padded[:half] = spec[:half]
+    padded[N * factor - (N - half):] = spec[half:]
+    out = np.fft.ifft(np.moveaxis(padded, 0, axis), axis=axis)
+    out *= factor
     return out
 
 
@@ -258,28 +263,35 @@ def _gl_panels(extent, bandwidth):
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def _xi_cutoff(fs_up, eta_axis, h_eta):
-    """Smallest |xi| beyond which the eta-transform of F_s f is negligible.
+def _xi_cutoff(slabs, eta_axis, h_eta):
+    """Smallest |xi| beyond which the eta-transform of F_s f is negligible,
+    for each (u, eta) slab of the stack ``slabs`` (shape (..., u, eta)).
 
-    Capped at the eta-grid Nyquist frequency: past it the discrete sum is
-    pure alias and carries no further information.
+    The candidates 2, 3.2, 5.12, .. (factor 1.6) below the eta-grid Nyquist
+    frequency are tried in one matmul; the first whose transform falls
+    under 1e-10 of the slab's largest sample is the cutoff, else Nyquist:
+    past it the discrete sum is pure alias and carries no further
+    information.  An all-zero slab gets 1.
     """
     nyquist = math.pi / h_eta
-    ref = float(np.abs(fs_up).max())
-    if ref == 0.0:
-        return 1.0
+    cands = []
     xi = 2.0
     while xi < nyquist:
-        phase = np.exp(-1j * xi * eta_axis) * h_eta
-        amp = float(np.abs(fs_up @ phase).max())
-        if amp < 1e-10 * ref:
-            return xi
+        cands.append(xi)
         xi *= 1.6
-    return nyquist
+    ref = np.abs(slabs).max(axis=(-2, -1))
+    phase = np.exp(-1j * np.outer(eta_axis, cands)) * h_eta       # (eta, k)
+    small = np.abs(slabs @ phase).max(axis=-2) < 1e-10 * ref[..., None]
+    # a last column of True picks Nyquist where no candidate falls small
+    small = np.concatenate([small, np.ones(small.shape[:-1] + (1,), dtype=bool)], axis=-1)
+    return np.where(ref == 0.0, 1.0, np.array(cands + [nyquist])[np.argmax(small, axis=-1)])
 
 
 # trigonometric refinement of the lattice variable in the forward projection
 _UPSAMPLE = 8
+# lambdas projected together: bounds the (q, lambda, u) and (p, sum K)
+# Hermite stacks and the phases at a few MB whatever the grid
+_LAM_BLOCK = 16
 
 
 def forward_factored(fld, n_max, grid):
@@ -295,9 +307,16 @@ def forward_factored(fld, n_max, grid):
     alias-free across the whole (n, lam) range.  The pair is a
     45-degree rotation of h_{N-k}(a) h_k(c), a = sqrt(2|lam|) tau,
     c = sqrt(2|lam|) u, N = n + m (see :func:`_rotation_block`), so the
-    quadrature reduces to the moments M[p, q] of h_p(a) h_q(c), one GEMM
-    pair per lam on Hermite rows to order 2 n_max, and each entry is
-    sqrt|lam| sum_k D_N[k, n] M[N-k, k].
+    quadrature reduces to the moments M[p, q] of h_p(a) h_q(c), and each
+    entry is sqrt|lam| sum_k D_N[k, n] M[N-k, k].
+
+    The lambdas are stacked, in blocks of ``_LAM_BLOCK``: the Nyquist and
+    empty-slice skips and the xi-cutoffs take one pass, and the u-lattice
+    is contracted first, B = H_u S for every slab S of the block in one
+    stacked real GEMM on one Hermite row evaluation.  Only the tau side,
+    whose node count varies with lambda, stays per lambda:
+    M = (H_tau w) (B phase)^T, its Hermite rows again from one evaluation
+    on the block's concatenated nodes.
     """
     if fld.d != 1:
         raise ValueError("factored pipeline implemented for d = 1 (use forward_direct elsewhere)")
@@ -314,43 +333,53 @@ def forward_factored(fld, n_max, grid):
         lams = grid.lam[grid.lam > 0]
     else:
         lams = lam_all
-    fs = _fs_many(fld, lams)                       # (y, eta, L+)
-    fs_up = _upsample_axis(fs, _UPSAMPLE, axis=0)  # trig refinement of y
+    # trig refinement of y, built in (lam, u, eta) layout
+    fs_up = _upsample_axis(np.moveaxis(_fs_many(fld, lams), -1, 0), _UPSAMPLE, axis=1)
     hu = hy / _UPSAMPLE
-    u_axis = -Ly + hu * np.arange(fs_up.shape[0])
-    global_max = float(np.abs(fs_up).max())
+    u_axis = -Ly + hu * np.arange(fs_up.shape[1])
+    smax = np.abs(fs_up).max(axis=(1, 2))
 
     root_pref = math.sqrt(2 * n_max + 1)
     # the sampled vertical axis resolves no frequency beyond pi / h_s; the
-    # discrete sum would return the alias there, so those slices stay zero
+    # discrete sum would return the alias there, so those slices stay zero,
+    # as do slices negligible against the largest
     s_nyquist = math.pi / fld.spacings[2]
+    live = np.flatnonzero((np.abs(lams) <= 0.98 * s_nyquist) & (smax >= 1e-15 * smax.max()))
     # sqrt|lam| int h_p(a) h_q(c) phi du dtau, a = sqrt(2|lam|) tau, c = sqrt(2|lam|) u
     moments = np.zeros((2 * n_max + 1, 2 * n_max + 1, L), dtype=complex)
 
-    for col, lam in enumerate(lams):
-        if abs(lam) > 0.98 * s_nyquist:
-            continue
-        slab = fs_up[:, :, col]                    # (u, eta)
-        smax = float(np.abs(slab).max())
-        if smax < 1e-15 * global_max:
-            continue
-        al = abs(lam)
-        rl = math.sqrt(al)
-        xi_cut = _xi_cutoff(slab, eta_axis, h_eta)
+    for start in range(0, len(live), _LAM_BLOCK):
+        cols = live[start:start + _LAM_BLOCK]
+        lam = lams[cols]
+        al = np.abs(lam)
+        rl = np.sqrt(al)
+        slabs = fs_up[cols]                                            # (b, u, eta)
+        xi_cut = _xi_cutoff(slabs, eta_axis, h_eta)
         t_hermite = (root_pref + 9.0) / rl + Ly
         t_phi = 1.15 * xi_cut / (2.0 * al)
-        extent = min(t_hermite, t_phi)
+        extent = np.minimum(t_hermite, t_phi)
         # Hermite-pair band plus Gaussian-envelope width, both sqrt(lam)-scaled
         bandwidth = rl * (2.0 * root_pref + 8.0) + 2.0 * al * abs(eta_axis).max()
-        tau, wtau = _gl_panels(extent, bandwidth)
+        rules = [_gl_panels(e, b) for e, b in zip(extent.tolist(), bandwidth.tolist())]
+        sizes = [len(tau) for tau, _ in rules]
+        tau = np.concatenate([tau for tau, _ in rules])
+        wtau = np.concatenate([w for _, w in rules])
 
-        phase = np.exp(-2j * lam * np.outer(eta_axis, tau)) * h_eta
-        phi = slab @ phase                         # (u, K)
-
-        h_tau = hermite_rows(2 * n_max, math.sqrt(2.0) * rl * tau)     # (p, K)
-        h_u = hermite_rows(2 * n_max, math.sqrt(2.0) * rl * u_axis)    # (q, u)
-        il = int(np.searchsorted(lam_all, lam))
-        moments[:, :, il] = rl * h_tau @ (h_u @ (phi * (wtau * hu))).T
+        # B = H_u S h_eta, the real rows against the real view of the complex slabs
+        h_u = hermite_rows(2 * n_max, (math.sqrt(2.0) * rl)[:, None] * u_axis)  # (q, b, u)
+        B = (h_u.transpose(1, 0, 2) @ slabs.view(float)).view(complex)          # (b, q, eta)
+        B *= h_eta
+        h_tau = hermite_rows(2 * n_max, np.repeat(math.sqrt(2.0) * rl, sizes) * tau)  # (p, sum K)
+        h_tau *= np.repeat(rl, sizes) * (wtau * hu)
+        # e^{-2 i lam eta tau}; cos and sin apart cost less than the complex exp
+        arg = np.outer(eta_axis, tau) * (-2.0 * np.repeat(lam, sizes))
+        phase = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=phase.real)
+        np.sin(arg, out=phase.imag)
+        splits = np.cumsum(sizes)[:-1]
+        for il, b, ph, ht in zip(np.searchsorted(lam_all, lam).tolist(), B,
+                                 np.split(phase, splits, axis=1), np.split(h_tau, splits, axis=1)):
+            moments[:, :, il] = (ht @ (ph.T @ b.T).view(float)).view(complex)   # (p, q)
 
     # h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) = sum_k D_N[k, n] h_{N-k}(a) h_k(c), N = n+m
     values = np.zeros((n_max + 1, n_max + 1, L), dtype=complex)
@@ -492,18 +521,20 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     frequency functions the diagonal extent n_top adapts per lambda up to
     ``n_cap`` (one probe call for every lambda; the skipped remainder is
     bounded by 1/(32 pi^2 n_cap) per unit lambda mass and folded into the
-    reported tail).  Each lambda slice chi = sum_{n,m} theta_nm W_nm is
+    reported tail).  The lambda slices chi = sum_{n,m} theta_nm W_nm are
     summed by a route chosen from ``theta.band``: a dense theta (tables
     and their multipliers) on the (y, eta) grid through the 45-degree
-    rotation of :func:`hfourier.wigner.wigner_series_dense`; a banded
-    theta on the grid by one Laguerre recurrence per band
-    (:func:`hfourier.wigner.wigner_series`); a diagonal theta, whose slice
-    is radial in Y, on the distinct values of |Y|^2 of the grid, by one
-    Laguerre recurrence for every lambda at once
-    (:func:`hfourier.wigner.wigner_series_radial`, theta evaluated once on
-    the diagonal up to the largest n_top, each lambda zeroed past its
-    own).  The oscillatory lambda stage then runs on those radii, and one
-    gather spreads them over the grid.
+    rotation of :func:`hfourier.wigner.wigner_series_dense`, every lambda
+    in one call; a banded theta on the grid by one Laguerre recurrence per
+    band and lambda (:func:`hfourier.wigner.wigner_series`); a diagonal
+    theta, whose slice is radial in Y, on the distinct values of |Y|^2 of
+    the grid, by one Laguerre recurrence for every lambda at once
+    (:func:`hfourier.wigner.wigner_series_radial`).  A dense or diagonal
+    theta is evaluated once, on the box of the largest n_top, each lambda
+    zeroed past its own; a banded one per lambda on its own box.  Slices
+    whose rows are all zero stay zero.  The oscillatory lambda stage then
+    runs on the stacked slices (on the radii for a diagonal theta, and one
+    gather spreads them over the grid).
 
     ``assume_symmetric=True`` skips the negative-lambda half and doubles
     the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
@@ -530,7 +561,6 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     if theta.band == 0:
         r2, ring = np.unique((y_axis[:, None] ** 2 + e_axis[None, :] ** 2).ravel(),
                              return_inverse=True)
-        yshape = r2.shape
         idx = np.arange(n_tops.max() + 1)[:, None, None]
         rows = np.where(idx[:, :, 0] <= n_tops, theta(idx, idx, lam_list), 0.0)  # (n, lambda)
         chi = wigner_series_radial(rows, lam_list, r2)             # (lambda, radii)
@@ -538,23 +568,27 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
             tail_row = _diagonal_tail_correction(theta, lam_list[il], n_cap, np.sqrt(r2))
             if tail_row is not None:
                 chi[il] += tail_row
-        chi_slices = dict(zip(lam_list, chi))
     else:
-        yshape = (points[0], points[1])
-        chi_slices = {}
-        for lam, n_top in zip(lam_list, n_tops.tolist()):
-            n, m = box_pairs(1, n_top, theta.band)
-            rows = np.zeros((n_top + 1, n_top + 1), dtype=complex)
-            rows[n[:, 0], m[:, 0]] = theta(n, m, lam)
-            if not np.any(rows):
-                continue
-            if theta.band is None:
-                chi_slices[lam] = wigner_series_dense(rows, lam, y_axis, e_axis)
-            else:
-                chi_slices[lam] = wigner_series(rows, lam, y_axis, e_axis)
+        chi = np.zeros((len(lam_list), points[0], points[1]), dtype=complex)
+        if theta.band is None:
+            # theta once on the box of the largest n_top, each lambda zeroed past its own
+            K = int(n_tops.max())
+            n, m = box_pairs(1, K)
+            rows = np.zeros((K + 1, K + 1, len(lam_list)), dtype=complex)
+            rows[n[:, 0], m[:, 0]] = np.where(np.maximum(n, m) <= n_tops,
+                                              theta(n[:, None], m[:, None], lam_list), 0.0)
+            live = np.flatnonzero(np.any(rows, axis=(0, 1)))
+            chi[live] = wigner_series_dense(rows[:, :, live], lam_list[live], y_axis, e_axis)
+        else:
+            # a banded theta stays on each lambda's own box, which n_cap may make large
+            for il, (lam, n_top) in enumerate(zip(lam_list, n_tops.tolist())):
+                n, m = box_pairs(1, n_top, theta.band)
+                rows = np.zeros((n_top + 1, n_top + 1), dtype=complex)
+                rows[n[:, 0], m[:, 0]] = theta(n, m, lam)
+                if np.any(rows):
+                    chi[il] = wigner_series(rows, lam, y_axis, e_axis)
 
-    out = _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape,
-                                    assume_symmetric)
+    out = _oscillatory_lambda_stage(chi, lam_list, grid, s_axis, assume_symmetric)
     out *= 2.0 ** (d - 1) / math.pi ** (d + 1)
     if theta.band == 0:
         out = out[ring].reshape(points[0], points[1], -1)
@@ -589,30 +623,32 @@ def _resample_log(lam_src, lam_dst):
     return out
 
 
-def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmetric):
+def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis, symmetric):
     """Integrate chi(., lam) |lam| e^{i s lam} d lam.
 
-    The angular stage is smooth on the geometric grid, but e^{i s lam}
-    needs a lambda spacing tied to the largest |s|.  Below the split point
-    (where the geometric spacing still resolves the phase) the source grid
-    integrates directly; above it the slices are resampled onto a dense
-    uniform grid (cubic in log lambda, where they are smooth) and summed
-    by composite Simpson.  Both pieces are linear in the source slices, so
-    they fold into one (lambda, s) matrix and one contraction per branch.
+    ``chi`` stacks one slice per lambda of ``lam_list`` on its first axis
+    (zero for slices that carry no weight); the result has shape
+    chi.shape[1:] + (len(s_axis),).  The angular stage is smooth on the
+    geometric grid, but e^{i s lam} needs a lambda spacing tied to the
+    largest |s|.  Below the split point (where the geometric spacing still
+    resolves the phase) the source grid integrates directly; above it the
+    slices are resampled onto a dense uniform grid (cubic in log lambda,
+    where they are smooth) and summed by composite Simpson.  Both pieces
+    are linear in the source slices, so they fold into one (lambda, s)
+    matrix and one contraction per branch.
     """
     s_max = float(np.abs(s_axis).max())
     h_d = min(0.02, 2.0 * math.pi / (48.0 * max(s_max, 1.0)))
-    out = np.zeros(yshape + (len(s_axis),), dtype=complex)
+    out = np.zeros(chi.shape[1:] + (len(s_axis),), dtype=complex)
 
-    branches = [(+1.0, np.asarray([l for l in lam_list if l > 0]))]
-    if not symmetric:
-        branches.append((-1.0, -np.asarray(sorted(l for l in lam_list if l < 0))[::-1]))
-    zero = np.zeros(yshape, dtype=complex)
-    for sign, lam_pos in branches:
-        if len(lam_pos) == 0:
+    branches = [+1.0] if symmetric else [+1.0, -1.0]
+    for sign in branches:
+        cols = np.flatnonzero(sign * lam_list > 0)
+        if len(cols) == 0:
             continue
-        lam_pos = np.sort(lam_pos)
-        chi = np.stack([chi_slices.get(sign * l, zero) for l in lam_pos], axis=-1)
+        cols = cols[np.argsort(np.abs(lam_list[cols]))]
+        lam_pos = np.abs(lam_list[cols])
+        slices = chi[cols]
         h_t = math.log(lam_pos[1] / lam_pos[0])
         lam_split = h_d / max(math.expm1(h_t), 1e-300)
         j = int(np.searchsorted(lam_pos, lam_split))
@@ -630,12 +666,12 @@ def _oscillatory_lambda_stage(chi_slices, lam_list, grid, s_axis, yshape, symmet
             wts_d = simpson_log_weights(count, lam_dense[1] - lam_dense[0])
             dense = (lam_dense * wts_d)[:, None] * np.exp(1j * sign * np.outer(lam_dense, s_axis))
             kernel += _resample_log(lam_pos, lam_dense).T @ dense
-        contrib = np.tensordot(chi, kernel, axes=([-1], [0]))
+        contrib = np.tensordot(slices, kernel, axes=([0], [0]))
 
         # covered range starts at lam_min; the strip (0, lam_min] carries the
         # boundary limit of chi |lam|, recovered by sqrt(lam) extrapolation
-        F1 = chi[..., 0] * lam_pos[0]
-        F2 = chi[..., 1] * lam_pos[1]
+        F1 = slices[0] * lam_pos[0]
+        F2 = slices[1] * lam_pos[1]
         F0 = sqrt_richardson(lam_pos[0], F1, lam_pos[1], F2)
         contrib += (lam_pos[0] * 0.5 * (F0 + F1))[..., None] * np.ones(len(s_axis))
 

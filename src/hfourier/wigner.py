@@ -210,22 +210,42 @@ def wigner_series_dense(rows, lam, y_axis, eta_axis):
         sqrt(pi) H_a^T A^T H_b,   A[N-k, k] = i^{N-k} sum_n D_N[k, n] rows[n, N-n],
 
     H_a = h_0..h_{2K}(sqrt2 a) and H_b = h_0..h_{2K}(b / sqrt2) for
-    K = len(rows) - 1: two Hermite row evaluations and one GEMM pair,
-    whatever the band.  The blocks D_N reach N = 2K.
+    K = len(rows) - 1, whatever the band.  The blocks D_N reach N = 2K.
+    ``lam`` may be an array: ``rows`` then has shape (K + 1, K + 1) +
+    lam.shape, one square per lambda, and every lambda shares one loop over
+    N, two Hermite row evaluations and one stacked GEMM pair.  Returns an
+    array of shape lam.shape + (len(y_axis), len(eta_axis)).
     """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam == 0):
+        raise ValueError("lam must be nonzero")
+    rows = np.asarray(rows)
+    top = 2 * (rows.shape[0] - 1)
+    lam_col = lam.reshape(-1, 1)
+    root = np.sqrt(np.abs(lam_col))
+    a = root * np.asarray(y_axis, dtype=float)                                 # (L, y)
+    b = 2.0 * np.copysign(root, lam_col) * np.asarray(eta_axis, dtype=float)   # (L, eta)
+    # H_a^T A^T for every lambda: the real rows against the real view of A^T
+    h_a = hermite_rows(top, math.sqrt(2.0) * a).transpose(1, 2, 0)             # (L, y, q)
+    left = h_a @ _dense_coefficients(rows.reshape(rows.shape[:2] + (-1,))).view(float)
+    h_b = hermite_rows(top, b / math.sqrt(2.0)).transpose(1, 0, 2)             # (L, p, eta)
+    out = left.view(complex) @ h_b
+    return out.reshape(lam.shape + out.shape[1:])
+
+
+def _dense_coefficients(rows):
+    """sqrt(pi) A^T of :func:`wigner_series_dense` for each square
+    rows[:, :, l], stacked on the first axis: entry [l, k, N - k] is
+    sqrt(pi) i^{N-k} sum_n D_N[k, n] rows[n, N-n, l], one loop over N for
+    every lambda."""
     K = rows.shape[0] - 1
-    top = 2 * K
-    a, b, _ = _scaled_coords(lam, np.asarray(y_axis, dtype=float)[:, None],
-                             np.asarray(eta_axis, dtype=float)[None, :])
-    coeffs = np.zeros((top + 1, top + 1), dtype=complex)
-    for N in range(top + 1):
+    a_t = np.zeros((rows.shape[2], 2 * K + 1, 2 * K + 1), dtype=complex)
+    for N in range(2 * K + 1):
         n = np.arange(max(0, N - K), min(N, K) + 1)
         k = np.arange(N + 1)
-        coeffs[N - k, k] = _rotation_block(N)[:, n] @ rows[n, N - n]
-    coeffs *= _I_POWERS[np.arange(top + 1) % 4, None]
-    h_a = hermite_rows(top, math.sqrt(2.0) * a.ravel())
-    h_b = hermite_rows(top, b.ravel() / math.sqrt(2.0))
-    return math.sqrt(math.pi) * (h_a.T @ (coeffs.T @ h_b))
+        a_t[:, k, N - k] = (_rotation_block(N)[:, n] @ rows[n, N - n]).T
+    a_t *= math.sqrt(math.pi) * _I_POWERS[np.arange(2 * K + 1) % 4]
+    return a_t
 
 
 # ---- boundary kernel -------------------------------------------------------

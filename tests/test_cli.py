@@ -203,6 +203,29 @@ def test_pair_command_at_d2(tmp_path, capsys):
         assert "finite part implemented for d = 1" in capsys.readouterr().err
 
 
+def _strict_json(text):
+    """json.loads that refuses the non-standard Infinity, -Infinity and NaN."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_pair_output_is_strict_json_at_d2(tmp_path, capsys):
+    # the d = 2 identity pairing has no finite tail estimate: it is written
+    # as null, in the printed record and in pairing.json alike
+    config = tmp_path / "d2.json"
+    config.write_text(json.dumps({"d": 2}))
+    assert main(["pair", "--distribution", "identity", "--theta", "heat:1.0",
+                 "--config", str(config), "--out", str(tmp_path / "p")]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    written = _strict_json((tmp_path / "p" / "pairing.json").read_text())
+    assert printed == written
+    assert printed["tail_bound"] is None and math.isfinite(printed["value_re"])
+    with pytest.raises(ValueError):
+        _strict_json('{"tail_bound": Infinity}')
+
+
 BAD_CONFIGS = [
     ({"nmax": 8}, "'nmax'"),
     ({**SMALL_CFG, "phys_grid": {"extents": [5.0, 5.0, 5.0], "point": [21, 21, 21]}},

@@ -219,7 +219,7 @@ def test_forward_matches_product_projection(kind):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_forward_projects_through_two_hermite_rows_per_lambda(monkeypatch, small_grid):
+def test_forward_hermite_row_calls_do_not_grow_with_lambda(monkeypatch):
     shapes = []
 
     def spy(n_max, x):
@@ -227,11 +227,159 @@ def test_forward_projects_through_two_hermite_rows_per_lambda(monkeypatch, small
         return hermite_rows(n_max, x)
 
     monkeypatch.setattr(transform, "hermite_rows", spy)
-    forward_factored(gauss_field(), 6, small_grid)
-    # real input: the positive branch only, one call on tau and one on u each
-    assert len(shapes) == 2 * len(small_grid.lam[small_grid.lam > 0])
-    assert all(n_max == 12 and len(shape) == 1 for n_max, shape in shapes)
-    assert {shape for _, shape in shapes[1::2]} == {(8 * POINTS[0],)}
+    block = transform._LAM_BLOCK
+    for per_sign in (3, block, 2 * block + 1):
+        shapes.clear()
+        forward_factored(gauss_field(), 6, LambdaGrid(0.3, 3.0, per_sign))
+        # real input: the positive branch only; per block of lambdas one call
+        # on the (lambda, u) lattice and one on the concatenated tau nodes
+        blocks = -(-per_sign // block)
+        assert len(shapes) == 2 * blocks
+        assert all(n_max == 12 for n_max, _ in shapes)
+        lattice = [shape for _, shape in shapes[0::2]]
+        assert sum(rows for rows, _ in lattice) == per_sign
+        assert {u for _, u in lattice} == {8 * POINTS[0]}
+        assert all(len(shape) == 1 for _, shape in shapes[1::2])
+
+
+def _scalar_xi_cutoff(fs_up, eta_axis, h_eta):
+    """The xi-cutoff search of one (u, eta) slab, candidate by candidate."""
+    nyquist = math.pi / h_eta
+    ref = float(np.abs(fs_up).max())
+    if ref == 0.0:
+        return 1.0
+    xi = 2.0
+    while xi < nyquist:
+        phase = np.exp(-1j * xi * eta_axis) * h_eta
+        amp = float(np.abs(fs_up @ phase).max())
+        if amp < 1e-10 * ref:
+            return xi
+        xi *= 1.6
+    return nyquist
+
+
+def test_stacked_xi_cutoff_is_the_scalar_search():
+    # Gaussians in eta of widths that stop the search at each candidate
+    # 2, 3.2, 5.12, 8.192, at Nyquist, and an empty slab
+    eta = np.linspace(-30.0, 30.0, 161)
+    h_eta = eta[1] - eta[0]
+    rng = np.random.default_rng(11)
+    widths = np.array([0.03, 0.1, 0.15, 0.3, 1.5, 0.03, 0.3])
+    rows = rng.normal(size=(len(widths), 40, 1)) + 1j * rng.normal(size=(len(widths), 40, 1))
+    slabs = np.concatenate([rows * np.exp(-widths[:, None, None] * eta**2),
+                            np.zeros((1, 40, len(eta)), dtype=complex)])
+    got = transform._xi_cutoff(slabs, eta, h_eta)
+    want = [_scalar_xi_cutoff(slab, eta, h_eta) for slab in slabs]
+    assert got.tolist() == want
+    assert len(set(want)) == 6
+    # a single slab returns its cutoff alone
+    assert transform._xi_cutoff(slabs[2], eta, h_eta) == want[2]
+    # an eta-spacing above pi/2 leaves no candidate below Nyquist
+    coarse = slabs[:, :, ::6]
+    assert transform._xi_cutoff(coarse, eta[::6], 6 * h_eta).tolist() == \
+        [_scalar_xi_cutoff(slab, eta[::6], 6 * h_eta) for slab in coarse]
+
+
+def _per_lambda_forward(fld, n_max, grid):
+    """The factored forward with one Hermite row pair and one GEMM pair per
+    lambda on the 264-point u-lattice: same nodes, cutoffs and skips."""
+    lam_all, L = grid.lam, len(grid.lam)
+    eta, h_eta = fld.eta_axis, fld.spacings[1]
+    Ly, hy = fld.extents[0], fld.spacings[0]
+    real_input = fld.is_real()
+    lams = lam_all[lam_all > 0] if real_input else lam_all
+    upsample = transform._UPSAMPLE
+    fs_up = transform._upsample_axis(transform._fs_many(fld, lams), upsample, axis=0)
+    hu = hy / upsample
+    u = -Ly + hu * np.arange(fs_up.shape[0])
+    global_max = float(np.abs(fs_up).max())
+    root_pref = math.sqrt(2 * n_max + 1)
+    moments = np.zeros((2 * n_max + 1, 2 * n_max + 1, L), dtype=complex)
+    for col, lam in enumerate(lams):
+        slab = fs_up[:, :, col]
+        if abs(lam) > 0.98 * math.pi / fld.spacings[2] or (
+                np.abs(slab).max() < 1e-15 * global_max):
+            continue
+        al, rl = abs(lam), math.sqrt(abs(lam))
+        xi_cut = _scalar_xi_cutoff(slab, eta, h_eta)
+        extent = min((root_pref + 9.0) / rl + Ly, 1.15 * xi_cut / (2.0 * al))
+        bandwidth = rl * (2.0 * root_pref + 8.0) + 2.0 * al * abs(eta).max()
+        tau, wtau = transform._gl_panels(extent, bandwidth)
+        phi = slab @ (np.exp(-2j * lam * np.outer(eta, tau)) * h_eta)
+        h_tau = hermite_rows(2 * n_max, math.sqrt(2.0) * rl * tau)
+        h_u = hermite_rows(2 * n_max, math.sqrt(2.0) * rl * u)
+        il = int(np.searchsorted(lam_all, lam))
+        moments[:, :, il] = rl * h_tau @ (h_u @ (phi * (wtau * hu))).T
+    values = np.zeros((n_max + 1, n_max + 1, L), dtype=complex)
+    for N in range(2 * n_max + 1):
+        k = np.arange(N + 1)
+        n = np.arange(max(0, N - n_max), min(N, n_max) + 1)
+        values[n, N - n] = _rotation_block(N)[:, n].T @ moments[N - k, k]
+    if real_input:
+        pos = np.flatnonzero(lam_all > 0)
+        values[:, :, L - 1 - pos] = np.conj(values[:, :, pos])
+    return values
+
+
+def _per_lambda_dense(rows, lam, y, eta):
+    """One lambda slice of the dense inverse: its own loop over N, two
+    Hermite row evaluations and one GEMM pair."""
+    K = rows.shape[0] - 1
+    top = 2 * K
+    root = math.sqrt(abs(lam))
+    a, b = root * y, 2.0 * math.copysign(root, lam) * eta
+    coeffs = np.zeros((top + 1, top + 1), dtype=complex)
+    for N in range(top + 1):
+        n = np.arange(max(0, N - K), min(N, K) + 1)
+        k = np.arange(N + 1)
+        coeffs[N - k, k] = _rotation_block(N)[:, n] @ rows[n, N - n]
+    coeffs *= (1j ** np.arange(top + 1))[:, None]
+    h_a = hermite_rows(top, math.sqrt(2.0) * a)
+    h_b = hermite_rows(top, b / math.sqrt(2.0))
+    return math.sqrt(math.pi) * (h_a.T @ (coeffs.T @ h_b))
+
+
+def _per_lambda_table_inverse(table, extents, points, symmetric):
+    """The table inverse slice by slice, all-zero slices skipped, through
+    the shared oscillatory lambda stage."""
+    y, e, s = (np.linspace(-x, x, p) for x, p in zip(extents, points))
+    lam = table.grid.lam
+    cols = np.flatnonzero(lam > 0) if symmetric else np.arange(len(lam))
+    chi = np.zeros((len(cols), points[0], points[1]), dtype=complex)
+    for j, il in enumerate(cols):
+        rows = table.values[..., il]
+        if np.any(rows):
+            chi[j] = _per_lambda_dense(rows, lam[il], y, e)
+    out = transform._oscillatory_lambda_stage(chi, lam[cols], table.grid, s, symmetric)
+    return out / math.pi**2
+
+
+def _skewed_field():
+    """A complex field whose table is not conjugate-symmetric in lambda."""
+    return SampledField.from_function(
+        lambda y, e, s: (1 + 0.4 * y - 0.3j * e) * np.exp(-(y - 0.5) ** 2 - 0.8 * e**2
+                                                          - (s - 0.3) ** 2),
+        1, EXTENT, POINTS)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_stacked_pipeline_matches_the_per_lambda_loops(kind):
+    fld = gauss_field(0.6, 1.1) if kind == "real" else _skewed_field()
+    # 2 of 7 lambdas per sign (8.3 and 16) lie beyond 0.98 of the s-Nyquist frequency 8.4
+    grid = LambdaGrid(0.3, 16.0, 7)
+    beyond = np.abs(grid.lam) > 0.98 * math.pi / fld.spacings[2]
+    assert beyond.sum() == 4
+    want = _per_lambda_forward(fld, 6, grid)
+    table = forward_factored(fld, 6, grid)
+    assert np.abs(table.values - want).max() <= 1e-13 * np.abs(want).max()
+    assert not np.any(table.values[..., beyond])
+    # every skipped slice and one interior column make all-zero slices
+    table.values[..., 3] = 0.0
+    symmetric = kind == "real"
+    kw = dict(extents=(5.0, 5.0, 4.0), points=(13, 11, 9))
+    got, _ = inverse_on_grid(table.as_freq_function(), grid, 6, assume_symmetric=symmetric, **kw)
+    ref = _per_lambda_table_inverse(table, kw["extents"], kw["points"], symmetric)
+    assert np.abs(got.samples - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_rep_matrix_route(f_unit):
@@ -322,12 +470,16 @@ def test_table_inverse_sums_through_the_rotation(monkeypatch, unit_table):
     laguerre = _spy(monkeypatch, wigner, "_laguerre_sum")
     rows = _spy(monkeypatch, wigner, "hermite_rows")
     lam = unit_table.grid.lam
-    inverse_on_grid(unit_table.as_freq_function(), unit_table.grid, 8, points=(9, 9, 9),
-                    assume_symmetric=True)
-    summed = sum(bool(np.any(unit_table.values[..., il])) for il in np.flatnonzero(lam > 0))
-    assert summed > 0 and not laguerre
-    assert len(rows) == 2 * summed
-    assert all(n == 16 and x.shape == (9,) for n, x in rows)
+    for symmetric in (True, False):
+        rows.clear()
+        inverse_on_grid(unit_table.as_freq_function(), unit_table.grid, 8, points=(9, 9, 9),
+                        assume_symmetric=symmetric)
+        cols = np.flatnonzero(lam > 0) if symmetric else np.arange(len(lam))
+        summed = sum(bool(np.any(unit_table.values[..., il])) for il in cols)
+        # one call on the (lambda, y) points and one on (lambda, eta), whatever the count
+        assert summed > 0 and not laguerre
+        assert len(rows) == 2
+        assert all(n == 16 and x.shape == (summed, 9) for n, x in rows)
 
 
 def test_diagonal_inverse_runs_one_recurrence(monkeypatch, small_grid):

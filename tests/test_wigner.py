@@ -263,6 +263,23 @@ def test_band_loop_and_rotation_agree(lam, n_top, bound):
     assert np.abs(wigner_series_dense(rows, lam, axis, axis) - want).max() <= bound * np.abs(want).max()
 
 
+def test_dense_series_stacks_lambdas():
+    # one call for a stack of lambdas, one square of rows each, against one
+    # call per lambda; a scalar lambda keeps the (y, eta) shape
+    rng = np.random.default_rng(5)
+    lams = np.array([[0.02, -0.7], [3.0, -16.0]])
+    rows = rng.normal(size=(9, 9) + lams.shape) + 1j * rng.normal(size=(9, 9) + lams.shape)
+    y, eta = np.linspace(-6.0, 6.0, 7), np.linspace(-4.0, 4.0, 5)
+    got = wigner_series_dense(rows, lams, y, eta)
+    assert got.shape == lams.shape + (7, 5)
+    for idx in np.ndindex(lams.shape):
+        one = wigner_series_dense(rows[(..., *idx)], lams[idx], y, eta)
+        assert one.shape == (7, 5)
+        assert np.abs(got[idx] - one).max() <= 1e-13 * np.abs(one).max()
+    with pytest.raises(ValueError):
+        wigner_series_dense(rows[..., 0], np.array([0.5, 0.0]), y, eta)
+
+
 # ---- boundary kernel --------------------------------------------------------
 
 def test_kernel_kronecker_at_origin():
