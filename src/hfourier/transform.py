@@ -25,14 +25,15 @@ Three numerical routes are provided and cross-checked:
 
 The inverse sums e^{i s lam} W theta against the frequency measure with
 the constant 2^{d-1} / pi^{d+1}.  On a grid, the lambda slices
-sum_{n,m} theta W go through the forward's 45-degree rotation when theta
-is dense (every lambda at once: two Hermite row evaluations and one
-stacked GEMM pair), and are sums of Laguerre functions in
-rho^2 = 2 |lam| |Y|^2 when theta is banded (one recurrence per band
-|n - m| and lambda).  A diagonal slice is radial in Y: it is summed on
-the distinct radii of the grid only, every lambda in one recurrence.  The
-oscillatory lambda stage then integrates the stacked slices against
-e^{i s lam} through one (lambda, s) weight matrix.
+sum_{n,m} theta W of a dense theta go through the forward's 45-degree
+rotation (every lambda at once: two Hermite row evaluations and one
+stacked GEMM pair).  A banded theta is a short Fourier series in the
+polar angle of Y whose coefficients, one channel per k = m - n, are sums
+of Laguerre functions in rho^2 = 2 |lam| |Y|^2: they are summed on the
+distinct radii of the grid only, every lambda in one recurrence per |k|,
+and a diagonal theta is the single channel k = 0.  The oscillatory lambda
+stage then integrates the stacked slices against e^{i s lam} through one
+(lambda, s) weight matrix.
 """
 
 import json
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import N_MAX_CAP
 from .fields import SampledField, _write_csv
 from .freq_space import (
     FreqFunction,
@@ -53,8 +55,7 @@ from .freq_space import (
     sqrt_richardson,
 )
 from .hermite import _rotation_block, hermite_rows
-from .wigner import (wigner_conj_grid, wigner_eval, wigner_series, wigner_series_dense,
-                     wigner_series_radial)
+from .wigner import wigner_conj_grid, wigner_eval, wigner_series_dense, wigner_series_radial
 
 __all__ = [
     "SpectralTable",
@@ -329,10 +330,11 @@ def forward_factored(fld, n_max, grid):
     Ly = fld.extents[0]
     hy = fld.spacings[0]
 
-    if real_input:
-        lams = grid.lam[grid.lam > 0]
-    else:
-        lams = lam_all
+    # the sampled vertical axis resolves no frequency beyond pi / h_s; the
+    # discrete sum would return the alias there, so those slices stay zero,
+    # as do slices negligible against the largest resolved one
+    resolved = np.abs(lam_all) <= 0.98 * math.pi / fld.spacings[2]
+    lams = lam_all[resolved & (lam_all > 0)] if real_input else lam_all[resolved]
     # trig refinement of y, built in (lam, u, eta) layout
     fs_up = _upsample_axis(np.moveaxis(_fs_many(fld, lams), -1, 0), _UPSAMPLE, axis=1)
     hu = hy / _UPSAMPLE
@@ -340,11 +342,7 @@ def forward_factored(fld, n_max, grid):
     smax = np.abs(fs_up).max(axis=(1, 2))
 
     root_pref = math.sqrt(2 * n_max + 1)
-    # the sampled vertical axis resolves no frequency beyond pi / h_s; the
-    # discrete sum would return the alias there, so those slices stay zero,
-    # as do slices negligible against the largest
-    s_nyquist = math.pi / fld.spacings[2]
-    live = np.flatnonzero((np.abs(lams) <= 0.98 * s_nyquist) & (smax >= 1e-15 * smax.max()))
+    live = np.flatnonzero(smax >= 1e-15 * smax.max(initial=0.0))
     # sqrt|lam| int h_p(a) h_q(c) phi du dtau, a = sqrt(2|lam|) tau, c = sqrt(2|lam|) u
     moments = np.zeros((2 * n_max + 1, 2 * n_max + 1, L), dtype=complex)
 
@@ -521,20 +519,17 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     frequency functions the diagonal extent n_top adapts per lambda up to
     ``n_cap`` (one probe call for every lambda; the skipped remainder is
     bounded by 1/(32 pi^2 n_cap) per unit lambda mass and folded into the
-    reported tail).  The lambda slices chi = sum_{n,m} theta_nm W_nm are
-    summed by a route chosen from ``theta.band``: a dense theta (tables
-    and their multipliers) on the (y, eta) grid through the 45-degree
-    rotation of :func:`hfourier.wigner.wigner_series_dense`, every lambda
-    in one call; a banded theta on the grid by one Laguerre recurrence per
-    band and lambda (:func:`hfourier.wigner.wigner_series`); a diagonal
-    theta, whose slice is radial in Y, on the distinct values of |Y|^2 of
-    the grid, by one Laguerre recurrence for every lambda at once
-    (:func:`hfourier.wigner.wigner_series_radial`).  A dense or diagonal
-    theta is evaluated once, on the box of the largest n_top, each lambda
-    zeroed past its own; a banded one per lambda on its own box.  Slices
-    whose rows are all zero stay zero.  The oscillatory lambda stage then
-    runs on the stacked slices (on the radii for a diagonal theta, and one
-    gather spreads them over the grid).
+    reported tail).  theta is evaluated once, on the box of the largest
+    n_top, each lambda zeroed past its own.  The lambda slices
+    chi = sum_{n,m} theta_nm W_nm of a dense theta (tables and their
+    multipliers) are summed on the (y, eta) grid through the 45-degree
+    rotation of :func:`hfourier.wigner.wigner_series_dense`, which an
+    analytic theta may use up to n_top = ``config.N_MAX_CAP``.  A banded
+    theta is summed as its channels k = m - n on the distinct values of
+    |Y|^2 of the grid (:func:`hfourier.wigner.wigner_series_radial`; a
+    diagonal is the channel k = 0).  The oscillatory lambda stage then
+    integrates the stacked slices, and for a banded theta one gather sums
+    the channels on the grid, each times e^{-i k phi}.
 
     ``assume_symmetric=True`` skips the negative-lambda half and doubles
     the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
@@ -557,41 +552,49 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     # a running sum in lambda order (np.sum's pairwise order moves the last bit)
     tail = sum((grid.weights[cols] / (8.0 * n_cap))[capped & (np.abs(lam_list) * n_cap < 4.0)]
                .tolist(), 0.0)
+    K = int(n_tops.max())
 
-    if theta.band == 0:
+    if theta.band is None:
+        if K > N_MAX_CAP and not table_n:
+            raise ValueError(f"dense theta {theta.label!r} reaches n_top = {K}, past the "
+                             f"rotation route's cap {N_MAX_CAP}; declare its band")
+        # theta once on the box of the largest n_top, each lambda zeroed past its own
+        n, m = box_pairs(1, K)
+        rows = np.zeros((K + 1, K + 1, len(lam_list)), dtype=complex)
+        rows[n[:, 0], m[:, 0]] = np.where(np.maximum(n, m) <= n_tops,
+                                          theta(n[:, None], m[:, None], lam_list), 0.0)
+        live = np.flatnonzero(np.any(rows, axis=(0, 1)))
+        chi = np.zeros((len(lam_list), points[0], points[1]), dtype=complex)
+        chi[live] = wigner_series_dense(rows[:, :, live], lam_list[live], y_axis, e_axis)
+        out = _oscillatory_lambda_stage(chi, lam_list, grid, s_axis)
+    else:
+        # the channels k = m - n on the distinct radii, theta once on the band box
+        B = theta.band
         r2, ring = np.unique((y_axis[:, None] ** 2 + e_axis[None, :] ** 2).ravel(),
                              return_inverse=True)
-        idx = np.arange(n_tops.max() + 1)[:, None, None]
-        rows = np.where(idx[:, :, 0] <= n_tops, theta(idx, idx, lam_list), 0.0)  # (n, lambda)
-        chi = wigner_series_radial(rows, lam_list, r2)             # (lambda, radii)
-        for il in np.flatnonzero(capped):
+        k, j = np.ogrid[-B:B + 1, :K + 1]
+        n, m = (j - np.minimum(k, 0))[..., None, None], (j + np.maximum(k, 0))[..., None, None]
+        rows = np.where(np.maximum(n, m)[..., 0] <= n_tops, theta(n, m, lam_list), 0.0)
+        chi = wigner_series_radial(rows, lam_list, r2)                 # (lambda, k, radii)
+        for il in np.flatnonzero(capped & (B == 0)):
             tail_row = _diagonal_tail_correction(theta, lam_list[il], n_cap, np.sqrt(r2))
             if tail_row is not None:
-                chi[il] += tail_row
-    else:
-        chi = np.zeros((len(lam_list), points[0], points[1]), dtype=complex)
-        if theta.band is None:
-            # theta once on the box of the largest n_top, each lambda zeroed past its own
-            K = int(n_tops.max())
-            n, m = box_pairs(1, K)
-            rows = np.zeros((K + 1, K + 1, len(lam_list)), dtype=complex)
-            rows[n[:, 0], m[:, 0]] = np.where(np.maximum(n, m) <= n_tops,
-                                              theta(n[:, None], m[:, None], lam_list), 0.0)
-            live = np.flatnonzero(np.any(rows, axis=(0, 1)))
-            chi[live] = wigner_series_dense(rows[:, :, live], lam_list[live], y_axis, e_axis)
-        else:
-            # a banded theta stays on each lambda's own box, which n_cap may make large
-            for il, (lam, n_top) in enumerate(zip(lam_list, n_tops.tolist())):
-                n, m = box_pairs(1, n_top, theta.band)
-                rows = np.zeros((n_top + 1, n_top + 1), dtype=complex)
-                rows[n[:, 0], m[:, 0]] = theta(n, m, lam)
-                if np.any(rows):
-                    chi[il] = wigner_series(rows, lam, y_axis, e_axis)
+                chi[il, 0] += tail_row
+        # sgn(lam) mirrors phi: channel k of a negative lambda goes with e^{+i k phi}
+        neg = lam_list < 0
+        chi[neg] = chi[neg, ::-1]
+        radial = _oscillatory_lambda_stage(chi, lam_list, grid, s_axis)  # (k, radii, s)
+        out = radial[B][ring]
+        phi = np.arctan2(e_axis[None, :], y_axis[:, None]).reshape(-1, 1)
+        for c in range(-B, B + 1):
+            if c:
+                out += np.exp(-1j * c * phi) * radial[B + c][ring]
+        out = out.reshape(points[0], points[1], -1)
 
-    out = _oscillatory_lambda_stage(chi, lam_list, grid, s_axis, assume_symmetric)
+    if assume_symmetric:
+        # theta(n, m, -lam) = conj(theta(n, m, lam)): the other branch is the conjugate
+        out = 2.0 * out.real
     out *= 2.0 ** (d - 1) / math.pi ** (d + 1)
-    if theta.band == 0:
-        out = out[ring].reshape(points[0], points[1], -1)
     # uncovered |lam| < lambda_min strip, crude mass bound
     tail += 2.0 * grid.lambda_min / (8.0 * math.pi**2)
     fld = SampledField(out, 1, tuple(extents))
@@ -623,7 +626,7 @@ def _resample_log(lam_src, lam_dst):
     return out
 
 
-def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis, symmetric):
+def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis):
     """Integrate chi(., lam) |lam| e^{i s lam} d lam.
 
     ``chi`` stacks one slice per lambda of ``lam_list`` on its first axis
@@ -641,8 +644,7 @@ def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis, symmetric):
     h_d = min(0.02, 2.0 * math.pi / (48.0 * max(s_max, 1.0)))
     out = np.zeros(chi.shape[1:] + (len(s_axis),), dtype=complex)
 
-    branches = [+1.0] if symmetric else [+1.0, -1.0]
-    for sign in branches:
+    for sign in (+1.0, -1.0):
         cols = np.flatnonzero(sign * lam_list > 0)
         if len(cols) == 0:
             continue
@@ -675,7 +677,7 @@ def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis, symmetric):
         F0 = sqrt_richardson(lam_pos[0], F1, lam_pos[1], F2)
         contrib += (lam_pos[0] * 0.5 * (F0 + F1))[..., None] * np.ones(len(s_axis))
 
-        out += 2.0 * contrib.real if symmetric else contrib
+        out += contrib
     return out
 
 

@@ -18,10 +18,11 @@ z = 2a + ib for n >= m, z = -2a + ib for n < m,
     ell_k^alpha(x) = sqrt(k! / (k + alpha)!) x^{alpha/2} e^{-x/2} L_k^alpha(x).
 
 The normalized functions ell_k^alpha are computed by their three-term
-recurrence in k, which is stable for k in the hundreds.  On the diagonal
-(alpha = 0) the symbol ell_n^0(2 |lam| |Y|^2) is radial in Y, so a
-diagonal sum needs only the distinct radii of a grid, and one recurrence
-serves every lam at once (:func:`wigner_series_radial`).
+recurrence in k, which is stable for k in the hundreds.  As
+rho^2 = 2 |lam| |Y|^2 and arg z = sgn(lam) phi or pi - sgn(lam) phi,
+phi = atan2(eta, y), each symbol is a radial function times an angular
+factor, so a banded sum needs only the distinct radii of a grid
+(:func:`wigner_series_radial`).
 
 A dense sum over (n, m) instead goes through the 45-degree rotation of the
 Hermite pairs (:func:`wigner_series_dense`): with N = n + m,
@@ -47,8 +48,8 @@ from scipy.special import jv, xlogy
 
 from .hermite import _rotation_block, hermite_rows
 
-__all__ = ["wigner_eval", "wigner_conj_grid", "wigner_series", "wigner_series_radial",
-           "wigner_series_dense", "boundary_kernel"]
+__all__ = ["wigner_eval", "wigner_conj_grid", "wigner_series_radial", "wigner_series_dense",
+           "boundary_kernel"]
 
 # an exact power of two, so rescaling the recurrence loses no bits
 _RESCALE = 2.0 ** 400
@@ -154,47 +155,34 @@ def wigner_conj_grid(n, m, lam, y_axis, eta_axis):
     return np.conj(_factor(n, m, lam, y, eta))
 
 
-def wigner_series_radial(diag, lam, r2):
-    """sum_n diag[n] W(n, n, lam, Y) at |Y|^2 = ``r2``, d = 1.
+def wigner_series_radial(bands, lam, r2):
+    """The radial channels of sum_{n, m} theta_nm W(n, m, lam, Y), d = 1.
 
-    The diagonal symbol is the Laguerre function ell_n^0(2 |lam| |Y|^2),
-    radial in Y, so the sum needs the distinct radii only.  ``lam`` may
-    be an array: ``diag`` then has shape (K + 1,) + lam.shape, column by
-    column, and one recurrence serves every lam.  Returns an array of
-    shape lam.shape + r2.shape.
+    With k = m - n, j = min(n, m) and phi = atan2(eta, y) the symbol is
+
+        W(n, m, lam, Y) = c_k ell_j^{|k|}(2 |lam| |Y|^2) e^{-i k sgn(lam) phi},
+
+    c_k = (-1)^k for k > 0 and 1 otherwise, so a sum banded to |k| <= B is
+    sum_k chi_k(|Y|^2) e^{-i k sgn(lam) phi}.  ``bands[B + k, j]`` holds
+    theta_nm of the pair (k, j), with shape (2B + 1, K + 1) + lam.shape
+    for an array ``lam``; one recurrence per |k| serves every lambda and
+    both signs of k.  Returns chi, shape lam.shape + (2B + 1,) + r2.shape.
     """
     lam = np.asarray(lam, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     if np.any(lam == 0):
         raise ValueError("lam must be nonzero")
+    bands = np.asarray(bands)
+    B = (len(bands) - 1) // 2
     spread = (1,) * r2.ndim
     x = 2.0 * np.abs(lam).reshape(lam.shape + spread) * r2
-    diag = np.asarray(diag)
-    return _laguerre_sum(0, diag.reshape(diag.shape + spread), x)
-
-
-def wigner_series(rows, lam, y_axis, eta_axis):
-    """sum_{n, m} rows[n, m] W(n, m, lam, .) on a tensor (y, eta) grid, d = 1.
-
-    One Laguerre recurrence per band alpha = |n - m| serves both of its
-    diagonals; bands that are zero throughout are skipped.  Suited to
-    banded rows at any index cap; dense rows are cheaper through
-    :func:`wigner_series_dense`, and a diagonal alone through
-    :func:`wigner_series_radial`.
-    """
-    y = np.asarray(y_axis, dtype=float)[:, None]
-    eta = np.asarray(eta_axis, dtype=float)[None, :]
-    a, b, rho2 = _scaled_coords(lam, y, eta)
-    out = np.zeros(rho2.shape, dtype=complex)
-    n_idx, m_idx = np.nonzero(rows)
-    for alpha in np.unique(np.abs(n_idx - m_idx)).tolist():
-        if alpha == 0:
-            out += _laguerre_sum(0, np.diagonal(rows), rho2)
-            continue
-        band = np.stack([np.diagonal(rows, -alpha), np.diagonal(rows, alpha)], axis=1)
-        lower, upper = _laguerre_sum(alpha, band[:, :, None, None], rho2)
-        out += lower * _phase(alpha, a, b, 1.0) + upper * _phase(alpha, a, b, -1.0)
-    return out
+    chi = np.empty((2 * B + 1,) + x.shape, dtype=np.result_type(bands, float))
+    chi[B] = _laguerre_sum(0, bands[B].reshape(bands[B].shape + spread), x)
+    for alpha in range(1, B + 1):
+        pair = bands[[B - alpha, B + alpha]].swapaxes(0, 1)       # (K + 1, 2) + lam.shape
+        chi[[B - alpha, B + alpha]] = _laguerre_sum(alpha, pair.reshape(pair.shape + spread), x)
+        chi[B + alpha] *= (-1.0) ** alpha
+    return np.moveaxis(chi, 0, lam.ndim)
 
 
 # i^j for j mod 4, exact
@@ -202,8 +190,9 @@ _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 def wigner_series_dense(rows, lam, y_axis, eta_axis):
-    """The sum of :func:`wigner_series` for a square ``rows``, through the
-    45-degree rotation of the Hermite pairs.
+    """sum_{n, m} rows[n, m] W(n, m, lam, .) on a tensor (y, eta) grid for a
+    square ``rows``, d = 1, through the 45-degree rotation of the Hermite
+    pairs.
 
     With a = sqrt|lam| y and b = 2 sgn(lam) sqrt|lam| eta the slice is
 

@@ -350,8 +350,8 @@ def _per_lambda_table_inverse(table, extents, points, symmetric):
         rows = table.values[..., il]
         if np.any(rows):
             chi[j] = _per_lambda_dense(rows, lam[il], y, e)
-    out = transform._oscillatory_lambda_stage(chi, lam[cols], table.grid, s, symmetric)
-    return out / math.pi**2
+    out = transform._oscillatory_lambda_stage(chi, lam[cols], table.grid, s)
+    return (2.0 * out.real if symmetric else out) / math.pi**2
 
 
 def _skewed_field():
@@ -454,6 +454,28 @@ def test_inverse_at_point_matches_grid():
     assert v == pytest.approx(complex(fld.samples[iy, 2, ks]), abs=2e-4)
 
 
+def _complex_band_two(n, m, lam):
+    # complex, every channel |m - n| <= 2 occupied, and theta(n, m, -lam)
+    # is not conj(theta(n, m, lam))
+    k = (m - n)[..., 0]
+    x = (np.abs(lam) + 0.2) * (n + m + 1.0)[..., 0]
+    return np.where(np.abs(k) <= 2, np.exp(-x * (1.0 + 0.3j * k) + 0.4j * lam)
+                    * (1.0 + 0.5 * np.tanh(lam)) / (1.0 + k * k), 0.0)
+
+
+def test_banded_inverse_at_point_matches_grid():
+    # the channels and their angular factors e^{-i k sgn(lam) phi} against
+    # the termwise symbol sum, off both axes and at both signs of s
+    grid = LambdaGrid(1e-3, 10.0, 40)
+    theta = FreqFunction(_complex_band_two, band=2, label="complex-band-2")
+    fld, _ = inverse_on_grid(theta, grid, 12, extents=(1.0, 1.0, 1.2), points=(5, 5, 5),
+                             n_cap=12)
+    for iy, ie, ks in [(3, 1, 4), (0, 3, 0), (4, 4, 2)]:
+        w = np.array([fld.y_axis[iy], fld.eta_axis[ie], fld.s_axis[ks]])
+        v = inverse_at_point(theta, w, grid, n_max=12)
+        assert v == pytest.approx(complex(fld.samples[iy, ie, ks]), abs=2e-4)
+
+
 def _spy(monkeypatch, module, name):
     """Record the arguments of every call to ``module.name``."""
     calls, real = [], getattr(module, name)
@@ -502,7 +524,7 @@ def test_diagonal_inverse_runs_one_recurrence(monkeypatch, small_grid):
 
 def _as_band_one(theta):
     """The diagonal theta with an empty first band, so the inverse sums it
-    slice by slice on the full grid (:func:`wigner.wigner_series`)."""
+    as three channels k = -1, 0, 1, two of them zero."""
     def interior(n, m, lam):
         return np.where((n == m).all(axis=-1), theta(n, m, lam), 0.0)
 
@@ -575,14 +597,40 @@ def test_lambda_free_diagonal_theta_gets_an_extent_per_lambda(small_grid):
 
 
 def test_banded_inverse_builds_no_rotation_block(monkeypatch, small_grid):
-    theta = profile_to_freq_function(profile_exp_floor(0.5))
-    assert theta.band == 2
+    floor = profile_to_freq_function(profile_exp_floor(0.5))
+    assert floor.band == 2
+    shapes = []
+
+    def interior(n, m, lam):
+        shapes.append(np.broadcast_shapes(n.shape[:-1], np.shape(lam)))
+        return floor(n, m, lam)
+
+    theta = FreqFunction(interior, band=2, label=floor.label)
     laguerre = _spy(monkeypatch, wigner, "_laguerre_sum")
     _rotation_block.cache_clear()
     inverse_on_grid(theta, small_grid, 8, points=(9, 9, 9), n_cap=64, assume_symmetric=True)
     info = _rotation_block.cache_info()
     assert info.hits == info.misses == 0
-    assert {alpha for alpha, _, _ in laguerre} == {0, 1, 2}
+    # one recurrence per |k|, both signs of k together, every lambda at once
+    assert sorted(alpha for alpha, _, _ in laguerre) == [0, 1, 2]
+    # the n_top probe, then theta once on the band box: channels x indices x lambdas
+    assert len(shapes) == 2 and shapes[1][0] == 5 and shapes[1][2] == 6
+
+
+def test_dense_analytic_theta_past_the_rotation_cap_is_refused():
+    # a diagonal theta without its band: at lam = 1e-3 it reaches n_cap, where
+    # the dense box would hold 601 x 601 rows per lambda
+    heat, calls = heat_profile(1.0), []
+
+    def interior(n, m, lam):
+        calls.append(np.broadcast_shapes(n.shape[:-1], np.shape(lam)))
+        return heat(n, m, lam)
+
+    theta = FreqFunction(interior, label="undeclared-heat")
+    with pytest.raises(ValueError, match="n_top = 600.*declare its band"):
+        inverse_on_grid(theta, LambdaGrid(), 24, n_cap=600, assume_symmetric=True)
+    # only the n_top probe ran: nothing was evaluated on the box
+    assert len(calls) == 1 and calls[0][0] < 16
 
 
 def test_forward_and_inverse_share_rotation_blocks(small_grid):
@@ -828,7 +876,7 @@ def _unit_gauss_hat():
     def entry(n, m, lam):
         t = np.abs(lam)
         k = n[..., 0]
-        val = math.pi**1.5 * np.exp(-(lam**2) / 4.0) * (1.0 - t) ** k / (1.0 + t) ** (k + 1)
+        val = math.pi**1.5 * np.exp(-(lam**2) / 4.0) * ((1.0 - t) / (1.0 + t)) ** k / (1.0 + t)
         return np.where((n == m).all(-1), val, 0.0) + 0j
 
     def entry_dlam(n, m, lam):

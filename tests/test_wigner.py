@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from hfourier.hermite import hermite_selected
-from hfourier.wigner import (_laguerre_sum, boundary_kernel, wigner_eval, wigner_series,
-                             wigner_series_dense, wigner_series_radial)
+from hfourier.wigner import (_laguerre_sum, boundary_kernel, wigner_eval, wigner_series_dense,
+                             wigner_series_radial)
 
 
 def test_orthonormality_at_origin():
@@ -179,6 +179,28 @@ def test_symbol_sign_symmetry_and_bound(n, m, lam, sign, y, eta):
     assert abs(a) <= 1 + 1e-12
 
 
+def _channels(rows, band):
+    """Square rows[n, m] in the channel layout of :func:`wigner_series_radial`:
+    entry [band + k, j] is rows[n, m] with m - n = k and min(n, m) = j,
+    zero where the pair leaves the square."""
+    K = rows.shape[0] - 1
+    out = np.zeros((2 * band + 1, K + 1), dtype=rows.dtype)
+    for k in range(-band, band + 1):
+        out[band + k, : K + 1 - abs(k)] = np.diagonal(rows, k)
+    return out
+
+
+def _channel_sum(rows, lam, y, eta, band=None):
+    """sum_{n, m} rows[n, m] W(n, m, lam, .) on the (y, eta) grid from the
+    radial channels, each times e^{-i k sgn(lam) phi}."""
+    band = rows.shape[0] - 1 if band is None else band
+    Y, E = np.meshgrid(y, eta, indexing="ij")
+    chi = wigner_series_radial(_channels(rows, band), lam, Y**2 + E**2)
+    phi = np.arctan2(E, Y)
+    return sum(chi[band + k] * np.exp(-1j * k * math.copysign(1.0, lam) * phi)
+               for k in range(-band, band + 1))
+
+
 def test_series_matches_termwise_sum():
     rng = np.random.default_rng(7)
     rows = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
@@ -189,7 +211,7 @@ def test_series_matches_termwise_sum():
     for lam in (0.6, -1.1):
         want = sum(rows[n, m] * wigner_eval((n,), (m,), lam, pts)
                    for n in range(7) for m in range(7))
-        assert np.abs(wigner_series(rows, lam, y, eta) - want).max() < 1e-13
+        assert np.abs(_channel_sum(rows, lam, y, eta) - want).max() < 1e-13
         assert np.abs(wigner_series_dense(rows, lam, y, eta) - want).max() < 1e-13
 
 
@@ -197,15 +219,52 @@ def test_series_diagonal_vector_is_the_diagonal_matrix():
     diag = np.random.default_rng(3).normal(size=40) + 0j
     axis = np.linspace(-4.0, 4.0, 9)
     r2 = axis[:, None] ** 2 + axis[None, :] ** 2
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
     lams = np.array([0.02, -2.5])
-    # one recurrence for both lambdas, on |Y|^2 rather than (y, eta)
-    both = wigner_series_radial(np.stack([diag, 2.0 * diag], axis=1), lams, r2)
-    assert both.shape == (2, 9, 9)
+    # one recurrence for both lambdas, on |Y|^2 rather than (y, eta); a
+    # diagonal is the single channel k = 0
+    both = wigner_series_radial(np.stack([diag, 2.0 * diag], axis=1)[None], lams, r2)
+    assert both.shape == (2, 1, 9, 9)
     for lam, scale, got in zip(lams, (1.0, 2.0), both):
-        want = wigner_series(np.diag(scale * diag), lam, axis, axis)
-        assert np.abs(wigner_series_radial(scale * diag, lam, r2) - want).max() \
-            <= 1e-14 * np.abs(want).max()
-        assert np.array_equal(got, wigner_series_radial(scale * diag, lam, r2))
+        want = sum(scale * diag[n] * wigner_eval((n,), (n,), lam, pts) for n in range(40))
+        one = wigner_series_radial(scale * diag[None], lam, r2)
+        assert np.abs(one[0] - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(got, one)
+
+
+@pytest.mark.parametrize("band", [0, 1, 3])
+@pytest.mark.parametrize("lam", [0.35, -0.35, 2.2, -7.5])
+def test_channels_match_termwise_banded_sum(band, lam):
+    # complex banded rows without Hermitian symmetry, a non-square grid
+    # through the origin, and both signs of lambda
+    rng = np.random.default_rng(11 + band)
+    K = 12
+    rows = rng.normal(size=(K + 1, K + 1)) + 1j * rng.normal(size=(K + 1, K + 1))
+    rows[np.abs(np.subtract.outer(np.arange(K + 1), np.arange(K + 1))) > band] = 0.0
+    y, eta = np.linspace(-3.0, 3.0, 7), np.linspace(-2.5, 2.0, 10)
+    pts = np.stack(np.meshgrid(y, eta, indexing="ij"), axis=-1)
+    want = sum(rows[n, m] * wigner_eval((n,), (m,), lam, pts)
+               for n, m in zip(*np.nonzero(rows)))
+    got = _channel_sum(rows, lam, y, eta, band)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_channels_stack_lambdas_and_share_one_recurrence_per_band(monkeypatch):
+    import hfourier.wigner as wigner
+
+    calls = []
+    real = wigner._laguerre_sum
+    monkeypatch.setattr(wigner, "_laguerre_sum", lambda *a: calls.append(a[0]) or real(*a))
+    rng = np.random.default_rng(3)
+    lams = np.array([0.02, -2.5, 4.0])
+    bands = rng.normal(size=(5, 30, 3)) + 1j * rng.normal(size=(5, 30, 3))
+    r2 = np.linspace(0.0, 30.0, 11).reshape(11, 1) + np.array([0.0, 0.5])
+    got = wigner_series_radial(bands, lams, r2)
+    assert got.shape == (3, 5, 11, 2) and calls == [0, 1, 2]
+    for il, lam in enumerate(lams):
+        one = wigner_series_radial(bands[..., il], lam, r2)
+        assert one.shape == (5, 11, 2)
+        assert np.array_equal(got[il], one)
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,7 +318,7 @@ def test_band_loop_and_rotation_agree(lam, n_top, bound):
     rng = np.random.default_rng(24)
     rows = rng.normal(size=(n_top + 1,) * 2) + 1j * rng.normal(size=(n_top + 1,) * 2)
     axis = np.linspace(-6.0, 6.0, 33)
-    want = wigner_series(rows, lam, axis, axis)
+    want = _channel_sum(rows, lam, axis, axis)
     assert np.abs(wigner_series_dense(rows, lam, axis, axis) - want).max() <= bound * np.abs(want).max()
 
 
