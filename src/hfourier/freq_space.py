@@ -152,17 +152,19 @@ def weight_d0(p):
 def simpson_log_weights(count, step):
     """Weights of composite Simpson on a uniform grid of ``count`` points.
 
-    The possibly left-over last interval is integrated by the quadratic
-    through the final three points, keeping higher-order accuracy.
+    Each pair of intervals adds step/3, 4 step/3, step/3 to its three
+    points (three strided slices, so an interior even point collects
+    step/3 twice).  The possibly left-over last interval is integrated by
+    the quadratic through the final three points, keeping higher-order
+    accuracy.
     """
     w = np.zeros(count)
     if count == 2:
         return np.array([0.5, 0.5]) * step
-    pairs = (count - 1) // 2
-    for i in range(pairs):
-        w[2 * i] += step / 3.0
-        w[2 * i + 1] += 4.0 * step / 3.0
-        w[2 * i + 2] += step / 3.0
+    end = 2 * ((count - 1) // 2)
+    w[0:end:2] += step / 3.0
+    w[1:end:2] += 4.0 * step / 3.0
+    w[2:end + 1:2] += step / 3.0
     if (count - 1) % 2 == 1:
         w[-3] += -step / 12.0
         w[-2] += 8.0 * step / 12.0

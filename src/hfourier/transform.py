@@ -473,12 +473,11 @@ def _diagonal_tail_correction(theta, lam, n_top, radius):
     # otherwise the correction overcounts the nearly cancelling Y-mass)
     decay = -math.log(r)
     j_nodes, j_w = gauss_legendre([-0.5, 18.0 / decay], 32)
-    # the zero-integer-index kernel slice is radial: a Bessel J0 profile
-    out = np.zeros(radius.shape, dtype=complex)
-    for j, w in zip(j_nodes, j_w):
-        x_j = abs(lam) * (2.0 * (n_top + 1 + j) + 1.0)
-        out += (w * t1 * (r**j)) * j0_bessel(2.0 * math.sqrt(x_j) * radius)
-    return out
+    # the zero-integer-index kernel slice is radial: a Bessel J0 profile,
+    # one row per node
+    x_j = abs(lam) * (2.0 * (n_top + 1 + j_nodes) + 1.0)
+    rows = j0_bessel(np.multiply.outer(2.0 * np.sqrt(x_j), radius))
+    return np.tensordot(j_w * t1 * r**j_nodes, rows, axes=1)
 
 
 def _n_extent(theta, lam, n_cap):
@@ -626,6 +625,26 @@ def _resample_log(lam_src, lam_dst):
     return out
 
 
+# lambda rows per block of the phase table
+_PHASE_BLOCK = 32
+
+
+def _phase_table(lam, s):
+    """e^{i lam_r s_c} for an ascending uniform ``lam`` (rows r) and the
+    points ``s`` (columns c).
+
+    With lam_r = lam_0 + r h and r = bB + o (B = 32), the table is the
+    product of e^{i lam_{bB} s}, exact at the first row of each block, and
+    e^{i o h s}, exact at the B offsets within a block: one complex product
+    per entry in place of an exponential.
+    """
+    step = (lam[-1] - lam[0]) / (len(lam) - 1)
+    head = np.exp(1j * np.outer(lam[::_PHASE_BLOCK], s))
+    offset = np.exp(1j * np.outer(step * np.arange(_PHASE_BLOCK), s))
+    table = head[:, None, :] * offset
+    return table.reshape(-1, len(s))[: len(lam)]
+
+
 def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis):
     """Integrate chi(., lam) |lam| e^{i s lam} d lam.
 
@@ -638,7 +657,10 @@ def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis):
     slices are resampled onto a dense uniform grid (cubic in log lambda,
     where they are smooth) and summed by composite Simpson.  Both pieces
     are linear in the source slices, so they fold into one (lambda, s)
-    matrix and one contraction per branch.
+    matrix and one contraction per branch.  On the dense grid that matrix
+    is W^T E: W the real resampling matrix times lam and the Simpson
+    weights, E = e^{i s lam} the phase table of :func:`_phase_table`, and
+    W^T E one real product with the real view of E.
     """
     s_max = float(np.abs(s_axis).max())
     h_d = min(0.02, 2.0 * math.pi / (48.0 * max(s_max, 1.0)))
@@ -666,8 +688,9 @@ def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis):
             count = max(int((hi - lo) / h_d) | 1, 5)
             lam_dense = np.linspace(lo, hi, count)
             wts_d = simpson_log_weights(count, lam_dense[1] - lam_dense[0])
-            dense = (lam_dense * wts_d)[:, None] * np.exp(1j * sign * np.outer(lam_dense, s_axis))
-            kernel += _resample_log(lam_pos, lam_dense).T @ dense
+            weights = _resample_log(lam_pos, lam_dense).T * (lam_dense * wts_d)
+            phase = _phase_table(lam_dense, sign * s_axis)
+            kernel += (weights @ phase.view(float)).view(complex)
         contrib = np.tensordot(slices, kernel, axes=([0], [0]))
 
         # covered range starts at lam_min; the strip (0, lam_min] carries the

@@ -71,27 +71,68 @@ def _laguerre_sum(alpha, coeffs, x):
     and carries a per-point log-scale, so that neither that factor (which
     underflows for x beyond ~1400) nor the growing rows leave the
     floating-point range.
+
+    Each row of x (its leading axis) retires from the recurrence past the
+    last k at which its coefficients are nonzero: the rows are sorted by
+    that extent, each step runs on the prefix still live, and the result
+    is unsorted.  Where every row shares one coefficient series (1-d x or
+    coeffs without a row axis), every point steps to the last k.
     """
     coeffs = np.asarray(coeffs)
     x = np.asarray(x, dtype=float)
+    # the axis of coeffs[k] (and of the result) that runs along x's rows
+    axis = coeffs.ndim - 1 - x.ndim
+    per_row = x.ndim > 0 and axis >= 0 and coeffs.shape[axis + 1] > 1
+    if per_row:
+        nonzero = np.moveaxis(coeffs != 0, axis + 1, 1)
+        nonzero = nonzero.reshape(nonzero.shape[:2] + (-1,)).any(axis=2)     # (K + 1, rows)
+        live = nonzero.any(axis=1).tolist()
+        # last k with a nonzero coefficient per row (-1 for none)
+        last = len(coeffs) - 1 - np.argmax(nonzero[::-1], axis=0)
+        extent = np.where(nonzero.any(axis=0), last, -1)
+        order = np.argsort(-extent, kind="stable")
+        x = x[order]
+        coeffs = np.take(coeffs, order, axis=axis + 1)
+        # steps k in [start, stop) compute ell_{k+1} for the first `rows` rows,
+        # those whose extent reaches stop
+        stops = np.unique(extent[extent > 0])
+        rows = len(extent) - np.searchsorted(np.sort(extent), stops)
+        segments = zip(rows.tolist(), [0] + stops[:-1].tolist(), stops.tolist())
+    else:
+        live = np.any(coeffs.reshape(len(coeffs), -1), axis=1).tolist()
+        segments = [(None, 0, len(coeffs) - 1)]
+
     log_scale = 0.5 * xlogy(alpha, x) - 0.5 * x - 0.5 * math.lgamma(alpha + 1.0)
     prev = np.zeros(x.shape)
     cur = np.ones(x.shape)
     acc = coeffs[0] * cur
-    live = np.any(coeffs.reshape(len(coeffs), -1), axis=1).tolist()
-    for k in range(len(coeffs) - 1):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - math.sqrt(k * (k + alpha)) * prev) / (
-            math.sqrt((k + 1) * (k + alpha + 1.0))
-        )
-        if live[k + 1]:
-            acc += coeffs[k + 1] * cur
-        big = np.abs(cur) > _RESCALE
-        if big.any():
-            cur[big] /= _RESCALE
-            prev[big] /= _RESCALE
-            acc[..., big] /= _RESCALE
-            log_scale[big] += _LOG_RESCALE
-    return acc * np.exp(log_scale)
+    # views of the live prefix: a retired row keeps its sum and its scale
+    xs, scale, sums, terms = x, log_scale, acc, coeffs
+    for top, start, stop in segments:
+        if per_row:
+            prefix = (Ellipsis, slice(top)) + (slice(None),) * (x.ndim - 1)
+            xs, prev, cur, scale, sums = xs[:top], prev[:top], cur[:top], scale[:top], acc[prefix]
+            terms = coeffs[prefix]
+        for k in range(start, stop):
+            prev, cur = cur, (
+                (2 * k + 1 + alpha - xs) * cur - math.sqrt(k * (k + alpha)) * prev
+            ) / math.sqrt((k + 1) * (k + alpha + 1.0))
+            if live[k + 1]:
+                sums += terms[k + 1] * cur
+            big = np.abs(cur) > _RESCALE
+            if big.any():
+                cur[big] /= _RESCALE
+                prev[big] /= _RESCALE
+                sums[..., big] /= _RESCALE
+                scale[big] += _LOG_RESCALE
+    if log_scale.min(initial=0.0) < -700.0:
+        # at large x a sum can stay large under a scale that underflows
+        # on its own (more so once its row retires): apply it in halves
+        half = np.where(log_scale < -700.0, np.maximum(0.5 * log_scale, -700.0), 0.0)
+        out = acc * np.exp(log_scale - half) * np.exp(half)
+    else:
+        out = acc * np.exp(log_scale)
+    return np.take(out, np.argsort(order), axis=axis) if per_row else out
 
 
 def _scaled_coords(lam, y, eta):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hfourier.freq_space import (
     BoundaryPoint,
@@ -13,6 +15,7 @@ from hfourier.freq_space import (
     gauss_legendre,
     integrate,
     l1m_norm,
+    simpson_log_weights,
     weight_d0,
 )
 from hfourier.profiles import heat_profile, profile_gauss, profile_to_freq_function
@@ -98,6 +101,32 @@ def test_lambda_grid_json_roundtrip(tmp_path):
     clone = table_from_csv(path).grid
     assert np.array_equal(clone.lam, grid.lam)
     assert "ratio" in grid.to_json()
+
+
+def _simpson_loop(count, step):
+    """Composite Simpson weights pair by pair, with the quadratic end
+    correction for an odd number of intervals: the reference loop."""
+    w = np.zeros(count)
+    if count == 2:
+        return np.array([0.5, 0.5]) * step
+    for i in range((count - 1) // 2):
+        w[2 * i] += step / 3.0
+        w[2 * i + 1] += 4.0 * step / 3.0
+        w[2 * i + 2] += step / 3.0
+    if (count - 1) % 2 == 1:
+        w[-3] += -step / 12.0
+        w[-2] += 8.0 * step / 12.0
+        w[-1] += 5.0 * step / 12.0
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(2, 5000),
+       step=st.sampled_from([1.0, 0.1, 2.0 / 3.0, math.log(16e3) / 47, 6.5e-3, 1e-300]))
+@example(count=3, step=0.1)
+@example(count=4, step=0.1)
+def test_simpson_weights_match_the_pairwise_loop_bit_for_bit(count, step):
+    assert np.array_equal(simpson_log_weights(count, step), _simpson_loop(count, step))
 
 
 @pytest.mark.parametrize("q", [1, 4, 12, 24, 32])

@@ -556,6 +556,59 @@ def test_radial_inverse_matches_the_banded_route(name, theta, symmetric):
     assert got_tail == want_tail
 
 
+def _lambda_stage_by_exponentials(chi, lam_list, s_axis):
+    """The oscillatory lambda stage with every entry of the dense phase
+    table an exponential e^{i sign lam s} of its own, the reference for the
+    table built from block products."""
+    from hfourier.freq_space import simpson_log_weights, sqrt_richardson
+
+    s_max = float(np.abs(s_axis).max())
+    h_d = min(0.02, 2.0 * math.pi / (48.0 * max(s_max, 1.0)))
+    out = np.zeros(chi.shape[1:] + (len(s_axis),), dtype=complex)
+    for sign in (+1.0, -1.0):
+        cols = np.flatnonzero(sign * lam_list > 0)
+        if len(cols) == 0:
+            continue
+        cols = cols[np.argsort(np.abs(lam_list[cols]))]
+        lam_pos = np.abs(lam_list[cols])
+        slices = chi[cols]
+        h_t = math.log(lam_pos[1] / lam_pos[0])
+        j = int(np.searchsorted(lam_pos, h_d / max(math.expm1(h_t), 1e-300)))
+        j = min(max(j, 4), len(lam_pos) - 1)
+        sub = lam_pos[: j + 1]
+        wts = simpson_log_weights(len(sub), h_t) * sub
+        kernel = np.zeros((len(lam_pos), len(s_axis)), dtype=complex)
+        kernel[: j + 1] = (sub * wts)[:, None] * np.exp(1j * sign * np.outer(sub, s_axis))
+        if j < len(lam_pos) - 1:
+            lo, hi = lam_pos[j], lam_pos[-1]
+            count = max(int((hi - lo) / h_d) | 1, 5)
+            lam_dense = np.linspace(lo, hi, count)
+            wts_d = simpson_log_weights(count, lam_dense[1] - lam_dense[0])
+            dense = (lam_dense * wts_d)[:, None] * np.exp(1j * sign * np.outer(lam_dense, s_axis))
+            kernel += _resample_log(lam_pos, lam_dense).T @ dense
+        contrib = np.tensordot(slices, kernel, axes=([0], [0]))
+        F1, F2 = slices[0] * lam_pos[0], slices[1] * lam_pos[1]
+        F0 = sqrt_richardson(lam_pos[0], F1, lam_pos[1], F2)
+        contrib += (lam_pos[0] * 0.5 * (F0 + F1))[..., None] * np.ones(len(s_axis))
+        out += contrib
+    return out
+
+
+@pytest.mark.parametrize("grid,s_axis,symmetric", [
+    # the heat_kernel benchmark's grid and s-axis: 2439 dense lambdas, 107 s
+    (LambdaGrid(1e-3, 16.0, 48), np.linspace(-20.0, 20.0, 107), True),
+    (LambdaGrid(), np.linspace(-6.0, 6.0, 33), False),
+])
+def test_phase_table_from_block_products_matches_the_exponentials(grid, s_axis, symmetric):
+    lam = grid.lam[grid.lam > 0] if symmetric else grid.lam
+    rng = np.random.default_rng(17)
+    chi = rng.normal(size=(len(lam), 3, 5)) + 1j * rng.normal(size=(len(lam), 3, 5))
+    got = transform._oscillatory_lambda_stage(chi, lam, grid, s_axis)
+    want = _lambda_stage_by_exponentials(chi, lam, s_axis)
+    assert got.shape == want.shape == (3, 5, len(s_axis))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def _grid_tail_correction(theta, lam, n_top, y_axis, e_axis):
     """The capped diagonal remainder point by point on the (y, eta) grid,
     the reference for the correction on the distinct radii."""

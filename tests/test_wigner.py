@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import j0
+from scipy.special import j0, xlogy
 
 from hfourier.hermite import hermite_selected
 from hfourier.wigner import (_laguerre_sum, boundary_kernel, wigner_eval, wigner_series_dense,
@@ -286,6 +286,73 @@ def test_laguerre_sum_broadcasts_coefficients_bit_exactly(K, L, R, alpha, x_max,
     band = coeffs[:, :2] if L >= 2 else np.concatenate([coeffs, -coeffs], axis=1)
     both = np.stack([_laguerre_sum(alpha, band[:, i], x) for i in range(2)])
     assert np.array_equal(_laguerre_sum(alpha, band[:, :, None, None], x), both)
+
+
+def _laguerre_sum_every_row(alpha, coeffs, x):
+    """sum_k coeffs[k] ell_k^alpha(x) stepping every row of x to the last
+    k, the recurrence before rows retired.  Also returns, per point of x,
+    whether its value is bit-reproducible by the retiring recurrence: its
+    row was never rescaled past its own extent and its final scale does not
+    underflow (where the retiring sum applies the scale in halves)."""
+    rows = np.moveaxis(coeffs != 0, coeffs.ndim - x.ndim, 1).reshape(len(coeffs), len(x), -1)
+    nonzero = rows.any(axis=2)
+    extent = np.where(nonzero.any(axis=0), len(coeffs) - 1 - np.argmax(nonzero[::-1], axis=0), -1)
+    spread = (1,) * (x.ndim - 1)
+    late = np.zeros(x.shape, dtype=bool)
+    log_scale = 0.5 * xlogy(alpha, x) - 0.5 * x - 0.5 * math.lgamma(alpha + 1.0)
+    prev, cur = np.zeros(x.shape), np.ones(x.shape)
+    acc = coeffs[0] * cur
+    for k in range(len(coeffs) - 1):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - math.sqrt(k * (k + alpha)) * prev) / (
+            math.sqrt((k + 1) * (k + alpha + 1.0))
+        )
+        acc += coeffs[k + 1] * cur
+        big = np.abs(cur) > 2.0**400
+        late |= big & (extent < k + 1).reshape((-1,) + spread)
+        cur[big] /= 2.0**400
+        prev[big] /= 2.0**400
+        acc[..., big] /= 2.0**400
+        log_scale[big] += 400.0 * math.log(2.0)
+    return acc * np.exp(log_scale), ~late & (log_scale >= -700.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(0, 80), L=st.integers(2, 6), R=st.integers(1, 5),
+    alpha=st.sampled_from([0, 1, 3]), band=st.booleans(),
+    x_max=st.sampled_from([5.0, 200.0, 3000.0]), seed=st.integers(0, 2**32 - 1),
+)
+@example(K=60, L=4, R=3, alpha=3, band=True, x_max=3000.0, seed=7)
+def test_retired_rows_match_the_recurrence_on_every_row(K, L, R, alpha, band, x_max, seed):
+    # each row of x its own extent (-1: all zero), in random order, so the
+    # rows are sorted and unsorted; a band carries both diagonals per row
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, x_max, size=(L, R))
+    shape = (K + 1, 2, L, 1) if band else (K + 1, L, 1)
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    extent = rng.integers(-1, K + 1, size=L)
+    past = (np.arange(K + 1)[:, None] > extent)[..., None]                # (K + 1, L, 1)
+    coeffs[np.broadcast_to(past[:, None] if band else past, shape)] = 0.0
+    got = _laguerre_sum(alpha, coeffs, x)
+    want, exact = _laguerre_sum_every_row(alpha, coeffs, x)
+    assert got.shape == want.shape
+    assert np.array_equal(got[..., exact], want[..., exact])
+    # 1e-14 of each row's largest value; below 2^400 times the smallest
+    # normal double the old loop's own rescaling of a retired row pushes its
+    # sum into subnormals, so rows that small are held to that floor
+    err = np.abs(got - want).reshape(-1, L, R).max(axis=(0, 2))
+    top = np.abs(want).reshape(-1, L, R).max(axis=(0, 2))
+    assert np.all(err <= 1e-14 * np.maximum(top, np.finfo(float).tiny * 2.0**400))
+
+
+def test_laguerre_sum_keeps_a_value_whose_scale_alone_underflows():
+    # ell_60(1600) ~ 1e-238: e^{-800} underflows, the unscaled sum ~1e110 does not
+    x = np.array([1600.0, 1750.0])
+    coeffs = np.zeros(61)
+    coeffs[60] = 1.0
+    want = [float(mpmath.exp(-xi / 2) * mpmath.laguerre(60, 0, xi)) for xi in x]
+    assert all(1e-300 < abs(w) < 1e-200 for w in want)
+    assert np.allclose(_laguerre_sum(0, coeffs, x), want, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
