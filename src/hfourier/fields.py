@@ -216,26 +216,40 @@ def read_field(path):
     return fld
 
 
+def _repr_tokens(values):
+    """``repr`` of every entry of ``values``, as a list in C order.
+
+    Each distinct magnitude is formatted once and a ``-`` prefixed where
+    the sign bit is set, which is ``repr`` exactly for +-0.0, +-inf, nan
+    and subnormals.  A real field's table holds each |re| and |im| at lam
+    and -lam, so one slice of it needs half a ``repr`` per entry."""
+    values = np.ravel(values)
+    mag, inv = np.unique(np.abs(values), return_inverse=True)
+    pos = list(map(repr, mag.tolist()))
+    signed = np.array(pos + ["-" + tok for tok in pos], dtype=object)
+    return signed[inv + len(pos) * (np.signbit(values) & ~np.isnan(values))].tolist()
+
+
 def _write_csv(path, header, columns):
     """Write the broadcast of ``columns`` (arrays of two or more axes after
     broadcasting) as the columns of a CSV under ``header``, rows in C
-    order, each number as its shortest round-trip repr.  A column smaller
-    than the broadcast (an index or an axis) has its distinct values
-    formatted once; only the full columns pay a repr per row.  Rows are
-    formatted one slice of the leading axis at a time."""
+    order, each number as its shortest round-trip repr.  One slice of the
+    leading axis at a time, each column's tokens (:func:`_repr_tokens` of
+    its slice) are slice-assigned between the fixed ``,`` and newline
+    separators of one token list, joined and written, so the memory held
+    is that of one slice."""
     shape = np.broadcast_shapes(*(np.shape(col) for col in columns))
-    fields, cells = [], []
-    for col in map(np.asarray, columns):
-        small = col.size < math.prod(shape)
-        if small:
-            col = np.array(list(map(repr, col.ravel().tolist())), dtype=object).reshape(col.shape)
-        fields.append("%s" if small else "%r")
-        cells.append(np.broadcast_to(col, shape))
-    row = ",".join(fields) + "\n"
+    cells = [np.broadcast_to(col, shape) for col in columns]
+    width = 2 * len(cells)
+    rows = math.prod(shape[1:])
+    line = [","] * (width * rows)
+    line[width - 1::width] = ["\n"] * rows
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for i in range(shape[0]):
-            fh.writelines(map(row.__mod__, zip(*(cell[i].ravel().tolist() for cell in cells))))
+            for j, cell in enumerate(cells):
+                line[2 * j::width] = _repr_tokens(cell[i])
+            fh.write("".join(line))
 
 
 def field_to_csv(fld, path):
@@ -269,7 +283,7 @@ def field_from_csv(path):
     shape = tuple(len(ax) for ax in axes)
     flat = np.ravel_multi_index(tuple(np.searchsorted(ax, data[:, j]) for j, ax in enumerate(axes)),
                                 shape)
-    if np.unique(flat).size != flat.size:
+    if np.bincount(flat).max() > 1:
         raise ValueError(f"{path}: duplicate (y, eta, s) rows")
     if flat.size != math.prod(shape):
         raise ValueError(f"{path}: CSV does not cover the full tensor grid")

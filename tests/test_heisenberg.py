@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hfourier.fields import SampledField, field_from_csv, field_to_csv, read_field, write_field
+from hfourier.fields import (SampledField, _write_csv, field_from_csv, field_to_csv, read_field,
+                             write_field)
+from hfourier.freq_space import LambdaGrid
 from hfourier.heisenberg import (
     apply_phys_op,
     convolve,
@@ -17,6 +19,7 @@ from hfourier.heisenberg import (
     group_mul,
     phys_seminorm,
 )
+from hfourier.transform import SpectralTable, _csv_columns, table_to_csv
 
 
 def gauss(y, e, s):
@@ -468,6 +471,56 @@ def test_csv_tokens_in_grid_order(tmp_path):
             for i, y in enumerate(f.y_axis) for j, e in enumerate(f.eta_axis)
             for k, s in enumerate(f.s_axis)]
     assert path.read_text().splitlines() == ["y,eta,s,re,im"] + want
+
+
+def _per_row_csv(header, columns):
+    """The CSV writer as it was: one ``%r`` per number, row by row."""
+    cells = [cell.ravel().tolist() for cell in np.broadcast_arrays(*map(np.asarray, columns))]
+    row = ",".join(["%r"] * len(cells)) + "\n"
+    return header + "\n" + "".join(map(row.__mod__, zip(*cells)))
+
+
+# signed zeros, infinities, nan, subnormals and magnitudes near the ends of the range
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                -1e-310, 1e-300, -1e300, 1.7976931348623157e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=st.sampled_from(["table d=1", "table d=2", "field", "kernel"]),
+       symmetric=st.booleans(), data=st.data())
+def test_csv_writer_bytes_are_the_per_row_repr(layout, symmetric, data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("writer") / "out.csv"
+    odd = st.sampled_from([3, 5])
+    if layout.startswith("table"):
+        d = int(layout[-1])
+        grid = LambdaGrid(0.3, 3.0, data.draw(st.integers(2, 3)))
+        shape = (data.draw(st.integers(1, 3 if d == 1 else 2)),) * (2 * d) + (len(grid.lam),)
+    else:
+        shape = tuple(data.draw(odd) for _ in range(3 if layout == "field" else 2))
+    numbers = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64))
+    values = np.empty(shape, dtype=complex)
+    values.real, values.imag = (data.draw(arrays(float, shape, elements=numbers)) for _ in range(2))
+    if symmetric:
+        # conjugate mirror along the last axis, as a real field's table holds
+        # f^(n, m, -lam) = conj f^(n, m, lam): each magnitude with both signs
+        half = shape[-1] // 2
+        values[..., shape[-1] - half:] = np.conj(values[..., :half][..., ::-1])
+    if layout.startswith("table"):
+        table_to_csv(SpectralTable(values, grid, d), path)
+        header = ",".join(_csv_columns(d))
+        columns = [*np.indices(shape, sparse=True)[:-1], grid.lam, values.real, values.imag]
+    elif layout == "field":
+        fld = SampledField(values, 1, (6.0, 2.5, 1e-3))
+        field_to_csv(fld, path)
+        header = "y,eta,s,re,im"
+        columns = [fld.y_axis[:, None, None], fld.eta_axis[:, None], fld.s_axis,
+                   values.real, values.imag]
+    else:
+        # the kernel command's layout
+        y, e = np.linspace(-6.0, 6.0, shape[0]), np.linspace(-4.0, 4.0, shape[1])
+        header, columns = "y,eta,re,im", [y[:, None], e, values.real, values.imag]
+        _write_csv(path, header, columns)
+    assert path.read_bytes() == _per_row_csv(header, columns).encode()
 
 
 def test_csv_rejects_inf(tmp_path):

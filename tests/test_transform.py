@@ -128,7 +128,7 @@ def _product_projection(fld, n_max, grid):
                 np.abs(slab).max() < 1e-15 * global_max):
             continue
         al, rl = abs(lam), math.sqrt(abs(lam))
-        xi_cut = transform._xi_cutoff(slab, eta, h_eta)
+        xi_cut = transform._xi_cutoff(slab, eta, h_eta, np.abs(slab).max(axis=(-2, -1)))
         extent = min((root_pref + 9.0) / rl + Ly, 1.15 * xi_cut / (2.0 * al))
         bandwidth = rl * (2.0 * root_pref + 8.0) + 2.0 * al * abs(eta).max()
         tau, wtau = transform._gl_panels(extent, bandwidth)
@@ -268,15 +268,17 @@ def test_stacked_xi_cutoff_is_the_scalar_search():
     rows = rng.normal(size=(len(widths), 40, 1)) + 1j * rng.normal(size=(len(widths), 40, 1))
     slabs = np.concatenate([rows * np.exp(-widths[:, None, None] * eta**2),
                             np.zeros((1, 40, len(eta)), dtype=complex)])
-    got = transform._xi_cutoff(slabs, eta, h_eta)
+    ref = np.abs(slabs).max(axis=(-2, -1))
+    got = transform._xi_cutoff(slabs, eta, h_eta, ref)
     want = [_scalar_xi_cutoff(slab, eta, h_eta) for slab in slabs]
     assert got.tolist() == want
     assert len(set(want)) == 6
     # a single slab returns its cutoff alone
-    assert transform._xi_cutoff(slabs[2], eta, h_eta) == want[2]
+    assert transform._xi_cutoff(slabs[2], eta, h_eta, ref[2]) == want[2]
     # an eta-spacing above pi/2 leaves no candidate below Nyquist
     coarse = slabs[:, :, ::6]
-    assert transform._xi_cutoff(coarse, eta[::6], 6 * h_eta).tolist() == \
+    assert transform._xi_cutoff(coarse, eta[::6], 6 * h_eta,
+                                np.abs(coarse).max(axis=(-2, -1))).tolist() == \
         [_scalar_xi_cutoff(slab, eta[::6], 6 * h_eta) for slab in coarse]
 
 
@@ -319,6 +321,79 @@ def _per_lambda_forward(fld, n_max, grid):
         pos = np.flatnonzero(lam_all > 0)
         values[:, :, L - 1 - pos] = np.conj(values[:, :, pos])
     return values
+
+
+def _full_phase_forward(fld, n_max, grid):
+    """The stacked forward with cos and sin of -2 lam eta tau evaluated on
+    every eta of the axis: the phase as it was before the rows at -eta
+    became the conjugates of those at eta."""
+    lam_all, L = grid.lam, len(grid.lam)
+    eta, h_eta = fld.eta_axis, fld.spacings[1]
+    Ly, hy = fld.extents[0], fld.spacings[0]
+    real_input = fld.is_real()
+    resolved = np.abs(lam_all) <= 0.98 * math.pi / fld.spacings[2]
+    lams = lam_all[resolved & (lam_all > 0)] if real_input else lam_all[resolved]
+    fs_up = transform._upsample_axis(np.moveaxis(transform._fs_many(fld, lams), -1, 0),
+                                     transform._UPSAMPLE, axis=1)
+    hu = hy / transform._UPSAMPLE
+    u = -Ly + hu * np.arange(fs_up.shape[1])
+    smax = np.abs(fs_up).max(axis=(1, 2))
+    root_pref = math.sqrt(2 * n_max + 1)
+    live = np.flatnonzero(smax >= 1e-15 * smax.max(initial=0.0))
+    moments = np.zeros((2 * n_max + 1, 2 * n_max + 1, L), dtype=complex)
+    for start in range(0, len(live), transform._LAM_BLOCK):
+        cols = live[start:start + transform._LAM_BLOCK]
+        lam = lams[cols]
+        al, rl = np.abs(lam), np.sqrt(np.abs(lam))
+        slabs = fs_up[cols]
+        xi_cut = transform._xi_cutoff(slabs, eta, h_eta, np.abs(slabs).max(axis=(-2, -1)))
+        extent = np.minimum((root_pref + 9.0) / rl + Ly, 1.15 * xi_cut / (2.0 * al))
+        bandwidth = rl * (2.0 * root_pref + 8.0) + 2.0 * al * abs(eta).max()
+        rules = [transform._gl_panels(e, b) for e, b in zip(extent.tolist(), bandwidth.tolist())]
+        sizes = [len(tau) for tau, _ in rules]
+        tau = np.concatenate([tau for tau, _ in rules])
+        wtau = np.concatenate([w for _, w in rules])
+        h_u = hermite_rows(2 * n_max, (math.sqrt(2.0) * rl)[:, None] * u)
+        B = (h_u.transpose(1, 0, 2) @ slabs.view(float)).view(complex)
+        B *= h_eta
+        h_tau = hermite_rows(2 * n_max, np.repeat(math.sqrt(2.0) * rl, sizes) * tau)
+        h_tau *= np.repeat(rl, sizes) * (wtau * hu)
+        arg = np.outer(eta, tau) * (-2.0 * np.repeat(lam, sizes))
+        phase = np.empty(arg.shape, dtype=complex)
+        np.cos(arg, out=phase.real)
+        np.sin(arg, out=phase.imag)
+        splits = np.cumsum(sizes)[:-1]
+        for il, b, ph, ht in zip(np.searchsorted(lam_all, lam).tolist(), B,
+                                 np.split(phase, splits, axis=1), np.split(h_tau, splits, axis=1)):
+            moments[:, :, il] = (ht @ (ph.T @ b.T).view(float)).view(complex)
+    values = np.zeros((n_max + 1, n_max + 1, L), dtype=complex)
+    for N in range(2 * n_max + 1):
+        k = np.arange(N + 1)
+        n = np.arange(max(0, N - n_max), min(N, n_max) + 1)
+        values[n, N - n] = _rotation_block(N)[:, n].T @ moments[N - k, k]
+    if real_input:
+        pos = np.flatnonzero(lam_all > 0)
+        values[:, :, L - 1 - pos] = np.conj(values[:, :, pos])
+    return values
+
+
+@pytest.mark.parametrize("extent,points,n_max,grid,rtol", [
+    # the default config: linspace(-6, 6, 33) is exactly symmetric, so the
+    # conjugate rows are the full phase's rows bit for bit
+    (6.0, 33, 24, LambdaGrid(), 0.0),
+    # linspace(-5.3, 5.3, 31) is not: the mirrored row sits at -eta_{N-1-j},
+    # at most one ulp from eta_j
+    (5.3, 31, 10, LambdaGrid(0.05, 8.0, 24), 1e-14),
+])
+def test_mirrored_eta_phase_matches_the_full_phase(extent, points, n_max, grid, rtol):
+    eta = np.linspace(-extent, extent, points)
+    assert np.array_equal(eta[::-1], -eta) == (rtol == 0.0)
+    fld = SampledField.from_function(
+        lambda y, e, s: np.exp(-(y**2 + 0.8 * e**2 + s**2) + 0.3 * y * e), 1, (extent,) * 3,
+        (points,) * 3)
+    got = forward_factored(fld, n_max, grid).values
+    want = _full_phase_forward(fld, n_max, grid)
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def _per_lambda_dense(rows, lam, y, eta):
