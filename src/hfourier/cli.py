@@ -277,8 +277,15 @@ def build_parser():
     return p
 
 
+# built on the first call of main and reused by every later one
+_parser = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError) as exc:

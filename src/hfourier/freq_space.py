@@ -180,12 +180,15 @@ def _legendre(q):
 def gauss_legendre(edges, q):
     """Composite Gauss-Legendre rule: the q-point rule on each panel
     between consecutive ``edges``.  Returns (nodes, weights), panel by
-    panel in the order of ``edges``."""
+    panel in the order of ``edges``; a stack of edge rows (..., E) gives
+    one rule per row, shape (..., (E - 1) q)."""
     xi, om = _legendre(q)
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[:-1] + edges[1:])
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     half = 0.5 * np.diff(edges)
-    return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * om).ravel()
+    shape = edges.shape[:-1] + (-1,)
+    nodes = mid[..., None] + half[..., None] * xi
+    return nodes.reshape(shape), (half[..., None] * om).reshape(shape)
 
 
 @dataclass

@@ -455,35 +455,36 @@ def rep_matrix_coeff(fld, lam, n, m):
 
 def _diagonal_tail_correction(theta, lam, n_top, radius):
     """Boundary-kernel estimate of the capped diagonal remainder at the
-    radii |Y| = ``radius``.
+    radii |Y| = ``radius``, one row per lambda of the array ``lam``.
 
     Indices above the cap sit close to the completion boundary (lam n
     bounded), where the symbol rows are near the boundary kernel slices;
     for geometrically decaying diagonals the remainder is a weighted
     kernel integral over the envelope, evaluated here with the kernel's
     index oscillation resolved (a single representative row would badly
-    overcount the nearly cancelling Y-mass).
+    overcount the nearly cancelling Y-mass).  A lambda whose next two
+    diagonal entries do not decay geometrically gets a row of zeros.
     """
     from scipy.special import j0 as j0_bessel
 
-    nxt = np.array([[n_top + 1], [n_top + 2]])
-    t1, t2 = (complex(v) for v in theta(nxt, nxt, lam))
-    if t1 == 0 or abs(t2) >= (1.0 - 1e-9) * abs(t1):
-        return None
-    r = t2 / t1
-    if abs(r.imag) > 1e-12 * abs(r.real) or r.real <= 0:
-        return None
-    r = r.real
-    # sum_{j >= 0} t1 r^j K(...) as a Gauss-Legendre integral over the
+    nxt = np.array([n_top + 1, n_top + 2]).reshape(2, 1, 1)
+    t1, t2 = np.broadcast_to(theta(nxt, nxt, lam), (2, len(lam)))
+    geometric = (t1 != 0) & (np.abs(t2) < (1.0 - 1e-9) * np.abs(t1))
+    r = t2 / np.where(geometric, t1, 1.0)
+    geometric &= (np.abs(r.imag) <= 1e-12 * np.abs(r.real)) & (r.real > 0)
+    # any ratio in (0, 1) where no correction is made: its weights are zeroed
+    r = np.where(geometric, r.real, 0.5)
+    # sum_{j >= 0} t1 r^j K(...) as a Gauss-Legendre integral over each
     # geometric envelope (the kernel's index oscillation must be resolved,
     # otherwise the correction overcounts the nearly cancelling Y-mass)
-    decay = -math.log(r)
-    j_nodes, j_w = gauss_legendre([-0.5, 18.0 / decay], 32)
+    edges = np.stack([np.full(len(lam), -0.5), 18.0 / -np.log(r)], axis=1)
+    j_nodes, j_w = gauss_legendre(edges, 32)                       # (lambda, 32)
     # the zero-integer-index kernel slice is radial: a Bessel J0 profile,
     # one row per node
-    x_j = abs(lam) * (2.0 * (n_top + 1 + j_nodes) + 1.0)
-    rows = j0_bessel(np.multiply.outer(2.0 * np.sqrt(x_j), radius))
-    return np.tensordot(j_w * t1 * r**j_nodes, rows, axes=1)
+    x_j = np.abs(lam)[:, None] * (2.0 * (n_top + 1 + j_nodes) + 1.0)
+    rows = j0_bessel(2.0 * np.sqrt(x_j)[..., None] * radius)      # (lambda, 32, radii)
+    w = np.where(geometric[:, None], j_w * t1[:, None] * r[:, None] ** j_nodes, 0.0)
+    return (w[:, None] @ rows)[:, 0]
 
 
 def _n_extent(theta, lam, n_cap):
@@ -571,7 +572,7 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
         live = np.flatnonzero(np.any(rows, axis=(0, 1)))
         chi = np.zeros((len(lam_list), points[0], points[1]), dtype=complex)
         chi[live] = wigner_series_dense(rows[:, :, live], lam_list[live], y_axis, e_axis)
-        out = _oscillatory_lambda_stage(chi, lam_list, grid, s_axis)
+        out = _oscillatory_lambda_stage(chi, lam_list, s_axis)
     else:
         # the channels k = m - n on the distinct radii, theta once on the band box
         B = theta.band
@@ -581,14 +582,13 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
         n, m = (j - np.minimum(k, 0))[..., None, None], (j + np.maximum(k, 0))[..., None, None]
         rows = np.where(np.maximum(n, m)[..., 0] <= n_tops, theta(n, m, lam_list), 0.0)
         chi = wigner_series_radial(rows, lam_list, r2)                 # (lambda, k, radii)
-        for il in np.flatnonzero(capped & (B == 0)):
-            tail_row = _diagonal_tail_correction(theta, lam_list[il], n_cap, np.sqrt(r2))
-            if tail_row is not None:
-                chi[il, 0] += tail_row
+        if B == 0 and capped.any():
+            chi[capped, 0] += _diagonal_tail_correction(theta, lam_list[capped], n_cap,
+                                                        np.sqrt(r2))
         # sgn(lam) mirrors phi: channel k of a negative lambda goes with e^{+i k phi}
         neg = lam_list < 0
         chi[neg] = chi[neg, ::-1]
-        radial = _oscillatory_lambda_stage(chi, lam_list, grid, s_axis)  # (k, radii, s)
+        radial = _oscillatory_lambda_stage(chi, lam_list, s_axis)  # (k, radii, s)
         out = radial[B][ring]
         phi = np.arctan2(e_axis[None, :], y_axis[:, None]).reshape(-1, 1)
         for c in range(-B, B + 1):
@@ -651,7 +651,7 @@ def _phase_table(lam, s):
     return table.reshape(-1, len(s))[: len(lam)]
 
 
-def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis):
+def _oscillatory_lambda_stage(chi, lam_list, s_axis):
     """Integrate chi(., lam) |lam| e^{i s lam} d lam.
 
     ``chi`` stacks one slice per lambda of ``lam_list`` on its first axis
@@ -666,11 +666,16 @@ def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis):
     matrix and one contraction per branch.  On the dense grid that matrix
     is W^T E: W the real resampling matrix times lam and the Simpson
     weights, E = e^{i s lam} the phase table of :func:`_phase_table`, and
-    W^T E one real product with the real view of E.
+    W^T E one real product with the real view of E.  ``s_axis`` is
+    symmetric about 0 (a linspace from -S to S): the matrix is real weights
+    times e^{i s lam}, so it is built for s >= 0 and its -s columns are the
+    conjugates.
     """
     s_max = float(np.abs(s_axis).max())
     h_d = min(0.02, 2.0 * math.pi / (48.0 * max(s_max, 1.0)))
     out = np.zeros(chi.shape[1:] + (len(s_axis),), dtype=complex)
+    half = len(s_axis) // 2
+    s_half = s_axis[half:]
 
     for sign in (+1.0, -1.0):
         cols = np.flatnonzero(sign * lam_list > 0)
@@ -687,16 +692,18 @@ def _oscillatory_lambda_stage(chi, lam_list, grid, s_axis):
         # geometric piece [lam_min, lam_j]: phase resolved by the source grid
         sub = lam_pos[: j + 1]
         wts = simpson_log_weights(len(sub), h_t) * sub
-        kernel = np.zeros((len(lam_pos), len(s_axis)), dtype=complex)
-        kernel[: j + 1] = (sub * wts)[:, None] * np.exp(1j * sign * np.outer(sub, s_axis))
+        kernel = np.zeros((len(lam_pos), len(s_half)), dtype=complex)
+        kernel[: j + 1] = (sub * wts)[:, None] * np.exp(1j * sign * np.outer(sub, s_half))
         if j < len(lam_pos) - 1:
             lo, hi = lam_pos[j], lam_pos[-1]
             count = max(int((hi - lo) / h_d) | 1, 5)
             lam_dense = np.linspace(lo, hi, count)
             wts_d = simpson_log_weights(count, lam_dense[1] - lam_dense[0])
-            weights = _resample_log(lam_pos, lam_dense).T * (lam_dense * wts_d)
-            phase = _phase_table(lam_dense, sign * s_axis)
+            weights = _resample_log(lam_pos, lam_dense).T
+            weights *= lam_dense * wts_d
+            phase = _phase_table(lam_dense, sign * s_half)
             kernel += (weights @ phase.view(float)).view(complex)
+        kernel = np.concatenate([np.conj(kernel[:, ::-1][:, :half]), kernel], axis=1)
         contrib = np.tensordot(slices, kernel, axes=([0], [0]))
 
         # covered range starts at lam_min; the strip (0, lam_min] carries the

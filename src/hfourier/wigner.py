@@ -18,7 +18,11 @@ z = 2a + ib for n >= m, z = -2a + ib for n < m,
     ell_k^alpha(x) = sqrt(k! / (k + alpha)!) x^{alpha/2} e^{-x/2} L_k^alpha(x).
 
 The normalized functions ell_k^alpha are computed by their three-term
-recurrence in k, which is stable for k in the hundreds.  As
+recurrence in k, which is stable for k in the hundreds.  A sum over k
+stores the recurrence rows of each run of k and contracts them with their
+coefficients in one GEMM at the run's end, and a running bound on the rows
+checks for their rescale by 2^400 only where one can be needed
+(:func:`_laguerre_sum`).  As
 rho^2 = 2 |lam| |Y|^2 and arg z = sgn(lam) phi or pi - sgn(lam) phi,
 phi = atan2(eta, y), each symbol is a radial function times an angular
 factor, so a banded sum needs only the distinct radii of a grid
@@ -54,6 +58,10 @@ __all__ = ["wigner_eval", "wigner_conj_grid", "wigner_series_radial", "wigner_se
 # an exact power of two, so rescaling the recurrence loses no bits
 _RESCALE = 2.0 ** 400
 _LOG_RESCALE = 400.0 * math.log(2.0)
+# recurrence values held before a contraction (2 MB of doubles)
+_CHUNK = 1 << 18
+# the running bound on the recurrence rows covers their rounding with this factor
+_SLACK = 1.0 + 1e-6
 
 
 def _laguerre_sum(alpha, coeffs, x):
@@ -62,7 +70,8 @@ def _laguerre_sum(alpha, coeffs, x):
     ``coeffs`` has shape (K + 1,) + c, and each coeffs[k] broadcasts
     against x: the result has the broadcast shape of c and x.shape, whose
     trailing axes must be x's own (so c = (L, 1) against x of shape
-    (L, R) sums a separate series on each row of x).  The recurrence
+    (L, R) sums a separate series on each row of x).  The coefficients may
+    vary along x's first axis only.  The recurrence
 
         sqrt((k + 1)(k + alpha + 1)) ell_{k+1}
             = (2k + 1 + alpha - x) ell_k - sqrt(k (k + alpha)) ell_{k-1}
@@ -76,55 +85,85 @@ def _laguerre_sum(alpha, coeffs, x):
     last k at which its coefficients are nonzero: the rows are sorted by
     that extent, each step runs on the prefix still live, and the result
     is unsorted.  Where every row shares one coefficient series (1-d x or
-    coeffs without a row axis), every point steps to the last k.
+    coeffs without a row axis), all of x is one row that steps to the last
+    k.  The steps of a segment (a run of k with the same live rows, cut
+    at 2 MB of values) are stored, not summed: at its end one stacked real
+    GEMM, batched over the rows, contracts them with the real view of
+    their coefficients.  The 2^400 rescale is checked only where it can
+    fire: a scalar bound B_k >= max |ell_k| over the live points follows
+    the recurrence with |2k + 1 + alpha - x| at its largest, and the rows
+    are tested once B passes 2^400, then B restarts from their maxima.  A
+    point that exceeds 2^400 has its stored rows of the segment and its
+    partial sum divided by 2^400, which is exact.
     """
     coeffs = np.asarray(coeffs)
     x = np.asarray(x, dtype=float)
-    # the axis of coeffs[k] (and of the result) that runs along x's rows
-    axis = coeffs.ndim - 1 - x.ndim
-    per_row = x.ndim > 0 and axis >= 0 and coeffs.shape[axis + 1] > 1
+    # coeffs[k] as its leading (channel) axes and its axes against x
+    c = (1,) * max(x.ndim - coeffs.ndim + 1, 0) + coeffs.shape[1:]
+    lead, tail = c[:len(c) - x.ndim], c[len(c) - x.ndim:]
+    if any(n != 1 for n in tail[1:]):
+        raise ValueError("coefficients may vary along the first axis of x only")
+    per_row = x.ndim > 0 and tail[0] > 1
+    xr = x.reshape(len(x) if per_row else 1, -1)                     # (rows, points)
+    terms = coeffs.reshape(len(coeffs), math.prod(lead), -1)          # (K + 1, channels, rows)
     if per_row:
-        nonzero = np.moveaxis(coeffs != 0, axis + 1, 1)
-        nonzero = nonzero.reshape(nonzero.shape[:2] + (-1,)).any(axis=2)     # (K + 1, rows)
-        live = nonzero.any(axis=1).tolist()
+        nonzero = (terms != 0).any(axis=1)                             # (K + 1, rows)
         # last k with a nonzero coefficient per row (-1 for none)
-        last = len(coeffs) - 1 - np.argmax(nonzero[::-1], axis=0)
+        last = len(terms) - 1 - np.argmax(nonzero[::-1], axis=0)
         extent = np.where(nonzero.any(axis=0), last, -1)
         order = np.argsort(-extent, kind="stable")
-        x = x[order]
-        coeffs = np.take(coeffs, order, axis=axis + 1)
+        xr, terms = xr[order], terms[:, :, order]
         # steps k in [start, stop) compute ell_{k+1} for the first `rows` rows,
         # those whose extent reaches stop
         stops = np.unique(extent[extent > 0])
         rows = len(extent) - np.searchsorted(np.sort(extent), stops)
         segments = zip(rows.tolist(), [0] + stops[:-1].tolist(), stops.tolist())
     else:
-        live = np.any(coeffs.reshape(len(coeffs), -1), axis=1).tolist()
-        segments = [(None, 0, len(coeffs) - 1)]
+        segments = [(1, 0, len(terms) - 1)] if len(terms) > 1 else []
+    # the GEMM operand per row, (K + 1, channels), complex as (re, im) pairs
+    dtype = complex if np.iscomplexobj(terms) else float
+    weights = np.ascontiguousarray(terms.transpose(2, 0, 1), dtype=dtype).view(float)
 
-    log_scale = 0.5 * xlogy(alpha, x) - 0.5 * x - 0.5 * math.lgamma(alpha + 1.0)
-    prev = np.zeros(x.shape)
-    cur = np.ones(x.shape)
-    acc = coeffs[0] * cur
-    # views of the live prefix: a retired row keeps its sum and its scale
-    xs, scale, sums, terms = x, log_scale, acc, coeffs
+    log_scale = 0.5 * xlogy(alpha, xr) - 0.5 * xr - 0.5 * math.lgamma(alpha + 1.0)
+    prev, cur = np.zeros(xr.shape), np.ones(xr.shape)
+    bound_prev, bound = 0.0, 1.0
+    acc = weights[:, None, 0] * cur[..., None]                         # (rows, points, channels)
     for top, start, stop in segments:
-        if per_row:
-            prefix = (Ellipsis, slice(top)) + (slice(None),) * (x.ndim - 1)
-            xs, prev, cur, scale, sums = xs[:top], prev[:top], cur[:top], scale[:top], acc[prefix]
-            terms = coeffs[prefix]
-        for k in range(start, stop):
-            prev, cur = cur, (
-                (2 * k + 1 + alpha - xs) * cur - math.sqrt(k * (k + alpha)) * prev
-            ) / math.sqrt((k + 1) * (k + alpha + 1.0))
-            if live[k + 1]:
-                sums += terms[k + 1] * cur
-            big = np.abs(cur) > _RESCALE
-            if big.any():
-                cur[big] /= _RESCALE
-                prev[big] /= _RESCALE
-                sums[..., big] /= _RESCALE
-                scale[big] += _LOG_RESCALE
+        # views of the live prefix: a retired row keeps its sum and its scale
+        xs, scale, sums = xr[:top], log_scale[:top], acc[:top]
+        prev, cur = prev[:top], cur[:top]
+        # an interval holding 0 and every live x
+        lo, hi = float(xs.min(initial=0.0)), float(xs.max(initial=0.0))
+        span = max(1, _CHUNK // max(xs.size, 1))
+        tmp = np.empty(xs.shape)
+        for begin in range(start, stop, span):
+            steps = np.empty((min(span, stop - begin),) + xs.shape)
+            for i, row in enumerate(steps):
+                k = begin + i
+                d, a = 2 * k + 1 + alpha, math.sqrt(k * (k + alpha))
+                q = math.sqrt((k + 1) * (k + alpha + 1.0))
+                np.subtract(d, xs, out=row)
+                row *= cur
+                row -= np.multiply(a, prev, out=tmp)
+                row /= q
+                prev, cur = cur, row
+                # |ell_{k+1}| <= (max |d - x| |ell_k| + a |ell_{k-1}|) / q on the live points
+                growth = max(d - lo, hi - d) * bound + a * bound_prev
+                bound_prev, bound = bound, growth / q * _SLACK
+                if bound > _RESCALE:
+                    big = np.abs(cur) > _RESCALE
+                    if big.any():
+                        steps[: i + 1, big] /= _RESCALE
+                        if i == 0:
+                            prev[big] /= _RESCALE
+                        sums[big] /= _RESCALE
+                        scale[big] += _LOG_RESCALE
+                    bound_prev = float(np.abs(prev).max(initial=0.0))
+                    bound = float(np.abs(cur).max(initial=0.0))
+            sums += steps.transpose(1, 2, 0) @ weights[:top, begin + 1:begin + 1 + len(steps)]
+    if dtype is complex:
+        acc = acc.view(complex)
+    log_scale = log_scale[..., None]
     if log_scale.min(initial=0.0) < -700.0:
         # at large x a sum can stay large under a scale that underflows
         # on its own (more so once its row retires): apply it in halves
@@ -132,7 +171,9 @@ def _laguerre_sum(alpha, coeffs, x):
         out = acc * np.exp(log_scale - half) * np.exp(half)
     else:
         out = acc * np.exp(log_scale)
-    return np.take(out, np.argsort(order), axis=axis) if per_row else out
+    if per_row:
+        out = out[np.argsort(order)]
+    return out.transpose(2, 0, 1).reshape(lead + x.shape)
 
 
 def _scaled_coords(lam, y, eta):
@@ -206,7 +247,7 @@ def wigner_series_radial(bands, lam, r2):
     c_k = (-1)^k for k > 0 and 1 otherwise, so a sum banded to |k| <= B is
     sum_k chi_k(|Y|^2) e^{-i k sgn(lam) phi}.  ``bands[B + k, j]`` holds
     theta_nm of the pair (k, j), with shape (2B + 1, K + 1) + lam.shape
-    for an array ``lam``; one recurrence per |k| serves every lambda and
+    for a 1-d array ``lam``; one recurrence per |k| serves every lambda and
     both signs of k.  Returns chi, shape lam.shape + (2B + 1,) + r2.shape.
     """
     lam = np.asarray(lam, dtype=float)

@@ -176,6 +176,19 @@ def test_inverse_and_heat_gate_on_tail(tmp_path, small_config, gauss_file, capsy
         assert 1e-12 < tail <= 1.0
 
 
+def test_main_builds_the_parser_once_and_carries_no_flag_over(monkeypatch):
+    builds, tolerances = [], []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    monkeypatch.setattr(cli, "_parser", None)
+    # bound into the parser when it is built, so no transform runs
+    monkeypatch.setattr(cli, "cmd_transform", lambda args: tolerances.append(args.tail_tol) or 0)
+    argv = ["transform", "--input", "field.hfld", "--out", "out"]
+    assert main(argv + ["--tail-tol", "1e-12"]) == 0
+    assert main(argv) == 0
+    assert builds == [1] and tolerances == [1e-12, 1.0]
+
+
 def test_pair_command(tmp_path, capsys):
     rc = main(["pair", "--distribution", "identity", "--theta", "heat:1.0",
                "--out", str(tmp_path / "p")])

@@ -425,7 +425,7 @@ def _per_lambda_table_inverse(table, extents, points, symmetric):
         rows = table.values[..., il]
         if np.any(rows):
             chi[j] = _per_lambda_dense(rows, lam[il], y, e)
-    out = transform._oscillatory_lambda_stage(chi, lam[cols], table.grid, s)
+    out = transform._oscillatory_lambda_stage(chi, lam[cols], s)
     return (2.0 * out.real if symmetric else out) / math.pi**2
 
 
@@ -678,7 +678,7 @@ def test_phase_table_from_block_products_matches_the_exponentials(grid, s_axis, 
     lam = grid.lam[grid.lam > 0] if symmetric else grid.lam
     rng = np.random.default_rng(17)
     chi = rng.normal(size=(len(lam), 3, 5)) + 1j * rng.normal(size=(len(lam), 3, 5))
-    got = transform._oscillatory_lambda_stage(chi, lam, grid, s_axis)
+    got = transform._oscillatory_lambda_stage(chi, lam, s_axis)
     want = _lambda_stage_by_exponentials(chi, lam, s_axis)
     assert got.shape == want.shape == (3, 5, len(s_axis))
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -707,9 +707,31 @@ def test_tail_correction_on_radii_matches_the_grid(lam):
     assert transform._n_extent(theta, np.array([lam]), 600)[0] == 600
     y, e = np.linspace(-5.0, 5.0, 9), np.linspace(-6.5, 6.5, 13)
     r2, ring = np.unique((y[:, None] ** 2 + e[None, :] ** 2).ravel(), return_inverse=True)
-    got = transform._diagonal_tail_correction(theta, lam, 600, np.sqrt(r2))[ring].reshape(9, 13)
+    got = transform._diagonal_tail_correction(theta, np.array([lam]), 600, np.sqrt(r2))[0]
+    got = got[ring].reshape(9, 13)
     want = _grid_tail_correction(theta, lam, 600, y, e)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_tail_correction_sums_every_capped_lambda_in_one_pass():
+    heat, flat = heat_profile(1.0), 2e-3
+
+    def theta(n, m, lam):
+        # at lam = flat the diagonal stops decaying: no geometric envelope
+        return np.where(lam == flat, 1.0 + 0j, heat(n, m, lam))
+
+    lams = np.array([1e-3, -4e-3, flat, 6e-4])
+    assert transform._n_extent(heat, lams, 600).tolist() == [600] * 4
+    y, e = np.linspace(-5.0, 5.0, 9), np.linspace(-6.5, 6.5, 13)
+    r2, ring = np.unique((y[:, None] ** 2 + e[None, :] ** 2).ravel(), return_inverse=True)
+    got = transform._diagonal_tail_correction(theta, lams, 600, np.sqrt(r2))
+    assert got.shape == (4, len(r2))
+    for lam, row in zip(lams, got[:, ring].reshape(4, 9, 13)):
+        if lam == flat:
+            assert not row.any()
+        else:
+            want = _grid_tail_correction(heat, lam, 600, y, e)
+            assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_lambda_free_diagonal_theta_gets_an_extent_per_lambda(small_grid):

@@ -272,20 +272,24 @@ def test_channels_stack_lambdas_and_share_one_recurrence_per_band(monkeypatch):
     K=st.integers(0, 60), L=st.integers(1, 4), R=st.integers(1, 6), alpha=st.integers(0, 3),
     x_max=st.sampled_from([5.0, 200.0, 3000.0]), seed=st.integers(0, 2**32 - 1),
 )
-def test_laguerre_sum_broadcasts_coefficients_bit_exactly(K, L, R, alpha, x_max, seed):
-    # x up to 3000 crosses the 2^400 rescaling; zeroed tails skip rows
+def test_laguerre_sum_broadcasts_coefficients(K, L, R, alpha, x_max, seed):
+    # x up to 3000 crosses the 2^400 rescaling; zeroed tails skip rows.  The
+    # contraction sums each segment of k at once, so the order of the k-sum
+    # (and the last bits) depends on the segments: 1e-14 of each row's
+    # largest value
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, x_max, size=(L, R))
     coeffs = rng.normal(size=(K + 1, L)) + 1j * rng.normal(size=(K + 1, L))
     coeffs[np.arange(K + 1)[:, None] > rng.integers(0, K + 1, size=L)] = 0.0
     # a column of coefficients per row of x, against one call per row
     rows = np.stack([_laguerre_sum(alpha, coeffs[:, i], x[i]) for i in range(L)])
-    assert np.array_equal(_laguerre_sum(alpha, coeffs[:, :, None], x), rows)
-    # a band's two diagonals against a grid of x: with a 1-d coefficient
-    # vector the former outer product and the broadcast are one product
+    got = _laguerre_sum(alpha, coeffs[:, :, None], x)
+    assert np.all(np.abs(got - rows) <= 1e-14 * np.abs(rows).max(axis=1, keepdims=True))
+    # a band's two diagonals against a grid of x
     band = coeffs[:, :2] if L >= 2 else np.concatenate([coeffs, -coeffs], axis=1)
     both = np.stack([_laguerre_sum(alpha, band[:, i], x) for i in range(2)])
-    assert np.array_equal(_laguerre_sum(alpha, band[:, :, None, None], x), both)
+    got = _laguerre_sum(alpha, band[:, :, None, None], x)
+    assert np.all(np.abs(got - both) <= 1e-14 * np.abs(both).max(axis=2, keepdims=True))
 
 
 def _laguerre_sum_every_row(alpha, coeffs, x):
@@ -336,13 +340,53 @@ def test_retired_rows_match_the_recurrence_on_every_row(K, L, R, alpha, band, x_
     got = _laguerre_sum(alpha, coeffs, x)
     want, exact = _laguerre_sum_every_row(alpha, coeffs, x)
     assert got.shape == want.shape
-    assert np.array_equal(got[..., exact], want[..., exact])
-    # 1e-14 of each row's largest value; below 2^400 times the smallest
-    # normal double the old loop's own rescaling of a retired row pushes its
-    # sum into subnormals, so rows that small are held to that floor
-    err = np.abs(got - want).reshape(-1, L, R).max(axis=(0, 2))
+    # 1e-14 of each row's largest value (the k-sum runs in another order)
+    err = np.abs(got - want).reshape(-1, L, R)
     top = np.abs(want).reshape(-1, L, R).max(axis=(0, 2))
+    assert np.all(err[:, exact] <= 1e-14 * np.broadcast_to(top[:, None], (L, R))[exact])
+    # below 2^400 times the smallest normal double the old loop's own
+    # rescaling of a retired row pushes its sum into subnormals, so rows
+    # that small are held to that floor
+    err = err.max(axis=(0, 2))
     assert np.all(err <= 1e-14 * np.maximum(top, np.finfo(float).tiny * 2.0**400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(0, 80), L=st.integers(1, 6), R=st.integers(1, 5),
+    alpha=st.integers(0, 3), shared=st.booleans(),
+    x_max=st.sampled_from([5.0, 200.0, 3000.0]), seed=st.integers(0, 2**32 - 1),
+)
+@example(K=80, L=3, R=4, alpha=3, shared=False, x_max=3000.0, seed=5)
+def test_one_hot_coefficients_are_bit_exact(K, L, R, alpha, shared, x_max, seed):
+    # a single nonzero coefficient per row, the symbol W(n, m): the segment
+    # contraction adds only zeros to it, so it keeps every bit of the
+    # step-by-step recurrence (also across the 2^400 rescales at x ~ 3000)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, x_max, size=(L, R))
+    top = np.full(L, K) if shared else rng.integers(0, K + 1, size=L)
+    coeffs = np.zeros((K + 1, L, 1))
+    coeffs[top, np.arange(L)] = 1.0
+    if shared:
+        coeffs = coeffs[:, :1]
+    got = _laguerre_sum(alpha, coeffs, x)
+    want, exact = _laguerre_sum_every_row(alpha, np.broadcast_to(coeffs, (K + 1, L, 1)), x)
+    assert np.array_equal(got[exact], want[exact])
+
+
+@pytest.mark.parametrize("alpha", [0, 2])
+def test_laguerre_sum_matches_mpmath_across_many_rescales(alpha):
+    # the recurrence for ell_600 at x ~ 3000 is rescaled by 2^400 four or five
+    # times on its way up (to about e^1400): rows left to grow unchecked by
+    # the bound would pass the double range
+    K, x = 600, np.array([2500.0, 2950.0, 3000.0])
+    coeffs = np.zeros(K + 1)
+    coeffs[K] = 1.0
+    with mpmath.workdps(40):
+        want = [float(mpmath.sqrt(mpmath.factorial(K) / mpmath.factorial(K + alpha))
+                      * mpmath.mpf(xi) ** (alpha / 2) * mpmath.exp(-mpmath.mpf(xi) / 2)
+                      * mpmath.laguerre(K, alpha, xi)) for xi in x]
+    assert np.allclose(_laguerre_sum(alpha, coeffs, x), want, rtol=1e-12, atol=0.0)
 
 
 def test_laguerre_sum_keeps_a_value_whose_scale_alone_underflows():
