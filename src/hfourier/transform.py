@@ -39,6 +39,7 @@ stage then integrates the stacked slices against e^{i s lam} through one
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -255,6 +256,20 @@ def _upsample_axis(arr, factor, axis=0):
     return out
 
 
+@lru_cache(maxsize=None)
+def _refinement(N, factor):
+    """The real (N factor, N) matrix U of :func:`_upsample_axis` on an axis
+    of odd length N: U S refines the first axis of S.  The padded spectrum
+    of a real sequence stays Hermitian, so U is real; the FFT route leaves
+    an imaginary part of rounding size (below 1e-16), dropped here.
+
+    Cached and returned read-only, since every caller shares it.
+    """
+    U = np.ascontiguousarray(_upsample_axis(np.eye(N), factor).real)
+    U.flags.writeable = False
+    return U
+
+
 def _gl_panels(extent, bandwidth):
     """Symmetric tau-rule on [-extent, extent]: equal 12-point panels on
     the half-line, about 2.3 nodes per period of ``bandwidth``."""
@@ -264,10 +279,13 @@ def _gl_panels(extent, bandwidth):
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def _xi_cutoff(slabs, eta_axis, h_eta, ref):
+def _xi_cutoff(slabs, eta_axis, h_eta, ref, refine=None):
     """Smallest |xi| beyond which the eta-transform of F_s f is negligible,
     for each (u, eta) slab of the stack ``slabs`` (shape (..., u, eta)),
-    whose largest modulus is ``ref`` (shape (...)).
+    whose largest modulus is ``ref`` (shape (...)).  With ``refine`` (a real
+    matrix U, e.g. :func:`_refinement`) the search runs on the refined slabs
+    U S without building them: U (S phase) is their transform at the few
+    candidates.
 
     The candidates 2, 3.2, 5.12, .. (factor 1.6) below the eta-grid Nyquist
     frequency are tried in one matmul; the first whose transform falls
@@ -282,7 +300,10 @@ def _xi_cutoff(slabs, eta_axis, h_eta, ref):
         cands.append(xi)
         xi *= 1.6
     phase = np.exp(-1j * np.outer(eta_axis, cands)) * h_eta       # (eta, k)
-    small = np.abs(slabs @ phase).max(axis=-2) < 1e-10 * ref[..., None]
+    amp = slabs @ phase                                            # (..., u, k)
+    if refine is not None:
+        amp = (refine @ amp.view(float)).view(complex)
+    small = np.abs(amp).max(axis=-2) < 1e-10 * ref[..., None]
     # a last column of True picks Nyquist where no candidate falls small
     small = np.concatenate([small, np.ones(small.shape[:-1] + (1,), dtype=bool)], axis=-1)
     return np.where(ref == 0.0, 1.0, np.array(cands + [nyquist])[np.argmax(small, axis=-1)])
@@ -305,22 +326,31 @@ def forward_factored(fld, n_max, grid):
     the Hermite pair h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) by
     composite Gauss-Legendre quadrature in tau and a Riemann sum in the
     lattice variable u, trigonometrically refined (factor 8) to stay
-    alias-free across the whole (n, lam) range.  The pair is a
+    alias-free across the whole (n, lam) range.  The refinement is the real
+    matrix U of :func:`_refinement`; the refined field U S of a coarse
+    (y, eta) slab S is never built.  The pair is a
     45-degree rotation of h_{N-k}(a) h_k(c), a = sqrt(2|lam|) tau,
     c = sqrt(2|lam|) u, N = n + m (see :func:`_rotation_block`), so the
     quadrature reduces to the moments M[p, q] of h_p(a) h_q(c), and each
     entry is sqrt|lam| sum_k D_N[k, n] M[N-k, k].
 
-    The lambdas are stacked, in blocks of ``_LAM_BLOCK``: the Nyquist and
-    empty-slice skips and the xi-cutoffs take one pass, and the u-lattice
-    is contracted first, B = H_u S for every slab S of the block in one
-    stacked real GEMM on one Hermite row evaluation.  Only the tau side,
-    whose node count varies with lambda, stays per lambda:
-    M = (H_tau w) (B phase)^T, its Hermite rows again from one evaluation
-    on the block's concatenated nodes.  The phase e^{-2i lam eta tau} is
-    evaluated for eta >= 0 only and mirrored as its conjugate to -eta:
-    the same bits on an exactly symmetric eta axis, elsewhere an abscissa
-    moved by at most one ulp.
+    The lambdas are stacked, in blocks of ``_LAM_BLOCK``.  The Nyquist and
+    empty-slice skips read the largest |U S|, one lambda at a time; the
+    xi-cutoffs of a block take one pass, as U (S phase) on the few
+    candidate columns.  The u-lattice is contracted first,
+    B = (H_u U) S for every slab of the block in one stacked real GEMM on
+    one Hermite row evaluation.  Only the tau side, whose node count varies
+    with lambda, stays per lambda: M = (H_tau w) (B phase)^T, its Hermite
+    rows again from one evaluation on the block's concatenated nodes.  The
+    eta-sum runs by parity: with arg = -2 lam eta tau,
+
+        sum_eta b(eta) e^{i arg} = b(0) + sum_{eta > 0} (b(eta) + b(-eta)) cos(arg)
+                                        + i (b(eta) - b(-eta)) sin(arg),
+
+    so one real table, cosines on eta >= 0 and sines on eta > 0, meets the
+    parity-combined B in a real GEMM of half the flops of the complex
+    phase.  On an eta axis that is not exactly symmetric, -eta_j is read
+    as the mirrored node, an abscissa moved by at most one ulp.
     """
     if fld.d != 1:
         raise ValueError("factored pipeline implemented for d = 1 (use forward_direct elsewhere)")
@@ -339,24 +369,26 @@ def forward_factored(fld, n_max, grid):
     # as do slices negligible against the largest resolved one
     resolved = np.abs(lam_all) <= 0.98 * math.pi / fld.spacings[2]
     lams = lam_all[resolved & (lam_all > 0)] if real_input else lam_all[resolved]
-    # trig refinement of y, built in (lam, u, eta) layout
-    fs_up = _upsample_axis(np.moveaxis(_fs_many(fld, lams), -1, 0), _UPSAMPLE, axis=1)
+    # the coarse slabs in (lam, y, eta) layout and the refinement of y
+    fs = np.ascontiguousarray(np.moveaxis(_fs_many(fld, lams), -1, 0))
+    U = _refinement(fs.shape[1], _UPSAMPLE)
     hu = hy / _UPSAMPLE
-    u_axis = -Ly + hu * np.arange(fs_up.shape[1])
-    smax = np.abs(fs_up).max(axis=(1, 2))
+    u_axis = -Ly + hu * np.arange(U.shape[0])
+    smax = np.array([np.abs((U @ slab.view(float)).view(complex)).max() for slab in fs])
 
     root_pref = math.sqrt(2 * n_max + 1)
     live = np.flatnonzero(smax >= 1e-15 * smax.max(initial=0.0))
-    # sqrt|lam| int h_p(a) h_q(c) phi du dtau, a = sqrt(2|lam|) tau, c = sqrt(2|lam|) u
-    moments = np.zeros((2 * n_max + 1, 2 * n_max + 1, L), dtype=complex)
+    # sqrt|lam| int h_p(a) h_q(c) phi du dtau, a = sqrt(2|lam|) tau, c = sqrt(2|lam|) u,
+    # one column per live lambda
+    moments = np.empty((2 * n_max + 1, 2 * n_max + 1, len(live)), dtype=complex)
 
     for start in range(0, len(live), _LAM_BLOCK):
         cols = live[start:start + _LAM_BLOCK]
         lam = lams[cols]
         al = np.abs(lam)
         rl = np.sqrt(al)
-        slabs = fs_up[cols]                                            # (b, u, eta)
-        xi_cut = _xi_cutoff(slabs, eta_axis, h_eta, smax[cols])
+        slabs = fs[cols]                                               # (b, y, eta)
+        xi_cut = _xi_cutoff(slabs, eta_axis, h_eta, smax[cols], refine=U)
         t_hermite = (root_pref + 9.0) / rl + Ly
         t_phi = 1.15 * xi_cut / (2.0 * al)
         extent = np.minimum(t_hermite, t_phi)
@@ -367,30 +399,40 @@ def forward_factored(fld, n_max, grid):
         tau = np.concatenate([tau for tau, _ in rules])
         wtau = np.concatenate([w for _, w in rules])
 
-        # B = H_u S h_eta, the real rows against the real view of the complex slabs
+        # B = (H_u U) S h_eta, the real rows folded with the refinement
+        # against the real view of the complex slabs
         h_u = hermite_rows(2 * n_max, (math.sqrt(2.0) * rl)[:, None] * u_axis)  # (q, b, u)
-        B = (h_u.transpose(1, 0, 2) @ slabs.view(float)).view(complex)          # (b, q, eta)
+        B = ((h_u.transpose(1, 0, 2) @ U) @ slabs.view(float)).view(complex)    # (b, q, eta)
         B *= h_eta
         h_tau = hermite_rows(2 * n_max, np.repeat(math.sqrt(2.0) * rl, sizes) * tau)  # (p, sum K)
         h_tau *= np.repeat(rl, sizes) * (wtau * hu)
-        # e^{-2 i lam eta tau} on eta >= 0, cos and sin apart (cheaper than
-        # the complex exp); the row at -eta is the conjugate
-        arg = np.outer(eta_axis[mid:], tau) * (-2.0 * np.repeat(lam, sizes))
-        phase = np.empty((len(eta_axis), len(tau)), dtype=complex)
-        np.cos(arg, out=phase.real[mid:])
-        np.sin(arg, out=phase.imag[mid:])
-        np.conjugate(phase[mid + 1:], out=phase[mid - 1::-1])
+        # the eta-sum by parity: cos(arg) on eta >= 0 against b(0) and
+        # b(eta) + b(-eta), sin(arg) on eta > 0 against i (b(eta) - b(-eta));
+        # arg = -2 lam eta tau is built in the cosine rows
+        trig = np.empty((len(eta_axis), len(tau)))
+        arg = np.multiply.outer(eta_axis[mid:], tau, out=trig[:mid + 1])
+        arg *= -2.0 * np.repeat(lam, sizes)
+        np.sin(arg[1:], out=trig[mid + 1:])
+        np.cos(arg, out=arg)
+        b_pos, b_neg = B[..., mid + 1:], B[..., mid - 1::-1]
+        parity = np.empty((len(lam), len(eta_axis), B.shape[1]), dtype=complex)  # (b, eta, q)
+        parity[:, 0] = B[..., mid]
+        parity[:, 1:mid + 1] = (b_pos + b_neg).transpose(0, 2, 1)
+        parity[:, mid + 1:] = 1j * (b_pos - b_neg).transpose(0, 2, 1)
         splits = np.cumsum(sizes)[:-1]
-        for il, b, ph, ht in zip(np.searchsorted(lam_all, lam).tolist(), B,
-                                 np.split(phase, splits, axis=1), np.split(h_tau, splits, axis=1)):
-            moments[:, :, il] = (ht @ (ph.T @ b.T).view(float)).view(complex)   # (p, q)
+        for j, pb, tr, ht in zip(range(start, start + len(cols)), parity,
+                                 np.split(trig, splits, axis=1), np.split(h_tau, splits, axis=1)):
+            moments[:, :, j] = (ht @ (tr.T @ pb.view(float))).view(complex)   # (p, q)
 
-    # h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) = sum_k D_N[k, n] h_{N-k}(a) h_k(c), N = n+m
+    # h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) = sum_k D_N[k, n] h_{N-k}(a) h_k(c), N = n+m,
+    # the real D_N against the real view of the live columns
     values = np.zeros((n_max + 1, n_max + 1, L), dtype=complex)
+    table_cols = np.searchsorted(lam_all, lams[live])
     for N in range(2 * n_max + 1):
         k = np.arange(N + 1)
         n = np.arange(max(0, N - n_max), min(N, n_max) + 1)
-        values[n, N - n] = _rotation_block(N)[:, n].T @ moments[N - k, k]
+        values[n[:, None], (N - n)[:, None], table_cols] = (
+            _rotation_block(N)[:, n].T @ moments[N - k, k].view(float)).view(complex)
     if real_input:
         pos = np.flatnonzero(lam_all > 0)
         values[:, :, L - 1 - pos] = np.conj(values[:, :, pos])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -280,6 +281,40 @@ def test_stacked_xi_cutoff_is_the_scalar_search():
     assert transform._xi_cutoff(coarse, eta[::6], 6 * h_eta,
                                 np.abs(coarse).max(axis=(-2, -1))).tolist() == \
         [_scalar_xi_cutoff(slab, eta[::6], 6 * h_eta) for slab in coarse]
+    # the coarse-slab path: cutoffs taken from (y, eta) slabs through the
+    # refinement matrix are the scalar search on the FFT-refined slabs
+    y_rows = rng.normal(size=(len(widths), 33, 1)) + 1j * rng.normal(size=(len(widths), 33, 1))
+    y_slabs = np.concatenate([y_rows * np.exp(-widths[:, None, None] * eta**2),
+                              np.zeros((1, 33, len(eta)), dtype=complex)])
+    refined = transform._upsample_axis(y_slabs, transform._UPSAMPLE, axis=1)
+    got = transform._xi_cutoff(y_slabs, eta, h_eta, np.abs(refined).max(axis=(-2, -1)),
+                               refine=transform._refinement(33, transform._UPSAMPLE))
+    assert got.tolist() == [_scalar_xi_cutoff(slab, eta, h_eta) for slab in refined] == want
+
+
+@pytest.mark.parametrize("N", [31, 33])
+def test_refinement_matrix_is_the_fft_refinement(N):
+    U = transform._refinement(N, transform._UPSAMPLE)
+    assert U.shape == (N * transform._UPSAMPLE, N) and U.dtype == np.float64
+    assert not U.flags.writeable
+    assert transform._refinement(N, transform._UPSAMPLE) is U
+    rng = np.random.default_rng(N)
+    data = rng.normal(size=(N, 5)) + 1j * rng.normal(size=(N, 5))
+    want = transform._upsample_axis(data, transform._UPSAMPLE)
+    assert np.abs(U @ data - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_forward_never_builds_the_refined_field():
+    # default config: the refined (lambda, 264, 33) field of the 151 resolved
+    # lambdas would be 21 MB by itself, twice that with its padded spectrum
+    fld = gauss_field()
+    tracemalloc.start()
+    try:
+        forward_factored(fld, 24, LambdaGrid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 35e6, peak
 
 
 def _per_lambda_forward(fld, n_max, grid):
@@ -325,8 +360,8 @@ def _per_lambda_forward(fld, n_max, grid):
 
 def _full_phase_forward(fld, n_max, grid):
     """The stacked forward with cos and sin of -2 lam eta tau evaluated on
-    every eta of the axis: the phase as it was before the rows at -eta
-    became the conjugates of those at eta."""
+    every eta of the axis and the eta-sum taken against the complex phase:
+    the sum as it was before it ran by parity in eta."""
     lam_all, L = grid.lam, len(grid.lam)
     eta, h_eta = fld.eta_axis, fld.spacings[1]
     Ly, hy = fld.extents[0], fld.spacings[0]
@@ -378,16 +413,17 @@ def _full_phase_forward(fld, n_max, grid):
 
 
 @pytest.mark.parametrize("extent,points,n_max,grid,rtol", [
-    # the default config: linspace(-6, 6, 33) is exactly symmetric, so the
-    # conjugate rows are the full phase's rows bit for bit
-    (6.0, 33, 24, LambdaGrid(), 0.0),
-    # linspace(-5.3, 5.3, 31) is not: the mirrored row sits at -eta_{N-1-j},
+    # the default config: linspace(-6, 6, 33) is exactly symmetric; the
+    # parity sum only reorders the eta-sum (a gap of 1.3e-15)
+    (6.0, 33, 24, LambdaGrid(), 1e-14),
+    # linspace(-5.3, 5.3, 31) is not: the mirrored node sits at -eta_{N-1-j},
     # at most one ulp from eta_j
     (5.3, 31, 10, LambdaGrid(0.05, 8.0, 24), 1e-14),
 ])
 def test_mirrored_eta_phase_matches_the_full_phase(extent, points, n_max, grid, rtol):
     eta = np.linspace(-extent, extent, points)
-    assert np.array_equal(eta[::-1], -eta) == (rtol == 0.0)
+    # one exactly symmetric eta axis, one not
+    assert np.array_equal(eta[::-1], -eta) == (extent == 6.0)
     fld = SampledField.from_function(
         lambda y, e, s: np.exp(-(y**2 + 0.8 * e**2 + s**2) + 0.3 * y * e), 1, (extent,) * 3,
         (points,) * 3)
