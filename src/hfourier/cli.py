@@ -114,6 +114,8 @@ def _conjugate_symmetric(table):
 
 
 def cmd_transform(args):
+    if _finite(args.tail_tol, "--tail-tol") < 0:
+        raise ValueError(f"--tail-tol must be non-negative, got {args.tail_tol!r}")
     cfg = load_config(args.config) if args.config else default_config()
     grid = cfg.lambda_grid
     os.makedirs(args.out, exist_ok=True)

@@ -193,6 +193,8 @@ def _on_k0(k, v, lam):
 
 def profile_gauss(sigma=1.0, d=1):
     """Diagonal profile exp(-sum x_j) exp(-lam^2 / (2 sigma^2))."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite")
 
     def parts(x, k, lam):
         e = np.exp(-x.sum(axis=-1)) * np.exp(-np.asarray(lam) ** 2 / (2.0 * sigma**2))
@@ -223,6 +225,8 @@ def profile_exp_floor(r0=0.5, d=1, lam_slope=0.0):
     1, 1/2, 1/4 at |k|_1 = 0, 1, 2 and zero beyond, so a nonzero
     ``lam_slope`` gives the lambda-derivative a nontrivial boundary value.
     """
+    if not (math.isfinite(r0) and r0 > 0):
+        raise ValueError("r0 must be positive and finite")
     a, b = 0.5 * r0, r0
     scale = 1.0 / (b - a)
     q = float(lam_slope)

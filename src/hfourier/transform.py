@@ -17,7 +17,7 @@ Three numerical routes are provided and cross-checked:
   Hermite pair in those coordinates is a finite orthogonal sum of products
   h_p(a) h_q(c), so the projection contracts the u-lattice for a whole
   block of lambdas in one stacked GEMM and leaves two small GEMMs per
-  lambda on the tau side;
+  lambda on the tau side, over a range the eta-Nyquist bound sets;
 * ``rep_matrix_coeff`` -- matrix coefficients of the operator-valued
   transform through its integral kernel, with the projection integrals
   done in closed form via the Fourier eigenfunction property of the
@@ -279,36 +279,6 @@ def _gl_panels(extent, bandwidth):
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def _xi_cutoff(slabs, eta_axis, h_eta, ref, refine=None):
-    """Smallest |xi| beyond which the eta-transform of F_s f is negligible,
-    for each (u, eta) slab of the stack ``slabs`` (shape (..., u, eta)),
-    whose largest modulus is ``ref`` (shape (...)).  With ``refine`` (a real
-    matrix U, e.g. :func:`_refinement`) the search runs on the refined slabs
-    U S without building them: U (S phase) is their transform at the few
-    candidates.
-
-    The candidates 2, 3.2, 5.12, .. (factor 1.6) below the eta-grid Nyquist
-    frequency are tried in one matmul; the first whose transform falls
-    under 1e-10 of the slab's largest sample is the cutoff, else Nyquist:
-    past it the discrete sum is pure alias and carries no further
-    information.  An all-zero slab gets 1.
-    """
-    nyquist = math.pi / h_eta
-    cands = []
-    xi = 2.0
-    while xi < nyquist:
-        cands.append(xi)
-        xi *= 1.6
-    phase = np.exp(-1j * np.outer(eta_axis, cands)) * h_eta       # (eta, k)
-    amp = slabs @ phase                                            # (..., u, k)
-    if refine is not None:
-        amp = (refine @ amp.view(float)).view(complex)
-    small = np.abs(amp).max(axis=-2) < 1e-10 * ref[..., None]
-    # a last column of True picks Nyquist where no candidate falls small
-    small = np.concatenate([small, np.ones(small.shape[:-1] + (1,), dtype=bool)], axis=-1)
-    return np.where(ref == 0.0, 1.0, np.array(cands + [nyquist])[np.argmax(small, axis=-1)])
-
-
 # trigonometric refinement of the lattice variable in the forward projection
 _UPSAMPLE = 8
 # lambdas projected together: bounds the (q, lambda, u) and (p, sum K)
@@ -328,21 +298,21 @@ def forward_factored(fld, n_max, grid):
     lattice variable u, trigonometrically refined (factor 8) to stay
     alias-free across the whole (n, lam) range.  The refinement is the real
     matrix U of :func:`_refinement`; the refined field U S of a coarse
-    (y, eta) slab S is never built.  The pair is a
-    45-degree rotation of h_{N-k}(a) h_k(c), a = sqrt(2|lam|) tau,
-    c = sqrt(2|lam|) u, N = n + m (see :func:`_rotation_block`), so the
-    quadrature reduces to the moments M[p, q] of h_p(a) h_q(c), and each
-    entry is sqrt|lam| sum_k D_N[k, n] M[N-k, k].
+    (y, eta) slab S is never built.  The pair is a 45-degree rotation of
+    h_{N-k}(a) h_k(c), a = sqrt(2|lam|) tau, c = sqrt(2|lam|) u, N = n + m
+    (see :func:`_rotation_block`), so the quadrature reduces to the moments
+    M[p, q] of h_p(a) h_q(c): each entry is sqrt|lam| sum_k D_N[k, n] M[N-k, k].
 
-    The lambdas are stacked, in blocks of ``_LAM_BLOCK``.  The Nyquist and
-    empty-slice skips read the largest |U S|, one lambda at a time; the
-    xi-cutoffs of a block take one pass, as U (S phase) on the few
-    candidate columns.  The u-lattice is contracted first,
-    B = (H_u U) S for every slab of the block in one stacked real GEMM on
-    one Hermite row evaluation.  Only the tau side, whose node count varies
-    with lambda, stays per lambda: M = (H_tau w) (B phase)^T, its Hermite
-    rows again from one evaluation on the block's concatenated nodes.  The
-    eta-sum runs by parity: with arg = -2 lam eta tau,
+    Each tau-rule depends on lambda, ``n_max`` and the grid only: it spans
+    the smaller of the Hermite pair's extent and 1.15 xi_N / (2 |lam|),
+    where the phase frequency 2 |lam| tau passes the eta-Nyquist frequency
+    xi_N = pi / h_eta and the eta-sum returns only the alias.  The lambdas
+    are stacked, in blocks of ``_LAM_BLOCK``.  The u-lattice is contracted
+    first, B = (H_u U) S for every slab of the block in one stacked real
+    GEMM on one Hermite row evaluation.  Only the tau side, whose node
+    count varies with lambda, stays per lambda: M = (H_tau w) (B phase)^T,
+    its Hermite rows again from one evaluation on the block's concatenated
+    nodes.  The eta-sum runs by parity: with arg = -2 lam eta tau,
 
         sum_eta b(eta) e^{i arg} = b(0) + sum_{eta > 0} (b(eta) + b(-eta)) cos(arg)
                                         + i (b(eta) - b(-eta)) sin(arg),
@@ -361,12 +331,10 @@ def forward_factored(fld, n_max, grid):
     eta_axis = fld.eta_axis
     mid = len(eta_axis) // 2  # the odd eta axis has eta = 0 at mid
     h_eta = fld.spacings[1]
-    Ly = fld.extents[0]
-    hy = fld.spacings[0]
+    Ly, hy = fld.extents[0], fld.spacings[0]
 
     # the sampled vertical axis resolves no frequency beyond pi / h_s; the
-    # discrete sum would return the alias there, so those slices stay zero,
-    # as do slices negligible against the largest resolved one
+    # discrete sum would return the alias there, so those slices stay zero
     resolved = np.abs(lam_all) <= 0.98 * math.pi / fld.spacings[2]
     lams = lam_all[resolved & (lam_all > 0)] if real_input else lam_all[resolved]
     # the coarse slabs in (lam, y, eta) layout and the refinement of y
@@ -374,23 +342,18 @@ def forward_factored(fld, n_max, grid):
     U = _refinement(fs.shape[1], _UPSAMPLE)
     hu = hy / _UPSAMPLE
     u_axis = -Ly + hu * np.arange(U.shape[0])
-    smax = np.array([np.abs((U @ slab.view(float)).view(complex)).max() for slab in fs])
 
     root_pref = math.sqrt(2 * n_max + 1)
-    live = np.flatnonzero(smax >= 1e-15 * smax.max(initial=0.0))
     # sqrt|lam| int h_p(a) h_q(c) phi du dtau, a = sqrt(2|lam|) tau, c = sqrt(2|lam|) u,
-    # one column per live lambda
-    moments = np.empty((2 * n_max + 1, 2 * n_max + 1, len(live)), dtype=complex)
+    # one column per resolved lambda
+    moments = np.empty((2 * n_max + 1, 2 * n_max + 1, len(lams)), dtype=complex)
 
-    for start in range(0, len(live), _LAM_BLOCK):
-        cols = live[start:start + _LAM_BLOCK]
-        lam = lams[cols]
-        al = np.abs(lam)
-        rl = np.sqrt(al)
-        slabs = fs[cols]                                               # (b, y, eta)
-        xi_cut = _xi_cutoff(slabs, eta_axis, h_eta, smax[cols], refine=U)
+    for start in range(0, len(lams), _LAM_BLOCK):
+        lam = lams[start:start + _LAM_BLOCK]
+        al, rl = np.abs(lam), np.sqrt(np.abs(lam))
+        slabs = fs[start:start + _LAM_BLOCK]                           # (b, y, eta)
         t_hermite = (root_pref + 9.0) / rl + Ly
-        t_phi = 1.15 * xi_cut / (2.0 * al)
+        t_phi = 1.15 * (math.pi / h_eta) / (2.0 * al)
         extent = np.minimum(t_hermite, t_phi)
         # Hermite-pair band plus Gaussian-envelope width, both sqrt(lam)-scaled
         bandwidth = rl * (2.0 * root_pref + 8.0) + 2.0 * al * abs(eta_axis).max()
@@ -420,14 +383,14 @@ def forward_factored(fld, n_max, grid):
         parity[:, 1:mid + 1] = (b_pos + b_neg).transpose(0, 2, 1)
         parity[:, mid + 1:] = 1j * (b_pos - b_neg).transpose(0, 2, 1)
         splits = np.cumsum(sizes)[:-1]
-        for j, pb, tr, ht in zip(range(start, start + len(cols)), parity,
-                                 np.split(trig, splits, axis=1), np.split(h_tau, splits, axis=1)):
+        for j, (pb, tr, ht) in enumerate(zip(parity, np.split(trig, splits, axis=1),
+                                             np.split(h_tau, splits, axis=1)), start):
             moments[:, :, j] = (ht @ (tr.T @ pb.view(float))).view(complex)   # (p, q)
 
     # h_n(sqrt|lam| (tau+u)) h_m(sqrt|lam| (tau-u)) = sum_k D_N[k, n] h_{N-k}(a) h_k(c), N = n+m,
-    # the real D_N against the real view of the live columns
+    # the real D_N against the real view of the moments
     values = np.zeros((n_max + 1, n_max + 1, L), dtype=complex)
-    table_cols = np.searchsorted(lam_all, lams[live])
+    table_cols = np.searchsorted(lam_all, lams)
     for N in range(2 * n_max + 1):
         k = np.arange(N + 1)
         n = np.arange(max(0, N - n_max), min(N, n_max) + 1)

@@ -292,12 +292,17 @@ NON_FINITE = [
     ["pair", "--distribution", "identity", "--theta", "heat:nan"],
     ["pair", "--distribution", "identity", "--theta", "gauss_profile:inf"],
     ["pair", "--distribution", "identity", "--theta", "exp_floor:nan"],
+    ["pair", "--distribution", "identity", "--theta", "exp_floor:0"],
+    ["pair", "--distribution", "identity", "--theta", "exp_floor:-0.5"],
+    ["pair", "--distribution", "identity", "--theta", "gauss_profile:0"],
     ["pair", "--distribution", "finite-part:nan", "--theta", "heat:1.0"],
     ["pair", "--distribution", "dirac-origin:inf", "--theta", "heat:1.0"],
     ["kernel", "--xdot", "nan"],
     ["heat", "--time", "nan"],
     ["heat", "--time", "inf"],
     ["heat", "--time", "-1.0"],
+    ["transform", "--tail-tol", "nan"],
+    ["transform", "--tail-tol", "-1.0"],
 ]
 
 
@@ -305,7 +310,7 @@ NON_FINITE = [
 def test_cli_rejects_non_finite_numbers(argv, tmp_path, small_config, gauss_file, capsys):
     out = tmp_path / "o"
     extra = ["--config", small_config, "--out", str(out)]
-    if argv[0] == "heat":
+    if argv[0] in ("heat", "transform"):
         extra += ["--input", gauss_file]
     capsys.readouterr()
     assert main(argv + extra) == 1
