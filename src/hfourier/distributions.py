@@ -92,10 +92,15 @@ class PairResult:
     tail_bound: float
 
 
-# index shells (band-sum samples) per theta call in the band sums; the arrays
-# of one block set the peak memory (perfbench pairings, numpy 2.4: +7 % at
-# 256 shells, +0.6 % at 64)
-_BLOCK = 64
+# theta entries (sample x pair x lambda) per theta call in the band sum: one
+# complex block is then 128 KiB, glibc's default mmap threshold, so a block's
+# arrays reuse heap memory instead of being mapped and faulted in afresh for
+# every block
+_BAND_ENTRIES = 8192
+
+# node steps per theta call in the finite part; its Simpson weights depend
+# on where the blocks end
+_FP_BLOCK = 64
 
 # beyond shell 8 the band sum samples n on a stride of about this width in
 # x. = |lam|(2n + k + 1); halving it moves c15's errors by at most 2e-6
@@ -157,9 +162,14 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
     the exact shell sum.
 
     Samples are evaluated in blocks (one theta call per block of j across
-    all lambda).  The power-law stopping rule runs sample by sample over
-    j, so the j-th sample of every lambda plays the part of a shell, and
-    ``n_cap`` caps j.  The tail adds to the fitted power-law tail the
+    all lambda and all pairs m - n), each of at most _BAND_ENTRIES
+    (sample x pair x lambda) entries.  A block that starts at
+    j >= max(11, band) has every weight equal to the stride and every
+    m = n + k >= 0, so it sums against the vector s |lambda|^d w without
+    the per-sample weights or the m >= 0 mask.  The power-law stopping
+    rule runs sample by sample over j, so the j-th sample of every lambda
+    plays the part of a shell, and ``n_cap`` caps j; only the block ends
+    regroup the running total.  The tail adds to the fitted power-law tail the
     uncovered strip |lambda| < lambda_min.  As lambda -> 0 the shells
     that carry mass grow like 1/|lambda| while the x.-sum
     sum_n |theta| |lambda|^d tends to a constant, so the strip freezes
@@ -176,23 +186,30 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
     band = theta.band or 0
     offsets = np.arange(-band, band + 1)[:, None]
     stride = np.maximum(1, np.floor(_XDOT_STEP / (2.0 * np.abs(lam)))).astype(int)
+    far_w = stride.astype(float)[None, None]                             # (1, 1, lambda)
+    block = max(1, _BAND_ENTRIES // (len(offsets) * len(lam)))
     edge = [grid.points_per_sign - 1, grid.points_per_sign]                # lambda = -+lambda_min
     total = 0.0 + 0.0j
     strip = 0.0
     tail = math.inf
     prev = math.nan
-    for start in range(0, n_cap + 1, _BLOCK):
-        j = np.arange(start, min(start + _BLOCK, n_cap + 1))[:, None]
-        n = np.where(j < 8, j, 8 + (j - 8) * stride)                     # (J, lambda)
-        m = n[:, None] + offsets                                         # (J, pairs, lambda)
-        w = _sample_weights(j, stride)
-        vals = theta(n[:, None, :, None], np.maximum(m, 0)[..., None], lam)
-        vals = np.where(m >= 0, vals, 0.0)
-        sums = (vals * (w * meas)[:, None]).sum(axis=-1)                 # (J, pairs)
+    for start in range(0, n_cap + 1, block):
+        j = np.arange(start, min(start + block, n_cap + 1))[:, None]
+        if start >= max(11, band):                                       # weights s, m >= 0
+            n = 8 + (j - 8) * stride                                     # (J, lambda)
+            w = far_w
+            vals = theta(n[:, None, :, None], (n[:, None] + offsets)[..., None], lam)
+        else:
+            n = np.where(j < 8, j, 8 + (j - 8) * stride)
+            m = n[:, None] + offsets                                     # (J, pairs, lambda)
+            w = _sample_weights(j, stride)[:, None]                      # (J, 1, lambda)
+            vals = theta(n[:, None, :, None], np.maximum(m, 0)[..., None], lam)
+            vals = np.where(m >= 0, vals, 0.0)
+        sums = (vals * (w * meas)).sum(axis=-1)                          # (J, pairs)
         sizes = np.abs(sums).sum(axis=1)
         end, stopped, tail = _stop_in_block(prev, sizes, j[:, 0], atol, tail)
         total += np.sum(sums[:end])
-        strip += np.sum(np.abs(vals[:end, :, edge]) * w[:end, None, edge]) \
+        strip += np.sum(np.abs(vals[:end, :, edge]) * w[:end, :, edge]) \
             * grid.lambda_min ** (d + 1)
         if stopped:
             break
@@ -217,13 +234,13 @@ def _simpson_weights(u):
 @lru_cache(maxsize=None)
 def _log_node_blocks():
     """The finite part's integer nodes n_j = round(_FP_EXACT e^{j h}),
-    j <= _FP_NODES, in blocks of _BLOCK steps that share their end nodes,
+    j <= _FP_NODES, in blocks of _FP_BLOCK steps that share their end nodes,
     each with its Simpson weights in u = log n times n (dn = n du)."""
     j = np.arange(_FP_NODES + 1)
     nodes = np.rint(_FP_EXACT * np.exp(_FP_LOG_STEP * j)).astype(np.int64)
     blocks = []
-    for start in range(0, _FP_NODES, _BLOCK):
-        n = nodes[start: start + _BLOCK + 1]
+    for start in range(0, _FP_NODES, _FP_BLOCK):
+        n = nodes[start: start + _FP_BLOCK + 1]
         blocks.append((n, _simpson_weights(np.log(n)) * n))
     return tuple(blocks)
 
@@ -300,10 +317,12 @@ def _finite_part(gamma, theta, grid, d, atol=1e-7):
 def _boundary_measure_pair(density, theta, d):
     """2^{-d-1} sum_k (both orthants) density * theta against dx (d = 1).
 
-    ``density(xs, ks)`` takes the abscissae of one orthant and the array of
-    k and returns values broadcasting to shape (len(xs), len(ks)); a
-    constant ``lambda xs, ks: 1.0`` is the bare measure.  theta is
-    evaluated on the whole (xs, ks) table of an orthant in one call.
+    ``density(xs, ks)`` takes the abscissae of both orthants, (-x, x) for
+    the half-line rule x, and the array of k, and returns values
+    broadcasting to shape (len(xs), len(ks)); a constant
+    ``lambda xs, ks: 1.0`` is the bare measure.  density and theta are
+    each evaluated once, on the whole (xs, ks) table; the orthants are
+    summed one after the other.
     """
     if d != 1:
         raise ValueError("boundary-measure pairing implemented for d = 1")
@@ -311,13 +330,11 @@ def _boundary_measure_pair(density, theta, d):
     # 24-point panels on [0, 0.02] and geometric ones out to x. = 28
     xs, ws = gauss_legendre(np.concatenate([[0.0], np.geomspace(0.02, 28.0, 12)]), 24)
     ks = np.arange(-k_band, k_band + 1)
-    total = 0.0 + 0.0j
-    for sign in (-1.0, 1.0):
-        sx = sign * xs
-        dens = density(sx, ks)
-        thv = theta.at_boundary(sx[:, None, None], ks[:, None])
-        total += np.sum(dens * thv * ws[:, None])
-    return 0.25 * complex(total)
+    both = np.concatenate([-xs, xs])
+    terms = density(both, ks) * theta.at_boundary(both[:, None, None], ks[:, None]) \
+        * np.concatenate([ws, ws])[:, None]
+    half = len(xs)
+    return 0.25 * complex(np.sum(terms[:half]) + np.sum(terms[half:]))
 
 
 def pair(T, theta, grid=None, n_max=24, atol=1e-6):
@@ -384,8 +401,9 @@ def g_hat_boundary_batch(g, xs, k_list):
     The conjugate kernel is (-1)^k e^{ik phi} J_k(2 sqrt|x.| |Y|) with
     phi = atan2(sgn(x.) eta, y), so the Y-sum is a sum over the distinct
     radii |Y| of the grid of the Bessel factor times the k-th angular
-    moment of g on that ring.  Returns an array of shape
-    (len(xs), len(k_list)).
+    moment of g on that ring.  ``xs`` may mix both signs: the angular
+    moments are built once for each sign and the Bessel tables once, on
+    the distinct |x.|.  Returns an array of shape (len(xs), len(k_list)).
     """
     if g.d != 1:
         raise ValueError("batch boundary transform implemented for d = 1")
@@ -399,15 +417,16 @@ def g_hat_boundary_batch(g, xs, k_list):
         phi = np.arctan2(sign * eta, y).ravel()
         np.add.at(moments[i], ring, np.exp(1j * np.outer(phi, kvec)) * g.samples.ravel()[:, None])
     side = (xs < 0).astype(int)
-    arg = np.outer(2.0 * np.sqrt(np.abs(xs)), radii)
+    ax, row = np.unique(np.abs(xs), return_inverse=True)
+    arg = np.outer(2.0 * np.sqrt(ax), radii)
     # (-1)^k J_k = J_|k| for k < 0: one Bessel table per order |k|; j0 and
     # j1 are about 20 times faster than jv at orders 0 and 1
     order = {0: j0, 1: j1}
     bessel = {q: order[q](arg) if q in order else jv(q, arg) for q in set(np.abs(kvec).tolist())}
     out = np.empty((len(xs), len(kvec)), dtype=complex)
     for j, k in enumerate(kvec):
-        sums = bessel[abs(k)] @ moments[:, :, j].T  # (len(xs), 2)
-        out[:, j] = (1.0 if k < 0 else (-1.0) ** k) * sums[np.arange(len(xs)), side]
+        sums = bessel[abs(k)] @ moments[:, :, j].T  # (len(ax), 2)
+        out[:, j] = (1.0 if k < 0 else (-1.0) ** k) * sums[row, side]
     return out * g.cell_area
 
 

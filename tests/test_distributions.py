@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ def test_strided_band_sum_matches_the_full_index_box(name):
     assert abs(v - want) <= 1e-6 * abs(want)
 
 
+def test_band_sum_blocks_stay_small():
+    # theta is evaluated in blocks of at most _BAND_ENTRIES entries, so one
+    # block's transients stay near glibc's 128 KiB mmap threshold and reuse
+    # heap memory instead of being mapped afresh on every block
+    args = (Distribution.single("freq_identity_sum"), heat_profile(1.0), LambdaGrid())
+    pair(*args)
+    tracemalloc.start()
+    try:
+        pair(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_mollifier_error_falls_at_second_order():
     # c15's sums: eps^-1 psi(lam/eps) theta tends to <mu, theta> at O(eps^2),
     # so halving eps divides the error by about 4 unless the band sum is
@@ -152,6 +168,30 @@ def test_boundary_measure_runs_the_old_halfline_rule(monkeypatch, grid):
     assert len(rules) == 1
     for got, want in zip(rules[0], _old_halfline_rule()):
         assert np.array_equal(got, want)
+
+
+def test_boundary_pairing_calls_the_density_once():
+    # one density call on both orthants (-x, x) of the 288-point half-line
+    # rule; the batch transform of the stacked orthants is the two
+    # one-orthant batches, bit for bit
+    h = YField.from_function(
+        lambda y, e: np.exp(-(y**2 + 0.6 * e**2 + 0.3 * y * e)) * (1 + 0.4 * y - 0.7j * e),
+        1, (5.0, 6.5), (29, 37),
+    )
+    calls = []
+
+    def density(xs, ks):
+        calls.append(np.array(xs))
+        return g_hat_boundary_batch(h, xs, ks)
+
+    pair(Distribution.single("freq_boundary_measure", payload=density), heat_profile(1.0))
+    assert len(calls) == 1
+    xs = calls[0][288:]
+    assert calls[0].shape == (576,) and np.all(xs > 0)
+    assert np.array_equal(calls[0][:288], -xs)
+    ks = np.arange(-8, 9)
+    stacked = np.concatenate([g_hat_boundary_batch(h, -xs, ks), g_hat_boundary_batch(h, xs, ks)])
+    assert np.array_equal(g_hat_boundary_batch(h, np.r_[-xs, xs], ks), stacked)
 
 
 def test_finite_part_validity_range():
