@@ -21,7 +21,6 @@ from .freq_space import (
     freq_seminorm,
     integrate,
     l1m_norm,
-    weight_d0,
 )
 from .heisenberg import (
     PHYS_OPS,

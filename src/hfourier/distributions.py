@@ -98,6 +98,9 @@ class PairResult:
 # every block
 _BAND_ENTRIES = 8192
 
+# last sample index j of the d = 1 band sum, whatever its stopping rule says
+_BAND_CAP = 20000
+
 # node steps per theta call in the finite part; its Simpson weights depend
 # on where the blocks end
 _FP_BLOCK = 64
@@ -147,7 +150,7 @@ def _sample_weights(j, stride):
     return np.where((j < 8) | (stride == 1), 1.0, w)
 
 
-def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
+def _diagonal_band_sum(theta, grid, d, atol=1e-6):
     """Sum of theta over its support band against the frequency measure.
 
     d = 1: for fixed lambda, sum_n theta(n, n + k, lambda) 2|lambda| is a
@@ -168,7 +171,7 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
     m = n + k >= 0, so it sums against the vector s |lambda|^d w without
     the per-sample weights or the m >= 0 mask.  The power-law stopping
     rule runs sample by sample over j, so the j-th sample of every lambda
-    plays the part of a shell, and ``n_cap`` caps j; only the block ends
+    plays the part of a shell, and _BAND_CAP caps j; only the block ends
     regroup the running total.  The tail adds to the fitted power-law tail the
     uncovered strip |lambda| < lambda_min.  As lambda -> 0 the shells
     that carry mass grow like 1/|lambda| while the x.-sum
@@ -193,8 +196,8 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6, n_cap=20000):
     strip = 0.0
     tail = math.inf
     prev = math.nan
-    for start in range(0, n_cap + 1, block):
-        j = np.arange(start, min(start + block, n_cap + 1))[:, None]
+    for start in range(0, _BAND_CAP + 1, block):
+        j = np.arange(start, min(start + block, _BAND_CAP + 1))[:, None]
         if start >= max(11, band):                                       # weights s, m >= 0
             n = 8 + (j - 8) * stride                                     # (J, lambda)
             w = far_w

@@ -40,7 +40,6 @@ __all__ = [
     "LambdaGrid",
     "IntegralResult",
     "distance",
-    "weight_d0",
     "integrate",
     "freq_seminorm",
     "l1m_norm",
@@ -138,13 +137,6 @@ def distance(p, q):
             + abs(q.lam)
         )
     return _l1(np.asarray(p.xdot) - np.asarray(q.xdot)) + _l1(np.asarray(p.k) - np.asarray(q.k))
-
-
-def weight_d0(p):
-    """Decay weight |lam| (|n+m|_1 + d) + |m-n|_1 of an interior point."""
-    n = np.asarray(p.n)
-    m = np.asarray(p.m)
-    return abs(p.lam) * (_l1(n + m) + p.d) + _l1(m - n)
 
 
 # ---- lambda grid ----------------------------------------------------------

@@ -5,11 +5,11 @@ Group law on w = (y, eta, s):
     w . w' = (y + y', eta + eta', s + s' + 2<eta, y'> - 2<eta', y>),
 
 with inverse -w and parabolic dilations (Y, s) -> (aY, a^2 s).  The module
-also carries group convolution of sampled fields (a Y-lattice sum taken
-one vertical frequency at a time, where the group law's twist is an exact
-phase), the left/right-invariant vector fields, the sub-Laplacian, weight
-and multiplication operators, the vertical primitive P, and Schwartz-type
-seminorms.
+also carries group convolution of sampled fields (a sum over Y-lattice
+shifts, batched per block of vertical frequencies, where the group law's
+twist is an exact phase), the left/right-invariant vector fields, the
+sub-Laplacian, weight and multiplication operators, the vertical
+primitive P, and Schwartz-type seminorms.
 """
 
 import math
@@ -63,25 +63,26 @@ def dilate(a, w, d=1):
 
 # ---- group convolution ---------------------------------------------------
 
-def _along(v, axis, ndim):
-    # view a (n, P) array as broadcasting over `axis` and the last axis
-    shape = [1] * ndim
-    shape[axis] = v.shape[0]
-    shape[-1] = v.shape[-1]
-    return v.reshape(shape)
+# vertical frequencies per batched product in `convolve`: bounds the per-block
+# twist and padded F; blocks of 16-64 take about the same time on c03's pair
+_SIGMA_BLOCK = 32
 
 
 def convolve(f, g):
     """Group convolution (f * g)(w) = integral f(w . v^{-1}) g(v) dv.
 
-    Riemann sum over the shared Y lattice, evaluated one vertical
-    frequency sigma at a time.  The Y components of w . v^{-1} land on the
-    lattice; its vertical component is s - s' + c with the twist
+    Riemann sum over the shared Y lattice at each vertical frequency
+    sigma.  The Y components of w . v^{-1} land on the lattice; its
+    vertical component is s - s' + c with the twist
     c = 2(<eta', y> - <eta, y'>), which after a Fourier transform in s is
-    the exact phase exp(i sigma c) = prod_j exp(2 i sigma eta'_j y_j)
-    exp(-2 i sigma eta_j y'_j).  Both operands are zero-padded in s to one
-    period P with P h_s > 2(L_f + L_g) + 4 d L_y L_eta, so no twisted copy
-    wraps into the output window and f is zero-extended outside its box.
+    the exact phase exp(i sigma c).  Both operands are zero-padded in s to
+    one period P with P h_s > 2(L_f + L_g) + 4 d L_y L_eta, so no twisted
+    copy wraps into the output window and f is zero-extended outside its
+    box.  The sum runs over the lattice shifts k = y - y' of the flattened
+    y multi-index: for one shift and a block of sigma, the eta'-sum of
+    F(k, eta - eta') exp(2 i sigma <eta', y>) G(y', eta') is one batched
+    product, with F(k, eta - eta') one gather of F's zero-padded eta block
+    (Toeplitz at d = 1, block-Toeplitz at d = 2).
 
     ``f`` and ``g`` must share d, the Y axes and h_s; their s-extents may
     differ.  Returns ``(field, tail)``: the result on the s-axis of
@@ -94,35 +95,38 @@ def convolve(f, g):
             or not np.allclose(f.extents[:2], g.extents[:2])
             or not math.isclose(hs, g.spacings[-1], rel_tol=1e-12)):
         raise ValueError("convolution requires equal Y axes and equal h_s")
-    ndim = 2 * d + 1
+    ny, ne = f.points[:2]
     n_out = f.points[-1] + g.points[-1] - 1
-    max_twist = 4.0 * d * f.extents[0] * f.extents[1]
-    period = next_fast_len(n_out + int(max_twist / hs))
+    period = next_fast_len(n_out + int(4.0 * d * f.extents[0] * f.extents[1] / hs))
     sigma = 2.0 * np.pi * fftfreq(period, hs)
-    F = fft(f.samples, period, axis=-1)
-    G = fft(g.samples, period, axis=-1)
-    # twist[i, j] = exp(2 i sigma y_i eta_j)
-    twist = np.exp(2j * np.multiply.outer(np.multiply.outer(f.y_axis, f.eta_axis), sigma))
-    centre = [(n - 1) // 2 for n in F.shape[:-1]]
+    # sigma-major views (P, Y, E) of the transforms over flattened y and eta
+    F, G = (np.moveaxis(fft(h.samples, period, axis=-1).reshape(ny**d, ne**d, period), -1, 0)
+            for h in (f, g))
+    yi, ei = (np.indices((n,) * d).reshape(d, -1).T for n in (ny, ne))
+    inner = f.y_axis[yi] @ f.eta_axis[ei].T
+    # toeplitz[eta', eta] indexes eta - eta' in the padded eta block
+    toeplitz = np.ravel_multi_index(np.moveaxis(ei - ei[:, None] + ne - 1, -1, 0),
+                                    (2 * ne - 1,) * d)
+    # per shift k: the flat y' whose y' + k is on the lattice, and those y
+    shifts = []
+    for k, o in enumerate(yi - (ny - 1) // 2):
+        src = np.flatnonzero(np.all((yi + o >= 0) & (yi + o < ny), axis=1))
+        shifts.append((k, src, src + o @ ny ** np.arange(d - 1, -1, -1)))
+    pad = [(0, 0)] * 2 + [((ne - 1) // 2,) * 2] * d
+    out = np.zeros(F.shape, dtype=complex)
+    for lo in range(0, period, _SIGMA_BLOCK):
+        blk = slice(lo, lo + _SIGMA_BLOCK)
+        twist = np.exp(2j * sigma[blk, None, None] * inner)
+        Fb = np.pad(F[blk].reshape(-1, ny**d, *(ne,) * d), pad).reshape(-1, ny**d, (2 * ne - 1)**d)
+        for k, src, dst in shifts:
+            summed = (twist[:, dst] * G[blk, src]) @ Fb[:, k][..., toeplitz]
+            out[blk, dst] += twist[:, src].conj() * summed
 
-    out = np.zeros_like(F)
-    for idx in np.ndindex(G.shape[:-1]):
-        phase = G[idx]
-        if not np.any(phase):
-            continue
-        off = [i - c for i, c in zip(idx, centre)]
-        dst = [slice(max(0, o), n + min(0, o)) for o, n in zip(off, F.shape)]
-        src = [slice(max(0, -o), n - max(0, o)) for o, n in zip(off, F.shape)]
-        for a in range(d):
-            # exp(2 i sigma eta'_a y_a) and exp(-2 i sigma y'_a eta_a)
-            phase = phase * _along(twist[dst[a], idx[d + a]], a, ndim)
-            phase = phase * _along(twist[idx[a], dst[d + a]].conj(), d + a, ndim)
-        out[tuple(dst)] += F[tuple(src)] * phase
-
-    full = ifft(out, axis=-1) * f.cell_volume
+    full = np.moveaxis(ifft(out, axis=0, overwrite_x=True), 0, -1)
+    full *= f.cell_volume
     tail = float(np.abs(full[..., n_out:]).sum() * f.cell_volume)
     ext = (f.extents[0], f.extents[1], f.extents[2] + g.extents[2])
-    return SampledField(full[..., :n_out], d, ext), tail
+    return SampledField(full[..., :n_out].reshape(f.samples.shape[:-1] + (n_out,)), d, ext), tail
 
 
 # ---- differential / multiplication operators ------------------------------

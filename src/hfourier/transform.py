@@ -141,9 +141,9 @@ def _csv_columns(d):
     return [f"n{j}" for j in range(d)] + [f"m{j}" for j in range(d)] + ["lambda", "re", "im"]
 
 
-def table_to_csv(table, path, sidecar=None):
-    """CSV export (n.., m.., lambda, re, im) with a JSON sidecar; floats use
-    round-trip-exact formatting."""
+def table_to_csv(table, path):
+    """CSV export (n.., m.., lambda, re, im) with a JSON sidecar at
+    ``path + ".json"``; floats use round-trip-exact formatting."""
     d = table.d
     index = np.indices(table.values.shape, sparse=True)[:-1]
     _write_csv(path, ",".join(_csv_columns(d)),
@@ -154,12 +154,12 @@ def table_to_csv(table, path, sidecar=None):
         "grid": json.loads(table.grid.to_json()),
         "provenance": table.provenance,
     }
-    with open(sidecar or (str(path) + ".json"), "w") as fh:
+    with open(str(path) + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def table_from_csv(path, sidecar=None):
+def table_from_csv(path):
     """Read a table written by :func:`table_to_csv`.
 
     Values are placed by their (n.., m.., lambda) columns, so the row order
@@ -167,7 +167,7 @@ def table_from_csv(path, sidecar=None):
     [0, n_max], a lambda off the sidecar grid (1e-9 relative), a missing or
     duplicate entry, or a non-finite value.
     """
-    with open(sidecar or (str(path) + ".json")) as fh:
+    with open(str(path) + ".json") as fh:
         meta = json.load(fh)
     d = int(meta["d"])
     grid = LambdaGrid(meta["grid"]["lambda_min"], meta["grid"]["lambda_max"],

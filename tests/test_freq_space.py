@@ -15,8 +15,8 @@ from hfourier.freq_space import (
     gauss_legendre,
     integrate,
     l1m_norm,
+    one_plus_weight,
     simpson_log_weights,
-    weight_d0,
 )
 from hfourier.profiles import heat_profile, profile_gauss, profile_to_freq_function
 from hfourier.distributions import make_f_gamma
@@ -70,9 +70,9 @@ def test_boundary_point_validation():
 
 
 def test_weight_examples():
-    assert weight_d0(FreqPoint((0,), (0,), 0.7)) == pytest.approx(0.7)
-    assert weight_d0(FreqPoint((1,), (0,), 2.0)) == pytest.approx(5.0)
-    assert weight_d0(FreqPoint((0,), (1,), 2.0)) == pytest.approx(5.0)
+    assert one_plus_weight(np.array([0]), np.array([0]), 0.7, 1) == pytest.approx(1.7)
+    assert one_plus_weight(np.array([1]), np.array([0]), 2.0, 1) == pytest.approx(6.0)
+    assert one_plus_weight(np.array([0]), np.array([1]), 2.0, 1) == pytest.approx(6.0)
 
 
 # ---- lambda grid -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,34 @@ def test_convolve_d2_reference():
     ref, _ = lattice_reference(A, 1.0, 0.3, B, 1.5, f, g)
     assert conv.samples.shape == (5, 5, 5, 5, 65)
     assert np.abs(conv.samples - ref).max() <= 1e-10
+
+
+def test_convolve_unequal_lattices_reference():
+    # 17 y-points against 21 eta-points: a y/eta mix-up in the flattened
+    # shift sum has no square lattice to hide in.  The s-axes keep the
+    # other tests' h_s = 0.375, where the sampled s' sum matches the
+    # reference's closed form to rounding (at h_s = 0.5 they part by 2e-5).
+    f = SampledField.from_function(with_s(skew_f, 1.0, 0.3), 1, (4, 5, 6), (17, 21, 33))
+    g = SampledField.from_function(with_s(skew_g, 1.5), 1, (4, 5, 4.5), (17, 21, 25))
+    conv, _ = convolve(f, g)
+    ref, _ = lattice_reference(skew_f, 1.0, 0.3, skew_g, 1.5, f, g)
+    assert conv.samples.shape == (17, 21, 57)
+    assert np.abs(conv.samples - ref).max() <= 1e-10
+
+
+def test_convolve_memory_on_c03_pair():
+    # c03's pair: the twist is built per block of vertical frequencies, never
+    # for the whole period at once
+    f = SampledField.from_function(with_s(radial(1.0), 1.0), 1, (6, 6, 6), (33, 33, 33))
+    g = SampledField.from_function(with_s(radial(1.5), 1.5), 1, (6, 6, 6), (33, 33, 33))
+    convolve(f, g)
+    tracemalloc.start()
+    try:
+        convolve(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45e6, peak
 
 
 def test_young_inequality():
