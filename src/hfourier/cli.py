@@ -188,7 +188,7 @@ def cmd_pair(args):
     grid = cfg.lambda_grid
     theta = _theta_fixture(args.theta, cfg.d)
     dist = _distribution(args.distribution, d=cfg.d)
-    res = pair(dist, theta, grid, n_max=cfg.n_max)
+    res = pair(dist, theta, grid)
     record = {
         "distribution": args.distribution,
         "test_function": args.theta,

@@ -340,12 +340,14 @@ def _boundary_measure_pair(density, theta, d):
     return 0.25 * complex(np.sum(terms[:half]) + np.sum(terms[half:]))
 
 
-def pair(T, theta, grid=None, n_max=24, atol=1e-6):
+def pair(T, theta, grid=None, atol=1e-6):
     """Pairing of a frequency-side distribution with a test function.
 
-    Returns a :class:`PairResult` with the value and a truncation-tail
-    estimate (zero for the exact point evaluations).  Raises ValueError
-    when theta and T differ in dimension.
+    A function-backed term is summed over the index box its payload
+    declares (a table's ``n_max``).  Returns a :class:`PairResult` with
+    the value and a truncation-tail estimate (zero for the exact point
+    evaluations).  Raises ValueError when theta and T differ in dimension,
+    or when a function-backed payload declares no box.
     """
     if T.side != "freq":
         raise ValueError("pair a frequency-side distribution (transform first)")
@@ -357,7 +359,9 @@ def pair(T, theta, grid=None, n_max=24, atol=1e-6):
     tail = 0.0
     for coeff, kind, payload in T.terms:
         if kind == "freq_function":
-            res = integrate(_product_fn(payload, theta), grid, n_max)
+            if payload.box is None:
+                raise ValueError(f"freq_function payload {payload.label!r} declares no index box")
+            res = integrate(_product_fn(payload, theta), grid, payload.box)
             value += coeff * res.value
             tail += abs(coeff) * res.tail_bound
         elif kind == "freq_identity_sum":

@@ -17,12 +17,13 @@ Frequency functions evaluate whole index arrays at once: n and m have
 shape S + (d,), lam broadcasts against S, and the result has the
 broadcast shape.  Boundary values follow the same contract, with x. and k
 of shape S + (d,).  ``band`` (largest |m - n|; 0 diagonal, None dense)
-alone describes the support, so every sum is one array reduction over the
-band; the adaptive diagonal sums of :mod:`hfourier.distributions`
-evaluate blocks of samples per call: the finite part (d = 1) the shells
-n < 32 and then integer nodes geometric in x. = |lam|(2n + 1), shared by
-every lambda, the band sum (d = 1) the shells n < 8 and then a stride of
-n per lambda, evenly spaced in x. = |lam|(2n + k + 1).
+and ``box`` (largest n_j, m_j; None uncapped) describe the support, so
+every sum is one array reduction over them; the adaptive diagonal sums of
+:mod:`hfourier.distributions` evaluate blocks of samples per call: the
+finite part (d = 1) the shells n < 32 and then integer nodes geometric in
+x. = |lam|(2n + 1), shared by every lambda, the band sum (d = 1) the
+shells n < 8 and then a stride of n per lambda, evenly spaced in
+x. = |lam|(2n + k + 1).
 """
 
 import json
@@ -246,17 +247,22 @@ class FreqFunction:
     band : int or None
         Largest |m - n| (per coordinate) carrying support; None = dense.
         Sums run over this band only.
+    box : int or None
+        Largest n_j, m_j carrying support (a table's n_max); None = no cap.
     diagonal : bool
         Shorthand for ``band=0``.
+    label : str
+        Display name; no computation reads it.
     """
 
     def __init__(self, interior, d=1, dlam=None, boundary=None,
-                 diagonal=False, band=None, label=""):
+                 diagonal=False, band=None, box=None, label=""):
         self._interior = interior
         self.d = d
         self._dlam = dlam
         self._boundary = boundary
         self.band = 0 if diagonal else band
+        self.box = box
         self.label = label
 
     @property

@@ -126,7 +126,9 @@ def convolve(f, g):
     full *= f.cell_volume
     tail = float(np.abs(full[..., n_out:]).sum() * f.cell_volume)
     ext = (f.extents[0], f.extents[1], f.extents[2] + g.extents[2])
-    return SampledField(full[..., :n_out].reshape(f.samples.shape[:-1] + (n_out,)), d, ext), tail
+    # a copy of the window, so the result does not keep the padded period alive
+    window = full[..., :n_out].copy().reshape(f.samples.shape[:-1] + (n_out,))
+    return SampledField(window, d, ext), tail
 
 
 # ---- differential / multiplication operators ------------------------------

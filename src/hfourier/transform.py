@@ -25,15 +25,16 @@ Three numerical routes are provided and cross-checked:
 
 The inverse sums e^{i s lam} W theta against the frequency measure with
 the constant 2^{d-1} / pi^{d+1}.  On a grid, the lambda slices
-sum_{n,m} theta W of a dense theta go through the forward's 45-degree
-rotation (every lambda at once: two Hermite row evaluations and one
-stacked GEMM pair).  A banded theta is a short Fourier series in the
-polar angle of Y whose coefficients, one channel per k = m - n, are sums
-of Laguerre functions in rho^2 = 2 |lam| |Y|^2: they are summed on the
-distinct radii of the grid only, every lambda in one recurrence per |k|,
-and a diagonal theta is the single channel k = 0.  The oscillatory lambda
-stage then integrates the stacked slices against e^{i s lam} through one
-(lambda, s) weight matrix.
+sum_{n,m} theta W of a theta with an index box (a table, or a multiplier
+of one) go through the forward's 45-degree rotation (every lambda at
+once: two Hermite row evaluations and one stacked GEMM pair).  A banded
+theta is a short Fourier series in the polar angle of Y whose
+coefficients, one channel per k = m - n, are sums of Laguerre functions
+in rho^2 = 2 |lam| |Y|^2: they are summed on the distinct radii of the
+grid only, every lambda in one recurrence per |k|, and a diagonal theta
+is the single channel k = 0.  The oscillatory lambda stage then
+integrates the stacked slices against e^{i s lam} through one (lambda, s)
+weight matrix.
 """
 
 import json
@@ -43,7 +44,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import N_MAX_CAP
 from .fields import SampledField, _write_csv
 from .freq_space import (
     FreqFunction,
@@ -103,28 +103,21 @@ class SpectralTable:
     def n_max(self):
         return self.values.shape[0] - 1
 
-    def entry(self, n, m, lam):
-        il = self._lam_index(lam)
-        return complex(self.values[tuple(n) + tuple(m) + (il,)])
-
-    def _lam_index(self, lam):
-        il, on_grid = _grid_index(self.grid.lam, lam)
-        if not on_grid:
-            raise KeyError(f"lambda {lam} not on the table grid")
-        return il
-
     def as_freq_function(self):
-        """Table-backed FreqFunction (zero beyond the index box; grid lambdas only)."""
+        """Table-backed FreqFunction with index box ``n_max``: zero beyond
+        the box, and a KeyError for a lambda off the table grid."""
         nmax = self.n_max
 
         def interior(n, m, lam):
-            il = self._lam_index(lam)
+            il, on_grid = _grid_index(self.grid.lam, lam)
+            if not on_grid:
+                raise KeyError(f"lambda {lam} not on the table grid")
             nm = np.concatenate(np.broadcast_arrays(n, m), axis=-1)
             inside = ((nm >= 0) & (nm <= nmax)).all(axis=-1)
             vals = self.values[tuple(np.moveaxis(np.clip(nm, 0, nmax), -1, 0)) + (il,)]
             return np.where(inside, vals, 0.0)
 
-        return FreqFunction(interior, d=self.d, label=f"table:{self.provenance}")
+        return FreqFunction(interior, d=self.d, box=nmax, label=f"table:{self.provenance}")
 
 
 def _grid_index(grid_lam, lam):
@@ -526,21 +519,20 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
                     n_cap=600, assume_symmetric=False):
     """Inverse transform sampled on a full (y, eta, s) grid (d = 1).
 
-    For table-backed ``theta`` the index box is the table's; for analytic
-    frequency functions the diagonal extent n_top adapts per lambda up to
+    The route follows the declared support; a theta with neither a band
+    nor a box is refused before it is called.  A banded theta is summed as
+    its channels k = m - n on the distinct values of |Y|^2 of the grid
+    (:func:`hfourier.wigner.wigner_series_radial`; a diagonal is the
+    channel k = 0).  Its diagonal extent n_top adapts per lambda up to
     ``n_cap`` (one probe call for every lambda; the skipped remainder is
     bounded by 1/(32 pi^2 n_cap) per unit lambda mass and folded into the
-    reported tail).  theta is evaluated once, on the box of the largest
-    n_top, each lambda zeroed past its own.  The lambda slices
-    chi = sum_{n,m} theta_nm W_nm of a dense theta (tables and their
-    multipliers) are summed on the (y, eta) grid through the 45-degree
-    rotation of :func:`hfourier.wigner.wigner_series_dense`, which an
-    analytic theta may use up to n_top = ``config.N_MAX_CAP``.  A banded
-    theta is summed as its channels k = m - n on the distinct values of
-    |Y|^2 of the grid (:func:`hfourier.wigner.wigner_series_radial`; a
-    diagonal is the channel k = 0).  The oscillatory lambda stage then
-    integrates the stacked slices, and for a banded theta one gather sums
-    the channels on the grid, each times e^{-i k phi}.
+    reported tail), and theta is evaluated once on the band box of the
+    largest n_top, each lambda zeroed past its own.  Otherwise theta (a
+    table, or a multiplier of one) is evaluated once on the ``n_max`` box,
+    and its slices chi = sum_{n,m} theta_nm W_nm go through the 45-degree
+    rotation of :func:`hfourier.wigner.wigner_series_dense`.  The lambda
+    stage then integrates the stacked slices, and for a banded theta one
+    gather sums the channels on the grid, each times e^{-i k phi}.
 
     ``assume_symmetric=True`` skips the negative-lambda half and doubles
     the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
@@ -551,34 +543,31 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     d = theta.d
     if d != 1:
         raise ValueError("grid inverse implemented for d = 1")
+    if theta.band is None and theta.box is None:
+        raise ValueError(f"theta {theta.label!r} declares neither a band nor an index box")
     y_axis = np.linspace(-extents[0], extents[0], points[0])
     e_axis = np.linspace(-extents[1], extents[1], points[1])
     s_axis = np.linspace(-extents[2], extents[2], points[2])
 
     cols = np.flatnonzero(grid.lam > 0) if assume_symmetric else np.arange(len(grid.lam))
     lam_list = grid.lam[cols]
-    table_n = theta.label.startswith("table")
-    n_tops = np.full(len(cols), n_max) if table_n else _n_extent(theta, lam_list, n_cap)
-    capped = (n_tops == n_cap) & (not table_n)
-    # a running sum in lambda order (np.sum's pairwise order moves the last bit)
-    tail = sum((grid.weights[cols] / (8.0 * n_cap))[capped & (np.abs(lam_list) * n_cap < 4.0)]
-               .tolist(), 0.0)
-    K = int(n_tops.max())
-
+    tail = 0.0
     if theta.band is None:
-        if K > N_MAX_CAP and not table_n:
-            raise ValueError(f"dense theta {theta.label!r} reaches n_top = {K}, past the "
-                             f"rotation route's cap {N_MAX_CAP}; declare its band")
-        # theta once on the box of the largest n_top, each lambda zeroed past its own
-        n, m = box_pairs(1, K)
-        rows = np.zeros((K + 1, K + 1, len(lam_list)), dtype=complex)
-        rows[n[:, 0], m[:, 0]] = np.where(np.maximum(n, m) <= n_tops,
-                                          theta(n[:, None], m[:, None], lam_list), 0.0)
+        # theta once on the n_max box, as one broadcast call
+        j = np.arange(n_max + 1)
+        rows = np.broadcast_to(theta(j[:, None, None, None], j[None, :, None, None], lam_list),
+                               (n_max + 1, n_max + 1, len(lam_list)))
         live = np.flatnonzero(np.any(rows, axis=(0, 1)))
         chi = np.zeros((len(lam_list), points[0], points[1]), dtype=complex)
         chi[live] = wigner_series_dense(rows[:, :, live], lam_list[live], y_axis, e_axis)
         out = _oscillatory_lambda_stage(chi, lam_list, s_axis)
     else:
+        n_tops = _n_extent(theta, lam_list, n_cap)
+        capped = n_tops == n_cap
+        # a running sum in lambda order (np.sum's pairwise order moves the last bit)
+        tail = sum((grid.weights[cols] / (8.0 * n_cap))[capped & (np.abs(lam_list) * n_cap < 4.0)]
+                   .tolist(), 0.0)
+        K = int(n_tops.max())
         # the channels k = m - n on the distinct radii, theta once on the band box
         B = theta.band
         r2, ring = np.unique((y_axis[:, None] ** 2 + e_axis[None, :] ** 2).ravel(),
@@ -801,10 +790,9 @@ def multiplier_apply(a, theta):
         r = 4.0 * np.abs(lam) * (2.0 * m.sum(axis=-1) + d)
         return np.asarray(a(r), dtype=complex) * theta(n, m, lam)
 
-    # a pointwise multiplier keeps the index support of theta, so the label
-    # keeps its prefix: a table-backed theta stays table-backed for the inverse
-    out = FreqFunction(interior, d=d, band=theta.band, label=f"{theta.label}:mult")
-    if theta.has_boundary:
-        # the symbol vanishes on the boundary (lam -> 0 at fixed k)
-        out._boundary = lambda xdot, k: complex(a(0.0)) * theta.at_boundary(xdot, k)
-    return out
+    # a pointwise multiplier keeps the index support of theta; the symbol
+    # vanishes on the boundary (lam -> 0 at fixed k)
+    boundary = (lambda xdot, k: complex(a(0.0)) * theta.at_boundary(xdot, k)) \
+        if theta.has_boundary else None
+    return FreqFunction(interior, d=d, boundary=boundary, band=theta.band, box=theta.box,
+                        label=f"{theta.label}:mult")

@@ -88,7 +88,6 @@ class VerifyContext:
     def __init__(self, cfg=None):
         self.cfg = cfg or default_config()
         self._cache = {}
-        self.rng = np.random.default_rng(self.cfg.seed)
 
     def fresh_rng(self, salt):
         return np.random.default_rng(self.cfg.seed + salt)

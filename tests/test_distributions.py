@@ -367,13 +367,35 @@ def test_fourier_distribution_function_branch(grid):
     small = LambdaGrid(0.3, 3.0, 6)
     out = fourier_distribution(T, grid=small, n_max=8)
     psi = out.terms[0][2]
-    got = pair(out, heat_profile(1.0), small, n_max=8)
+    got = pair(out, heat_profile(1.0), small)
     want = integrate(
         FreqFunction(lambda n, m, lam: psi(n, m, lam) * heat_profile(1.0)(n, m, lam),
                      d=1, diagonal=False),
         small, 8,
     ).value
     assert got.value == pytest.approx(want, abs=1e-12)
+
+
+def test_pair_sums_the_payload_box():
+    # the table's whole 30-box, not a default cap: n = 25..30 carry 1e-3 of
+    # the value against a slowly decaying heat(0.05)
+    f = SampledField.from_function(lambda y, e, s: np.exp(-0.5 * (y**2 + e**2) - s**2),
+                                   1, (6, 6, 6), (33, 33, 33))
+    grid = LambdaGrid(1e-3, 10.0, 24)
+    out = fourier_distribution(Distribution.single("phys_function", payload=f), grid, n_max=30)
+    psi, theta = out.terms[0][2], heat_profile(0.05)
+    got = pair(out, theta, grid)
+    product = FreqFunction(lambda n, m, lam: psi(n, m, lam) * theta(n, m, lam), band=0)
+    want = integrate(product, grid, 30)
+    assert got.value == want.value and got.tail_bound == want.tail_bound
+    assert abs(integrate(product, grid, 24).value - want.value) > 5e-4 * abs(want.value)
+    assert psi.box == 30
+
+
+def test_pair_refuses_a_payload_without_box():
+    free = FreqFunction(lambda n, m, lam: 0.0 * lam, label="free")
+    with pytest.raises(ValueError, match="'free' declares no index box"):
+        pair(Distribution.single("freq_function", payload=free), heat_profile(1.0))
 
 
 def test_duality_function_branch(grid):

@@ -213,17 +213,20 @@ def test_convolve_unequal_lattices_reference():
 
 def test_convolve_memory_on_c03_pair():
     # c03's pair: the twist is built per block of vertical frequencies, never
-    # for the whole period at once
+    # for the whole period at once, and the result holds its 1.1 MB of
+    # samples, not the 7.8 MB padded inverse FFT they were cut from
     f = SampledField.from_function(with_s(radial(1.0), 1.0), 1, (6, 6, 6), (33, 33, 33))
     g = SampledField.from_function(with_s(radial(1.5), 1.5), 1, (6, 6, 6), (33, 33, 33))
     convolve(f, g)
     tracemalloc.start()
     try:
-        convolve(f, g)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = convolve(f, g)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 45e6, peak
+    assert held <= 2e6, held
+    assert out[0].samples.nbytes < 1.2e6
 
 
 def test_young_inequality():

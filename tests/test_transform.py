@@ -100,7 +100,7 @@ def test_factored_matches_oracle_and_direct(f_unit, small_grid, unit_table):
             # accuracy floor set by the 33-point sampling of the field
             assert unit_table.values[n, n, il] == pytest.approx(want, abs=3e-7)
     for n, m, lam in [((0,), (1,), small_grid.lam[1]), ((3,), (2,), small_grid.lam[-2])]:
-        a = unit_table.entry(n, m, lam)
+        a = complex(unit_table.as_freq_function()(n, m, lam))
         b = forward_direct(f_unit, n, m, lam)
         assert a == pytest.approx(b, abs=1e-9)
 
@@ -762,20 +762,33 @@ def test_banded_inverse_builds_no_rotation_block(monkeypatch, small_grid):
     assert len(shapes) == 2 and shapes[1][0] == 5 and shapes[1][2] == 6
 
 
-def test_dense_analytic_theta_past_the_rotation_cap_is_refused():
-    # a diagonal theta without its band: at lam = 1e-3 it reaches n_cap, where
-    # the dense box would hold 601 x 601 rows per lambda
+def test_theta_without_band_or_box_is_refused_before_any_call():
+    # a diagonal theta that declares neither its band nor an index box
     heat, calls = heat_profile(1.0), []
 
     def interior(n, m, lam):
-        calls.append(np.broadcast_shapes(n.shape[:-1], np.shape(lam)))
+        calls.append((n, m, lam))
         return heat(n, m, lam)
 
     theta = FreqFunction(interior, label="undeclared-heat")
-    with pytest.raises(ValueError, match="n_top = 600.*declare its band"):
+    with pytest.raises(ValueError, match="'undeclared-heat' declares neither a band nor"):
         inverse_on_grid(theta, LambdaGrid(), 24, n_cap=600, assume_symmetric=True)
-    # only the n_top probe ran: nothing was evaluated on the box
-    assert len(calls) == 1 and calls[0][0] < 16
+    assert not calls
+
+
+def test_inverse_routes_by_the_box_not_the_label(monkeypatch, unit_table):
+    renamed = unit_table.as_freq_function()
+    renamed.label = "renamed"
+    heated = multiplier_apply(lambda r: np.exp(-0.1 * r), renamed)
+    laguerre = _spy(monkeypatch, wigner, "_laguerre_sum")
+    rows = _spy(monkeypatch, wigner, "hermite_rows")
+    for theta in (renamed, heated):
+        rows.clear()
+        inverse_on_grid(theta, unit_table.grid, 8, points=(9, 9, 9), assume_symmetric=True)
+        # the rotation over the 8-box: Hermite rows of order 2 n_max, no Laguerre channel
+        assert len(rows) == 2 and all(n == 16 for n, _ in rows)
+    assert not laguerre
+    assert heated.box == renamed.box == 8 and heated.band is None
 
 
 def test_forward_and_inverse_share_rotation_blocks(small_grid):
@@ -1005,7 +1018,7 @@ def test_table_csv_rejects_malformed(tmp_path, unit_table):
 
 def test_table_off_grid_lambda(unit_table):
     with pytest.raises(KeyError):
-        unit_table.entry((0,), (0,), 0.123456)
+        unit_table.as_freq_function()((0,), (0,), 0.123456)
 
 
 def test_integrate_table_squared_heat(f_unit):
