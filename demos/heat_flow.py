@@ -29,7 +29,7 @@ def main():
     )
     table = forward_factored(bump, 24, grid)
     evolved = multiplier_apply(lambda r: np.exp(-0.25 * r), table.as_freq_function())
-    out, _ = inverse_on_grid(evolved, grid, 24, extents=(6, 6, 6), points=(33, 33, 33))
+    out, _ = inverse_on_grid(evolved, grid, extents=(6, 6, 6), points=(33, 33, 33))
     print(f"mass before {bump.integral().real:.6f}, after t=0.25: {out.integral().real:.6f}")
     print(f"peak before {np.abs(bump.samples).max():.4f}, after {np.abs(out.samples).max():.4f}")
 
@@ -42,7 +42,7 @@ def main():
     print(f"  worst |h_0.7 * h_0.5 - h_1.2| = {worst:.2e}")
 
     print("\nreconstructing the t = 1 kernel (tall vertical box, ~1 min)...")
-    kern, tail = inverse_on_grid(heat_profile(1.0), grid, 24,
+    kern, tail = inverse_on_grid(heat_profile(1.0), grid,
                                  extents=(6, 6, 20), points=(33, 33, 107),
                                  assume_symmetric=True, n_cap=600)
     print(f"  min value {kern.samples.real.min():.2e} (dust level), "

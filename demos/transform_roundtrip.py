@@ -43,7 +43,7 @@ def main():
     print(f"Plancherel ratio {ratio:.6f} vs pi^2 = {math.pi**2:.6f} "
           f"({abs(ratio - math.pi**2) / math.pi**2:.2%} off)")
 
-    rec, tail = inverse_on_grid(table.as_freq_function(), grid, 24,
+    rec, tail = inverse_on_grid(table.as_freq_function(), grid,
                                 extents=(3, 3, 3), points=(17, 17, 17),
                                 assume_symmetric=True)
     truth = SampledField.from_function(

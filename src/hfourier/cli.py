@@ -139,8 +139,8 @@ def cmd_transform(args):
     table = table_from_csv(args.input)
     g = cfg.phys_grid
     fld, tail = inverse_on_grid(
-        table.as_freq_function(), table.grid, table.n_max,
-        extents=g.extents, points=g.points, assume_symmetric=_conjugate_symmetric(table),
+        table.as_freq_function(), table.grid, extents=g.extents, points=g.points,
+        assume_symmetric=_conjugate_symmetric(table),
     )
     out_path = os.path.join(args.out, "field.hfld")
     write_field(fld, out_path)
@@ -167,7 +167,7 @@ def cmd_heat(args):
     g = cfg.phys_grid
     # the multiplier is real and even in lam, so it keeps the table's symmetry
     out_fld, tail = inverse_on_grid(
-        evolved, grid, cfg.n_max, extents=g.extents, points=g.points,
+        evolved, grid, extents=g.extents, points=g.points,
         assume_symmetric=_conjugate_symmetric(table),
     )
     os.makedirs(args.out, exist_ok=True)

@@ -6,6 +6,7 @@ field names is an error.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .freq_space import LambdaGrid
@@ -43,12 +44,12 @@ class Config:
             raise ValueError("d must be 1 or 2")
         if not (1 <= self.n_max <= N_MAX_CAP):
             raise ValueError(f"n_max must lie in [1, {N_MAX_CAP}]")
-        for h in self.phys_grid.extents:
-            if h <= 0:
-                raise ValueError("grid extents must be positive")
-        for n in self.phys_grid.points:
-            if n < 5 or n % 2 == 0:
-                raise ValueError("grid point counts must be odd and >= 5")
+        for name in ("phys_grid", "heat_phys_grid"):
+            spec = getattr(self, name)
+            if not all(math.isfinite(h) and h > 0 for h in spec.extents):
+                raise ValueError(f"{name} extents must be finite and positive")
+            if any(n < 5 or n % 2 == 0 for n in spec.points):
+                raise ValueError(f"{name} point counts must be odd and >= 5")
 
 
 def default_config():
@@ -72,14 +73,23 @@ def _spec_from(raw, cls, where):
     return cls(**known)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def load_config(path):
     """Read a Config from a JSON file; missing fields fall back to defaults.
 
     Raises ValueError naming the first key that no field of the
-    configuration (or of the grid it sits in) accepts.
+    configuration (or of the grid it sits in) accepts, and one naming
+    ``path`` for a file that is not standard JSON (NaN and Infinity
+    included).
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh, parse_constant=_refuse_constant)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     _check_keys(raw, Config, "")
     kwargs = dict(raw)
     for key, cls in (("lambda_grid", LambdaGrid), ("phys_grid", PhysGridSpec),

@@ -10,6 +10,8 @@ frequency Laplacian divides by 2|lam| while the lambda-derivative
 operator divides by the signed 2 lam; both are kept exactly as defined.
 """
 
+import functools
+
 import numpy as np
 
 from .freq_space import FreqFunction, index_arrays
@@ -86,7 +88,10 @@ def _dhat(theta, j, sign, n, m, lam):
     return np.where(pick_pos, pos, neg) / root2
 
 
-_KINDS = {"mhat", "mhat_plus", "mhat_minus", "dhat_plus", "dhat_minus"}
+# how far past the support of theta each ladder kind reaches, as the
+# widening of (band, box): the shifted kinds move one of n, m by one
+_LADDER_REACH = {"mhat": (0, 0), "mhat_plus": (1, 1), "mhat_minus": (1, 1),
+                 "dhat_plus": (1, 1), "dhat_minus": (1, 1)}
 
 
 def ladder_freq(kind, theta, n, m, lam, j=0):
@@ -97,7 +102,7 @@ def ladder_freq(kind, theta, n, m, lam, j=0):
     ``dhat_plus`` / ``dhat_minus`` (images of multiplication by
     y_j +- i eta_j) select their index-shift branch by the sign of lam.
     """
-    if kind not in _KINDS:
+    if kind not in _LADDER_REACH:
         raise ValueError(f"unknown multiplier {kind!r}")
     n, m, lam = index_arrays(n, m, lam)
     if kind == "mhat":
@@ -111,15 +116,32 @@ def ladder_freq(kind, theta, n, m, lam, j=0):
     return _dhat(theta, j, -1, n, m, lam)
 
 
+# the widening of (band, box) by each operator: delta_hat and dlambda_hat
+# shift n and m together, and their down-shift reaches one index past the
+# box; sigma0_hat swaps n and m, and mhat multiplies in place
+_REACH = {delta_hat: (0, 1), dlambda_hat: (0, 1), sigma0_hat: (0, 0), mhat: (0, 0)}
+
+
 def lift(op, theta, **kw):
     """Wrap an operator application as a new FreqFunction.
 
-    The lambda-derivative of the lifted function falls back to the
+    The lifted function declares the band and box of theta widened by the
+    reach of ``op`` (one of this module's operators, or ``ladder_freq``
+    with its kind bound by ``functools.partial``); it declares neither for
+    any other operator.  Its lambda-derivative falls back to the
     sign-preserving finite difference of the base class.
     """
 
     def interior(n, m, lam):
         return op(theta, n, m, lam, **kw)
 
+    if isinstance(op, functools.partial) and op.func is ladder_freq:
+        reach = _LADDER_REACH.get(op.args[0])
+    else:
+        reach = _REACH.get(op)
+    band = box = None
+    if reach is not None:
+        band = None if theta.band is None else theta.band + reach[0]
+        box = None if theta.box is None else theta.box + reach[1]
     label = getattr(op, "__name__", "op") + ":" + theta.label
-    return FreqFunction(interior, d=theta.d, label=label)
+    return FreqFunction(interior, d=theta.d, band=band, box=box, label=label)

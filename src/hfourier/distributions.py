@@ -344,10 +344,11 @@ def pair(T, theta, grid=None, atol=1e-6):
     """Pairing of a frequency-side distribution with a test function.
 
     A function-backed term is summed over the index box its payload
-    declares (a table's ``n_max``).  Returns a :class:`PairResult` with
-    the value and a truncation-tail estimate (zero for the exact point
-    evaluations).  Raises ValueError when theta and T differ in dimension,
-    or when a function-backed payload declares no box.
+    declares (a table's ``n_max``), or over theta's where that is smaller.
+    Returns a :class:`PairResult` with the value and a truncation-tail
+    estimate (zero for the exact point evaluations).  Raises ValueError
+    when theta and T differ in dimension, or when a function-backed
+    payload declares no box.
     """
     if T.side != "freq":
         raise ValueError("pair a frequency-side distribution (transform first)")
@@ -361,7 +362,7 @@ def pair(T, theta, grid=None, atol=1e-6):
         if kind == "freq_function":
             if payload.box is None:
                 raise ValueError(f"freq_function payload {payload.label!r} declares no index box")
-            res = integrate(_product_fn(payload, theta), grid, payload.box)
+            res = integrate(_product_fn(payload, theta), grid)
             value += coeff * res.value
             tail += abs(coeff) * res.tail_bound
         elif kind == "freq_identity_sum":
@@ -385,11 +386,13 @@ def pair(T, theta, grid=None, atol=1e-6):
 def _product_fn(psi, theta):
     # the product vanishes wherever either factor does
     bands = [b for b in (psi.band, theta.band) if b is not None]
+    boxes = [b for b in (psi.box, theta.box) if b is not None]
 
     def interior(n, m, lam):
         return psi(n, m, lam) * theta(n, m, lam)
 
-    return FreqFunction(interior, d=psi.d, band=min(bands) if bands else None)
+    return FreqFunction(interior, d=psi.d, band=min(bands) if bands else None,
+                        box=min(boxes) if boxes else None)
 
 
 def g_hat_boundary(g, xdot, k):

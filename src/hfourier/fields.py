@@ -29,6 +29,11 @@ def _axis(extent, points):
     return np.linspace(-extent, extent, points)
 
 
+def _check_extents(extents):
+    if not all(math.isfinite(L) and L > 0 for L in extents):
+        raise ValueError(f"extents must be finite and positive, got {tuple(extents)}")
+
+
 @dataclass
 class SampledField:
     """Complex samples of a function on a uniform (y, eta, s) grid.
@@ -56,9 +61,7 @@ class SampledField:
         for n in self.samples.shape:
             if n < 2 or n % 2 == 0:
                 raise ValueError("axis lengths must be odd and >= 3")
-        for L in self.extents:
-            if L <= 0:
-                raise ValueError("extents must be positive")
+        _check_extents(self.extents)
 
     # ---- grid geometry -------------------------------------------------
     @property
@@ -132,6 +135,7 @@ class YField:
         self.samples = np.asarray(self.samples, dtype=complex)
         if self.samples.ndim != 2 * self.d:
             raise ValueError("Y-field tensor rank must be 2 d")
+        _check_extents(self.extents)
 
     @property
     def spacings(self):
@@ -185,8 +189,9 @@ def read_field(path):
 
     Raises ValueError naming ``path`` for a bad magic, a truncated header,
     an implausible dimension, a payload shorter or longer than the header's
-    axis lengths, a non-finite sample, or spacings inconsistent with the
-    lengths and extents.
+    axis lengths, a non-finite sample, axis lengths or extents that
+    :class:`SampledField` refuses, or spacings inconsistent with the lengths
+    and extents.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -210,7 +215,10 @@ def read_field(path):
     payload = np.frombuffer(raw, dtype=np.complex128, count=count, offset=start)
     if not np.all(np.isfinite(payload)):
         raise ValueError(f"{path}: non-finite sample")
-    fld = SampledField(payload.reshape(shape).copy(), d, tuple(ext))
+    try:
+        fld = SampledField(payload.reshape(shape).copy(), d, tuple(ext))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not np.allclose(fld.spacings, spac, rtol=1e-12, atol=0):
         raise ValueError(f"{path}: header spacings inconsistent with lengths/extents")
     return fld

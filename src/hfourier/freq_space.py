@@ -197,8 +197,8 @@ class LambdaGrid:
     points_per_sign: int = 160
 
     def __post_init__(self):
-        if not (0 < self.lambda_min < self.lambda_max):
-            raise ValueError("need 0 < lambda_min < lambda_max")
+        if not (0 < self.lambda_min < self.lambda_max < math.inf):
+            raise ValueError("need finite 0 < lambda_min < lambda_max")
         if self.points_per_sign < 2:
             raise ValueError("points_per_sign must be >= 2")
         P = self.points_per_sign
@@ -369,17 +369,33 @@ def _as_eval(theta):
     raise TypeError("expected a FreqFunction")
 
 
-def integrate(theta, grid, n_max):
+def _index_box(theta, n_max=None):
+    """The index cap of a sum over theta: the box theta declares, else
+    ``n_max``.  Raises ValueError when ``n_max`` contradicts a declared
+    box, or when theta declares none and no ``n_max`` is given."""
+    if theta.box is None:
+        if n_max is None:
+            raise ValueError(f"theta {theta.label!r} declares no index box and no n_max is given")
+        return n_max
+    if n_max is not None and n_max != theta.box:
+        raise ValueError(f"n_max {n_max} contradicts the index box {theta.box} "
+                         f"that theta {theta.label!r} declares")
+    return theta.box
+
+
+def integrate(theta, grid, n_max=None):
     """Truncated integral of theta against the frequency measure.
 
-    Sums theta(n, m, lam) |lam|^d over multi-indices with max entry
-    <= n_max (within the support band of theta) and over the lambda grid.
-    Returns an :class:`IntegralResult` carrying a tail estimate built from
-    the outermost index shell and the uncovered lambda ranges (an
-    estimate, not a certified bound).
+    Sums theta(n, m, lam) |lam|^d over multi-indices with max entry at
+    most the box theta declares (``n_max`` for a theta that declares none;
+    one that contradicts a declared box is refused), within its support
+    band, and over the lambda grid.  Returns an :class:`IntegralResult` carrying a tail
+    estimate built from the outermost index shell and the uncovered lambda
+    ranges (an estimate, not a certified bound).
     """
     fn = _as_eval(theta)
     d = fn.d
+    n_max = _index_box(fn, n_max)
     lam = grid.lam
     meas = np.abs(lam) ** d * grid.weights
     P = grid.points_per_sign
@@ -418,15 +434,16 @@ def one_plus_weight(n, m, lam, d):
     return 1.0 + np.abs(lam) * (nm + d) + diff
 
 
-def l1m_norm(theta, p, grid, n_max):
-    """Moderate-growth norm: integral of (1 + |lam|(|n+m|+d) + |n-m|)^{-p} |theta|."""
+def l1m_norm(theta, p, grid, n_max=None):
+    """Moderate-growth norm: integral of (1 + |lam|(|n+m|+d) + |n-m|)^{-p} |theta|
+    over the support of theta (``n_max`` as in :func:`integrate`)."""
     fn = _as_eval(theta)
     d = fn.d
 
     def weighted(n, m, lam):
         return one_plus_weight(n, m, lam, d) ** (-p) * np.abs(fn(n, m, lam))
 
-    wrapped = FreqFunction(weighted, d=d, band=fn.band)
+    wrapped = FreqFunction(weighted, d=d, band=fn.band, box=fn.box, label=fn.label)
     return integrate(wrapped, grid, n_max)
 
 

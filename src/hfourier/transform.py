@@ -48,6 +48,7 @@ from .fields import SampledField, _write_csv
 from .freq_space import (
     FreqFunction,
     LambdaGrid,
+    _index_box,
     box_pairs,
     gauss_legendre,
     integrate,
@@ -500,12 +501,14 @@ def _n_extent(theta, lam, n_cap):
     return np.where(mags[0] == 0.0, 0, top)
 
 
-def inverse_at_point(theta, w, grid, n_max):
-    """Inverse transform at a single physical point (any d; spot use)."""
+def inverse_at_point(theta, w, grid, n_max=None):
+    """Inverse transform at a single physical point (any d; spot use),
+    summed over the index box of theta (``n_max`` as in
+    :func:`hfourier.freq_space.integrate`)."""
     d = theta.d
     w = np.asarray(w, dtype=float)
     Y, s = w[: 2 * d], w[-1]
-    n, m = box_pairs(d, n_max, theta.band)
+    n, m = box_pairs(d, _index_box(theta, n_max), theta.band)
     values = theta(n[:, None], m[:, None], grid.lam)     # (pairs, lambda)
     total = 0.0 + 0.0j
     for il, lam in enumerate(grid.lam):
@@ -515,7 +518,7 @@ def inverse_at_point(theta, w, grid, n_max):
     return complex(total * 2.0 ** (d - 1) / math.pi ** (d + 1))
 
 
-def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33, 33),
+def inverse_on_grid(theta, grid, n_max=None, extents=(6.0, 6.0, 6.0), points=(33, 33, 33),
                     n_cap=600, assume_symmetric=False):
     """Inverse transform sampled on a full (y, eta, s) grid (d = 1).
 
@@ -528,7 +531,7 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     bounded by 1/(32 pi^2 n_cap) per unit lambda mass and folded into the
     reported tail), and theta is evaluated once on the band box of the
     largest n_top, each lambda zeroed past its own.  Otherwise theta (a
-    table, or a multiplier of one) is evaluated once on the ``n_max`` box,
+    table, or a multiplier of one) is evaluated once on its declared box,
     and its slices chi = sum_{n,m} theta_nm W_nm go through the 45-degree
     rotation of :func:`hfourier.wigner.wigner_series_dense`.  The lambda
     stage then integrates the stacked slices, and for a banded theta one
@@ -538,6 +541,9 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
     (true for transforms of real fields); the caller asserts it.
 
+    No route reads ``n_max``: an ``n_max`` other than a declared box is
+    refused before theta is called, and otherwise it is ignored.
+
     Returns (SampledField, tail_estimate).
     """
     d = theta.d
@@ -545,6 +551,8 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
         raise ValueError("grid inverse implemented for d = 1")
     if theta.band is None and theta.box is None:
         raise ValueError(f"theta {theta.label!r} declares neither a band nor an index box")
+    if theta.box is not None:
+        _index_box(theta, n_max)
     y_axis = np.linspace(-extents[0], extents[0], points[0])
     e_axis = np.linspace(-extents[1], extents[1], points[1])
     s_axis = np.linspace(-extents[2], extents[2], points[2])
@@ -553,10 +561,10 @@ def inverse_on_grid(theta, grid, n_max, extents=(6.0, 6.0, 6.0), points=(33, 33,
     lam_list = grid.lam[cols]
     tail = 0.0
     if theta.band is None:
-        # theta once on the n_max box, as one broadcast call
-        j = np.arange(n_max + 1)
+        # theta once on its box, as one broadcast call
+        j = np.arange(theta.box + 1)
         rows = np.broadcast_to(theta(j[:, None, None, None], j[None, :, None, None], lam_list),
-                               (n_max + 1, n_max + 1, len(lam_list)))
+                               (theta.box + 1, theta.box + 1, len(lam_list)))
         live = np.flatnonzero(np.any(rows, axis=(0, 1)))
         chi = np.zeros((len(lam_list), points[0], points[1]), dtype=complex)
         chi[live] = wigner_series_dense(rows[:, :, live], lam_list[live], y_axis, e_axis)
@@ -711,11 +719,11 @@ def _oscillatory_lambda_stage(chi, lam_list, s_axis):
     return out
 
 
-def transpose_transform(theta, grid, n_max, **kw):
+def transpose_transform(theta, grid, **kw):
     """Transposed transform on a grid: the inverse with reflected (eta, s),
     scaled by pi^{d+1} / 2^{d-1}."""
     d = theta.d
-    fld, tail = inverse_on_grid(theta, grid, n_max, **kw)
+    fld, tail = inverse_on_grid(theta, grid, **kw)
     refl = fld.samples[:, ::-1, ::-1]
     scale = math.pi ** (d + 1) / 2.0 ** (d - 1)
     return SampledField(scale * refl, fld.d, fld.extents), tail * scale
@@ -734,8 +742,8 @@ def plancherel_norms(fld, table):
         v = fn(n, m, lam)
         return (v * np.conj(v)).real
 
-    wrapped = FreqFunction(sq, d=table.d)
-    res = integrate(wrapped, table.grid, table.n_max)
+    wrapped = FreqFunction(sq, d=table.d, box=table.n_max)
+    res = integrate(wrapped, table.grid)
     return phys, res
 
 

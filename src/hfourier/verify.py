@@ -154,8 +154,8 @@ class VerifyContext:
 
         def build():
             return inverse_on_grid(
-                heat_profile(1.0), self.grid, self.cfg.n_max,
-                extents=g.extents, points=g.points, assume_symmetric=True, n_cap=600,
+                heat_profile(1.0), self.grid, extents=g.extents, points=g.points,
+                assume_symmetric=True, n_cap=600,
             )
 
         return self._memo("heat_inverse_tall", build)
@@ -175,10 +175,9 @@ def c01_plancherel(ctx):
 
 
 def c02_inversion(ctx):
-    cfg = ctx.cfg
     theta = ctx.gauss_table.as_freq_function()
     rec_field, tail = inverse_on_grid(
-        theta, ctx.grid, cfg.n_max, extents=(3.0, 3.0, 3.0), points=(17, 17, 17),
+        theta, ctx.grid, extents=(3.0, 3.0, 3.0), points=(17, 17, 17),
         assume_symmetric=True,
     )
     truth = SampledField.from_function(
@@ -429,7 +428,7 @@ def c12_distributions(ctx):
     )
     thg = profile_to_freq_function(profile_gauss(1.0))
     ginv, _ = inverse_on_grid(
-        thg, ctx.grid, ctx.cfg.n_max, extents=g.extents, points=g.points,
+        thg, ctx.grid, extents=g.extents, points=g.points,
         assume_symmetric=True, n_cap=600,
     )
     val2 = math.pi**2 * ginv.integral().real

@@ -7,7 +7,8 @@ import pytest
 import hfourier.cli as cli
 import hfourier.transform as transform
 from hfourier.cli import main
-from hfourier.config import load_config
+from hfourier.config import Config, PhysGridSpec, load_config
+from hfourier.freq_space import LambdaGrid
 from hfourier.fields import SampledField, read_field, write_field
 from hfourier.transform import SpectralTable, inverse_on_grid, table_from_csv, table_to_csv
 from hfourier.wigner import boundary_kernel
@@ -86,7 +87,7 @@ def test_inverse_of_real_field_table_sums_one_branch(tmp_path, monkeypatch, smal
     got = read_field(tmp_path / "inv" / "field.hfld").samples
     table = table_from_csv(fwd / "table.csv")
     g = SMALL_CFG["phys_grid"]
-    full, _ = inverse_on_grid(table.as_freq_function(), table.grid, table.n_max,
+    full, _ = inverse_on_grid(table.as_freq_function(), table.grid,
                               extents=g["extents"], points=g["points"], assume_symmetric=False)
     assert np.abs(got - full.samples).max() <= 1e-12 * np.abs(full.samples).max()
 
@@ -257,6 +258,50 @@ def test_config_rejects_unknown_keys(cfg, key, tmp_path, gauss_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown config key") and key in err
     assert not out.exists()
+
+
+BOUNDARY_CONFIGS = [
+    ('{"phys_grid": {"extents": [NaN, 6, 6]}}', "non-standard JSON constant NaN"),
+    ('{"lambda_grid": {"lambda_min": 1e-3, "lambda_max": Infinity, "points_per_sign": 8}}',
+     "non-standard JSON constant Infinity"),
+    ('{"heat_phys_grid": {"points": [33, 33, 4]}}', "heat_phys_grid point counts"),
+]
+
+
+@pytest.mark.parametrize("text, message", BOUNDARY_CONFIGS,
+                         ids=["nan-extent", "infinite-lambda", "heat-grid-points"])
+def test_config_refuses_out_of_bounds_values(text, message, tmp_path):
+    path = tmp_path / "bounds.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Config(phys_grid=PhysGridSpec(extents=(math.nan, 6.0, 6.0))),
+    lambda: Config(heat_phys_grid=PhysGridSpec(extents=(6.0, 6.0, math.inf))),
+    lambda: Config(heat_phys_grid=PhysGridSpec(extents=(6.0, 0.0, 20.0))),
+    lambda: LambdaGrid(1e-3, math.inf, 8),
+], ids=["nan-extent", "infinite-heat-extent", "zero-heat-extent", "infinite-lambda"])
+def test_grids_refuse_non_finite_bounds(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def test_transform_names_an_out_of_bounds_input(tmp_path, small_config, gauss_file, capsys):
+    nan_config = tmp_path / "nan_config.json"
+    nan_config.write_text('{"phys_grid": {"extents": [NaN, 6, 6]}}')
+    raw = bytearray(open(gauss_file, "rb").read())
+    # d = 1: spacings then extents, six doubles after the three axis lengths
+    raw[22:70] = np.full(6, np.inf).tobytes()
+    inf_field = tmp_path / "inf_extent.hfld"
+    inf_field.write_bytes(bytes(raw))
+    for argv, name in (([gauss_file, "--config", str(nan_config)], "nan_config.json"),
+                       ([str(inf_field), "--config", small_config], "inf_extent.hfld")):
+        capsys.readouterr()
+        assert main(["transform", "--input", *argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
 
 
 def test_config_accepts_every_field(tmp_path):

@@ -1,11 +1,15 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfourier.diff_ops import delta_hat, dlambda_hat, ladder_freq, lift, mhat, sigma0_hat
-from hfourier.freq_space import FreqFunction
+from hfourier.freq_space import FreqFunction, LambdaGrid
 from hfourier.profiles import heat_profile, profile_exp_floor, profile_to_freq_function
+from hfourier.transform import SpectralTable
 
 E4 = math.exp(-4.0)
 E12 = math.exp(-12.0)
@@ -130,3 +134,76 @@ def test_dlambda_finite_difference_fallback():
     a = dlambda_hat(h, (1,), (1,), la)[0]
     b = dlambda_hat(bare, (1,), (1,), la)[0]
     assert abs(a - b) < 1e-6
+
+
+# ---- declared support of lifted operators -----------------------------------
+
+GRID = LambdaGrid(0.05, 4.0, 6)
+
+
+def _boxed_heat(box=8):
+    """heat(0.7) cut to the index box, with its analytic lambda-derivative."""
+    heat = heat_profile(0.7)
+
+    def cut(values, n, m):
+        return np.where((np.maximum(n, m) <= box).all(axis=-1), values, 0.0)
+
+    return FreqFunction(lambda n, m, lam: cut(heat(n, m, lam), n, m),
+                        dlam=lambda n, m, lam: cut(heat.dlam(n, m, lam), n, m),
+                        band=0, box=box, label="boxed-heat")
+
+
+def _table_fn():
+    rng = np.random.default_rng(11)
+    shape = (9, 9, len(GRID.lam))
+    return SpectralTable(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                         GRID).as_freq_function()
+
+
+SUPPORTED = {
+    "table": _table_fn(),
+    "boxed-heat": _boxed_heat(),
+    "heat": heat_profile(0.7),
+    "exp_floor": profile_to_freq_function(profile_exp_floor(0.5, lam_slope=0.5)),
+}
+OPS = {"delta_hat": delta_hat, "dlambda_hat": dlambda_hat, "sigma0_hat": sigma0_hat,
+       "mhat": mhat}
+OPS.update({kind: functools.partial(ladder_freq, kind)
+            for kind in ("mhat", "mhat_plus", "mhat_minus", "dhat_plus", "dhat_minus")})
+# (band, box) widening of each operator
+REACH = {"delta_hat": (0, 1), "dlambda_hat": (0, 1), "sigma0_hat": (0, 0), "mhat": (0, 0),
+         "mhat_plus": (1, 1), "mhat_minus": (1, 1), "dhat_plus": (1, 1), "dhat_minus": (1, 1)}
+# a table has no lambda-derivative off its grid, so dlambda_hat of it is never evaluated
+CASES = [(f, o) for f in SUPPORTED for o in OPS if (f, o) != ("table", "dlambda_hat")]
+
+
+@pytest.mark.parametrize("fixture,op", CASES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_lifted_operator_vanishes_past_its_declared_support(fixture, op, data):
+    theta = SUPPORTED[fixture]
+    lifted = lift(OPS[op], theta)
+    grow_band, grow_box = REACH[op]
+    assert lifted.band == (None if theta.band is None else theta.band + grow_band)
+    assert lifted.box == (None if theta.box is None else theta.box + grow_box)
+    lam = np.array(data.draw(st.lists(st.sampled_from(GRID.lam.tolist()), min_size=1,
+                                      max_size=4)))
+    draws = []
+    if lifted.box is not None:
+        top = data.draw(st.integers(lifted.box + 1, lifted.box + 6))
+        # the other index anywhere, or within the band where one is declared
+        near = (0, lifted.box + 6) if lifted.band is None else (top - lifted.band,
+                                                                top + lifted.band)
+        draws.append((top, data.draw(st.integers(*near))))
+    if lifted.band is not None:
+        low = data.draw(st.integers(0, 12))
+        draws.append((low, low + data.draw(st.integers(lifted.band + 1, lifted.band + 5))))
+    assert draws
+    for a, b in draws:
+        for n, m in ((a, b), (b, a)):
+            assert not np.any(lifted((n,), (m,), lam)), (n, m)
+
+
+def test_lift_of_an_unknown_operator_declares_no_support():
+    lifted = lift(lambda th, n, m, lam: th(n, m, lam), _boxed_heat())
+    assert lifted.band is None and lifted.box is None

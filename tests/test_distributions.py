@@ -392,6 +392,26 @@ def test_pair_sums_the_payload_box():
     assert psi.box == 30
 
 
+def test_pair_sums_the_smaller_declared_box():
+    # a test function cut to the 12-box meets the table's 30-box: the
+    # product declares 12, and the pairing is its sum over that box
+    f = SampledField.from_function(lambda y, e, s: np.exp(-0.5 * (y**2 + e**2) - s**2),
+                                   1, (6, 6, 6), (33, 33, 33))
+    grid = LambdaGrid(1e-3, 10.0, 24)
+    out = fourier_distribution(Distribution.single("phys_function", payload=f), grid, n_max=30)
+    psi, heat = out.terms[0][2], heat_profile(0.05)
+
+    def cut(n, m, lam):
+        return np.where((np.maximum(n, m) <= 12).all(axis=-1), heat(n, m, lam), 0.0)
+
+    theta = FreqFunction(cut, band=0, box=12, label="heat-12")
+    assert distributions._product_fn(psi, theta).box == 12
+    got = pair(out, theta, grid)
+    product = FreqFunction(lambda n, m, lam: psi(n, m, lam) * theta(n, m, lam), band=0)
+    want = integrate(product, grid, 12)
+    assert got.value == want.value and got.tail_bound == want.tail_bound
+
+
 def test_pair_refuses_a_payload_without_box():
     free = FreqFunction(lambda n, m, lam: 0.0 * lam, label="free")
     with pytest.raises(ValueError, match="'free' declares no index box"):
@@ -408,7 +428,7 @@ def test_duality_function_branch(grid):
         12, LambdaGrid(1e-3, 10.0, 80),
     ).as_freq_function()
     tgrid = LambdaGrid(1e-3, 10.0, 80)
-    ttheta, _ = transpose_transform(theta, tgrid, 12, extents=(6, 6, 6), points=(33, 33, 33))
+    ttheta, _ = transpose_transform(theta, tgrid, extents=(6, 6, 6), points=(33, 33, 33))
     fixtures = [
         lambda y, e, s: np.exp(-(y**2 + e**2 + s**2)),
         lambda y, e, s: np.exp(-(y**2 + e**2 + s**2)) * (1 + 0.4 * s),
@@ -436,7 +456,7 @@ def test_vertical_constant_duality_and_continuity(grid):
     # vertically mollified tensors g x chi(eps s)
     gY = YField.from_function(lambda y, e: np.exp(-(y**2 + e**2)), 1, (6, 6), (33, 33))
     theta = heat_profile(1.0)
-    ttheta, _ = transpose_transform(theta, grid, 24, extents=(6, 6, 20), points=(33, 33, 107),
+    ttheta, _ = transpose_transform(theta, grid, extents=(6, 6, 20), points=(33, 33, 107),
                                     n_cap=600)
     T = Distribution.single("phys_g_tensor_one", payload=gY)
     spectral = pair(fourier_distribution(T), theta, grid).value.real

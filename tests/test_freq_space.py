@@ -198,6 +198,44 @@ def test_l1m_norm_family():
     assert slope == pytest.approx(expected, rel=0.05)
 
 
+def _random_table_fn(n_max=8):
+    grid = LambdaGrid(0.05, 4.0, 6)
+    rng = np.random.default_rng(5)
+    shape = (n_max + 1, n_max + 1, len(grid.lam))
+    table = SpectralTable(rng.normal(size=shape) + 1j * rng.normal(size=shape), grid)
+    return table.as_freq_function(), grid
+
+
+def test_integrate_reads_the_declared_box():
+    # the sum over the box a table declares is the sum an explicit cap at
+    # that box gives to the same function with no box, bit for bit
+    fn, grid = _random_table_fn()
+    undeclared = FreqFunction(fn, d=1, label="undeclared")
+    got, want = integrate(fn, grid), integrate(undeclared, grid, 8)
+    assert got.value == want.value and got.tail_bound == want.tail_bound
+    assert integrate(fn, grid, 8).value == want.value
+    norm = l1m_norm(fn, 4, grid)
+    assert norm.value == l1m_norm(undeclared, 4, grid, 8).value
+    assert norm.tail_bound == l1m_norm(undeclared, 4, grid, 8).tail_bound
+
+
+@pytest.mark.parametrize("n_max", [6, 12])
+def test_a_cap_other_than_the_declared_box_is_refused(n_max):
+    fn, grid = _random_table_fn()
+    with pytest.raises(ValueError, match=f"n_max {n_max} contradicts the index box 8"):
+        integrate(fn, grid, n_max)
+    with pytest.raises(ValueError, match=f"n_max {n_max} contradicts the index box 8"):
+        l1m_norm(fn, 4, grid, n_max)
+
+
+def test_a_sum_without_box_or_cap_is_refused_by_label():
+    free = FreqFunction(lambda n, m, lam: np.exp(-np.abs(lam)) + 0 * n[..., 0], label="free")
+    grid = LambdaGrid(0.05, 4.0, 6)
+    for call in (lambda: integrate(free, grid), lambda: l1m_norm(free, 4, grid)):
+        with pytest.raises(ValueError, match="'free' declares no index box and no n_max"):
+            call()
+
+
 # ---- seminorms -------------------------------------------------------------
 
 def test_freq_seminorm_zero():

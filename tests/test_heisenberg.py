@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hfourier.fields import (SampledField, _write_csv, field_from_csv, field_to_csv, read_field,
-                             write_field)
+from hfourier.fields import (SampledField, YField, _write_csv, field_from_csv, field_to_csv,
+                             read_field, write_field)
 from hfourier.freq_space import LambdaGrid
 from hfourier.heisenberg import (
     apply_phys_op,
@@ -467,6 +467,24 @@ def test_binary_rejects_non_finite(tmp_path, bad):
     path.write_bytes(raw[:-8] + np.float64(bad).tobytes())
     with pytest.raises(ValueError, match="field.hfld: non-finite sample"):
         read_field(path)
+
+
+def test_binary_rejects_infinite_extents(tmp_path):
+    # infinite extents and spacings agree with each other, so only the
+    # extent check stops them
+    path, raw = _written_field(tmp_path)
+    header_end = len(raw) - 16 * 5**3
+    path.write_bytes(raw[:header_end - 48] + np.full(6, np.inf).tobytes() + raw[header_end:])
+    with pytest.raises(ValueError, match="field.hfld: extents must be finite and positive"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("extents", [(math.nan, 5.0), (5.0, math.inf), (0.0, 5.0), (-1.0, 5.0)])
+def test_fields_refuse_bad_extents(extents):
+    with pytest.raises(ValueError, match="extents must be finite and positive"):
+        SampledField(np.zeros((5, 5, 5)), 1, extents + (5.0,))
+    with pytest.raises(ValueError, match="extents must be finite and positive"):
+        YField(np.zeros((5, 5)), 1, extents)
 
 
 def _csv_rows(tmp_path):

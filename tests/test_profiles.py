@@ -216,10 +216,10 @@ def test_heat_physical_scaling():
     grid = LambdaGrid(1e-3, 10.0, 80)
     t = 2.0
     pts = (7, 7, 7)
-    lhs, _ = inverse_on_grid(heat_profile(t), grid, 24,
+    lhs, _ = inverse_on_grid(heat_profile(t), grid,
                              extents=(1.4, 1.4, 2.0), points=pts,
                              assume_symmetric=True, n_cap=400)
-    rhs, _ = inverse_on_grid(heat_profile(1.0), grid, 24,
+    rhs, _ = inverse_on_grid(heat_profile(1.0), grid,
                              extents=(1.4 / math.sqrt(t), 1.4 / math.sqrt(t), 2.0 / t),
                              points=pts, assume_symmetric=True, n_cap=400)
     want = rhs.samples / t**2

@@ -447,7 +447,7 @@ def test_stacked_pipeline_matches_the_per_lambda_loops(kind):
     table.values[..., 3] = 0.0
     symmetric = kind == "real"
     kw = dict(extents=(5.0, 5.0, 4.0), points=(13, 11, 9))
-    got, _ = inverse_on_grid(table.as_freq_function(), grid, 6, assume_symmetric=symmetric, **kw)
+    got, _ = inverse_on_grid(table.as_freq_function(), grid, assume_symmetric=symmetric, **kw)
     ref = _per_lambda_table_inverse(table, kw["extents"], kw["points"], symmetric)
     assert np.abs(got.samples - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -503,7 +503,7 @@ def test_inverse_round_trip_short():
     f = gauss_field(a=0.5)
     table = forward_factored(f, 20, grid)
     rec, tail = inverse_on_grid(
-        table.as_freq_function(), grid, 20, extents=(2.0, 2.0, 2.0), points=(9, 9, 9),
+        table.as_freq_function(), grid, extents=(2.0, 2.0, 2.0), points=(9, 9, 9),
         assume_symmetric=True,
     )
     truth = SampledField.from_function(
@@ -517,7 +517,7 @@ def test_inverse_at_point_matches_grid():
     grid = LambdaGrid(1e-3, 10.0, 80)
     theta = heat_profile(1.0)
     v = inverse_at_point(theta, np.array([0.5, 0.0, 0.6]), grid, n_max=48)
-    fld, _ = inverse_on_grid(theta, grid, 48, extents=(1.0, 1.0, 1.2), points=(5, 5, 5),
+    fld, _ = inverse_on_grid(theta, grid, extents=(1.0, 1.0, 1.2), points=(5, 5, 5),
                              n_cap=48, assume_symmetric=True)
     iy = int(np.argmin(np.abs(fld.y_axis - 0.5)))
     ks = int(np.argmin(np.abs(fld.s_axis - 0.6)))
@@ -538,7 +538,7 @@ def test_banded_inverse_at_point_matches_grid():
     # the termwise symbol sum, off both axes and at both signs of s
     grid = LambdaGrid(1e-3, 10.0, 40)
     theta = FreqFunction(_complex_band_two, band=2, label="complex-band-2")
-    fld, _ = inverse_on_grid(theta, grid, 12, extents=(1.0, 1.0, 1.2), points=(5, 5, 5),
+    fld, _ = inverse_on_grid(theta, grid, extents=(1.0, 1.0, 1.2), points=(5, 5, 5),
                              n_cap=12)
     for iy, ie, ks in [(3, 1, 4), (0, 3, 0), (4, 4, 2)]:
         w = np.array([fld.y_axis[iy], fld.eta_axis[ie], fld.s_axis[ks]])
@@ -564,7 +564,7 @@ def test_table_inverse_sums_through_the_rotation(monkeypatch, unit_table):
     lam = unit_table.grid.lam
     for symmetric in (True, False):
         rows.clear()
-        inverse_on_grid(unit_table.as_freq_function(), unit_table.grid, 8, points=(9, 9, 9),
+        inverse_on_grid(unit_table.as_freq_function(), unit_table.grid, points=(9, 9, 9),
                         assume_symmetric=symmetric)
         cols = np.flatnonzero(lam > 0) if symmetric else np.arange(len(lam))
         summed = sum(bool(np.any(unit_table.values[..., il])) for il in cols)
@@ -583,7 +583,7 @@ def test_diagonal_inverse_runs_one_recurrence(monkeypatch, small_grid):
         return heat(n, m, lam)
 
     theta = FreqFunction(interior, band=0, label=heat.label)
-    inverse_on_grid(theta, small_grid, 8, points=(9, 9, 9), n_cap=48, assume_symmetric=True)
+    inverse_on_grid(theta, small_grid, points=(9, 9, 9), n_cap=48, assume_symmetric=True)
     # y, eta = 1.5 (i, j) with |i|, |j| <= 4: 15 distinct values of i^2 + j^2
     assert len(laguerre) == 1
     alpha, _, x = laguerre[0]
@@ -619,8 +619,8 @@ def test_radial_inverse_matches_the_banded_route(name, theta, symmetric):
     grid = LambdaGrid(0.05, 16.0, 24)
     assert (transform._n_extent(theta, grid.lam, 600) < 600).all()
     kw = dict(extents=(5.0, 6.5, 4.0), points=(9, 13, 11), assume_symmetric=symmetric)
-    got, got_tail = inverse_on_grid(theta, grid, 8, **kw)
-    want, want_tail = inverse_on_grid(_as_band_one(theta), grid, 8, **kw)
+    got, got_tail = inverse_on_grid(theta, grid, **kw)
+    want, want_tail = inverse_on_grid(_as_band_one(theta), grid, **kw)
     assert got.samples.shape == (9, 13, 11)
     assert np.abs(got.samples - want.samples).max() <= 1e-14 * np.abs(want.samples).max()
     assert got_tail == want_tail
@@ -737,7 +737,7 @@ def test_lambda_free_diagonal_theta_gets_an_extent_per_lambda(small_grid):
     lams = np.array([-2.0, 0.5, 3.0])
     assert theta(np.zeros((2, 1, 1), int), np.zeros((2, 1, 1), int), lams).shape == (2, 1)
     assert transform._n_extent(theta, lams, 600).tolist() == [64, 64, 64]
-    fld, _ = inverse_on_grid(theta, small_grid, 8, points=(5, 5, 5))
+    fld, _ = inverse_on_grid(theta, small_grid, points=(5, 5, 5))
     assert np.isfinite(fld.samples).all()
 
 
@@ -753,7 +753,7 @@ def test_banded_inverse_builds_no_rotation_block(monkeypatch, small_grid):
     theta = FreqFunction(interior, band=2, label=floor.label)
     laguerre = _spy(monkeypatch, wigner, "_laguerre_sum")
     _rotation_block.cache_clear()
-    inverse_on_grid(theta, small_grid, 8, points=(9, 9, 9), n_cap=64, assume_symmetric=True)
+    inverse_on_grid(theta, small_grid, points=(9, 9, 9), n_cap=64, assume_symmetric=True)
     info = _rotation_block.cache_info()
     assert info.hits == info.misses == 0
     # one recurrence per |k|, both signs of k together, every lambda at once
@@ -784,17 +784,65 @@ def test_inverse_routes_by_the_box_not_the_label(monkeypatch, unit_table):
     rows = _spy(monkeypatch, wigner, "hermite_rows")
     for theta in (renamed, heated):
         rows.clear()
-        inverse_on_grid(theta, unit_table.grid, 8, points=(9, 9, 9), assume_symmetric=True)
+        inverse_on_grid(theta, unit_table.grid, points=(9, 9, 9), assume_symmetric=True)
         # the rotation over the 8-box: Hermite rows of order 2 n_max, no Laguerre channel
         assert len(rows) == 2 and all(n == 16 for n, _ in rows)
     assert not laguerre
     assert heated.box == renamed.box == 8 and heated.band is None
 
 
+@pytest.mark.parametrize("n_max", [6, 12])
+def test_table_inverse_refuses_a_cap_other_than_its_box(unit_table, n_max):
+    table, calls = unit_table.as_freq_function(), []
+
+    def interior(n, m, lam):
+        calls.append(lam)
+        return table(n, m, lam)
+
+    theta = FreqFunction(interior, box=8, label="spied-table")
+    with pytest.raises(ValueError, match=f"n_max {n_max} contradicts the index box 8"):
+        inverse_on_grid(theta, unit_table.grid, n_max, points=(9, 9, 9))
+    with pytest.raises(ValueError, match=f"n_max {n_max} contradicts the index box 8"):
+        inverse_at_point(theta, np.zeros(3), unit_table.grid, n_max)
+    assert not calls
+    # the declared box, given or not, is the one summed
+    kw = dict(points=(5, 5, 5), assume_symmetric=True)
+    a, _ = inverse_on_grid(theta, unit_table.grid, 8, **kw)
+    b, _ = inverse_on_grid(theta, unit_table.grid, **kw)
+    assert np.array_equal(a.samples, b.samples)
+
+
+def test_banded_inverse_ignores_n_max(small_grid):
+    # the benchmark passes a positional 24 for the heat profile, which
+    # declares a band and no box
+    kw = dict(extents=(2.0, 2.0, 2.0), points=(5, 5, 5), n_cap=48, assume_symmetric=True)
+    a, tail_a = inverse_on_grid(heat_profile(1.0), small_grid, 24, **kw)
+    b, tail_b = inverse_on_grid(heat_profile(1.0), small_grid, **kw)
+    assert np.array_equal(a.samples, b.samples) and tail_a == tail_b
+
+
+def test_lifted_table_inverts_through_the_rotation(small_grid):
+    # the frequency Laplacian of a 12-box table reaches one index past the
+    # box, and its inverse is -|Y|^2 times the table's to rounding
+    from hfourier.diff_ops import delta_hat, lift
+
+    f = SampledField.from_function(
+        lambda y, e, s: np.exp(-(y**2 + e**2) - s**2) * (1 + 0.3 * y), 1, (6, 6, 6), (17, 17, 17)
+    )
+    theta = forward_factored(f, 12, small_grid).as_freq_function()
+    lap = lift(delta_hat, theta)
+    assert (lap.band, lap.box) == (None, 13)
+    kw = dict(extents=(3.0, 3.0, 3.0), points=(9, 9, 9))
+    base, _ = inverse_on_grid(theta, small_grid, **kw)
+    got, _ = inverse_on_grid(lap, small_grid, **kw)
+    want = -(base.y_axis[:, None, None] ** 2 + base.eta_axis[None, :, None] ** 2) * base.samples
+    assert np.abs(got.samples - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_forward_and_inverse_share_rotation_blocks(small_grid):
     _rotation_block.cache_clear()
     table = forward_factored(gauss_field(), 8, small_grid)
-    inverse_on_grid(table.as_freq_function(), small_grid, 8, points=(9, 9, 9),
+    inverse_on_grid(table.as_freq_function(), small_grid, points=(9, 9, 9),
                     assume_symmetric=True)
     # orders N = 0 .. 16, each built once
     assert _rotation_block.cache_info().misses == 17
@@ -928,10 +976,8 @@ def test_multiplier():
 def test_transpose_reflection():
     grid = LambdaGrid(1e-3, 10.0, 64)
     th = heat_profile(1.0)
-    tr, _ = transpose_transform(th, grid, 16, extents=(1.5, 1.5, 2.0), points=(7, 7, 9),
-                                n_cap=64)
-    inv, _ = inverse_on_grid(th, grid, 16, extents=(1.5, 1.5, 2.0), points=(7, 7, 9),
-                             n_cap=64)
+    tr, _ = transpose_transform(th, grid, extents=(1.5, 1.5, 2.0), points=(7, 7, 9), n_cap=64)
+    inv, _ = inverse_on_grid(th, grid, extents=(1.5, 1.5, 2.0), points=(7, 7, 9), n_cap=64)
     want = math.pi**2 * inv.samples[:, ::-1, ::-1]
     assert np.abs(tr.samples - want).max() < 1e-14
 
@@ -1055,12 +1101,11 @@ def test_transposed_weight_identities():
     grid = LambdaGrid(1e-3, 10.0, 80)
     theta = _unit_gauss_hat()
     ext, pts = (2.5, 2.5, 2.5), (11, 11, 11)
-    base, _ = inverse_on_grid(theta, grid, 24, extents=ext, points=pts,
+    base, _ = inverse_on_grid(theta, grid, extents=ext, points=pts,
                               assume_symmetric=True, n_cap=400)
 
     lap = lift(delta_hat, theta)
-    lap.band = 0
-    f_lap, _ = inverse_on_grid(lap, grid, 24, extents=ext, points=pts,
+    f_lap, _ = inverse_on_grid(lap, grid, extents=ext, points=pts,
                                assume_symmetric=True, n_cap=400)
     y = base.y_axis[:, None, None]
     e = base.eta_axis[None, :, None]
@@ -1069,8 +1114,7 @@ def test_transposed_weight_identities():
     assert np.abs(f_lap.samples - want).max() / scale < 2e-3
 
     dl = lift(dlambda_hat, theta)
-    dl.band = 0
-    f_dl, _ = inverse_on_grid(dl, grid, 24, extents=ext, points=pts, n_cap=400)
+    f_dl, _ = inverse_on_grid(dl, grid, extents=ext, points=pts, n_cap=400)
     s = base.s_axis[None, None, :]
     want2 = -1j * s * base.samples
     scale2 = max(np.abs(want2).max(), 1e-3)
