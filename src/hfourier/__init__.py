@@ -18,7 +18,6 @@ from .freq_space import (
     IntegralResult,
     LambdaGrid,
     distance,
-    freq_seminorm,
     integrate,
     l1m_norm,
 )
@@ -29,7 +28,6 @@ from .heisenberg import (
     dilate,
     group_inverse,
     group_mul,
-    phys_seminorm,
 )
 from .hermite import hermite_rows
 from .diff_ops import delta_hat, dlambda_hat, ladder_freq, lift, mhat, sigma0_hat
@@ -37,7 +35,6 @@ from .profiles import (
     Profile,
     boundary_diff,
     heat_profile,
-    m_equiv_fit,
     profile_exp_floor,
     profile_gauss,
     profile_to_freq_function,
@@ -60,7 +57,6 @@ from .transform import (
 from .wigner import boundary_kernel, wigner_eval
 from .distributions import (
     Distribution,
-    PairResult,
     fourier_distribution,
     g_hat_boundary,
     g_hat_boundary_batch,

@@ -7,6 +7,7 @@ field names is an error.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .freq_space import LambdaGrid
@@ -56,21 +57,43 @@ def default_config():
     return Config()
 
 
-def _check_keys(raw, cls, where):
-    """Refuse any key of ``raw`` that is not a field of ``cls``."""
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _triple_of(ok):
+    return lambda value: isinstance(value, list) and len(value) == 3 and all(map(ok, value))
+
+
+_INTEGER = (_is_integer, "an integer")
+_REAL = (_is_real, "a real number")
+# what each typed key of a config file takes (a bool is not an integer)
+_TYPES = {"d": _INTEGER, "n_max": _INTEGER, "seed": _INTEGER, "points_per_sign": _INTEGER,
+          "lambda_min": _REAL, "lambda_max": _REAL,
+          "extents": (_triple_of(_is_real), "a list of 3 real numbers"),
+          "points": (_triple_of(_is_integer), "a list of 3 integers")}
+
+
+def _fields(raw, cls, where):
+    """The keyword arguments for ``cls`` that the JSON value ``raw`` holds.
+
+    Refuses a value that is not an object, a key that names no field of
+    ``cls`` and a value that its key does not take."""
+    if not isinstance(raw, dict):
+        what = f"config key {where[:-1]!r}" if where else "the top level"
+        raise ValueError(f"{what} must be a JSON object")
     unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValueError(f"unknown config key {where + unknown[0]!r}")
-
-
-def _spec_from(raw, cls, where):
-    _check_keys(raw, cls, where)
-    known = dict(raw)
-    if "extents" in known:
-        known["extents"] = tuple(known["extents"])
-    if "points" in known:
-        known["points"] = tuple(known["points"])
-    return cls(**known)
+    for key, value in raw.items():
+        ok, want = _TYPES.get(key, (None, None))
+        if ok is not None and not ok(value):
+            raise ValueError(f"config key {where + key!r} must be {want}, got {value!r}")
+    return {key: tuple(value) if isinstance(value, list) else value for key, value in raw.items()}
 
 
 def _refuse_constant(token):
@@ -80,20 +103,20 @@ def _refuse_constant(token):
 def load_config(path):
     """Read a Config from a JSON file; missing fields fall back to defaults.
 
-    Raises ValueError naming the first key that no field of the
-    configuration (or of the grid it sits in) accepts, and one naming
-    ``path`` for a file that is not standard JSON (NaN and Infinity
-    included).
+    Raises ValueError naming ``path`` for a file that is not standard JSON
+    (NaN and Infinity included), and naming ``path`` and the key for the
+    first value that is not an object where one is due, that no field of
+    the configuration (or of the grid it sits in) accepts, or that has the
+    wrong type or lies out of range.
     """
     try:
         with open(path) as fh:
             raw = json.load(fh, parse_constant=_refuse_constant)
+        kwargs = _fields(raw, Config, "")
+        for key, cls in (("lambda_grid", LambdaGrid), ("phys_grid", PhysGridSpec),
+                         ("heat_phys_grid", PhysGridSpec)):
+            if key in raw:
+                kwargs[key] = cls(**_fields(raw[key], cls, key + "."))
+        return Config(**kwargs)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    _check_keys(raw, Config, "")
-    kwargs = dict(raw)
-    for key, cls in (("lambda_grid", LambdaGrid), ("phys_grid", PhysGridSpec),
-                     ("heat_phys_grid", PhysGridSpec)):
-        if key in raw:
-            kwargs[key] = _spec_from(raw[key], cls, key + ".")
-    return Config(**kwargs)
+        raise ValueError(f"{exc} (in {path})") from None

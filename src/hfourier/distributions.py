@@ -26,8 +26,8 @@ import numpy as np
 from scipy.special import j0, j1, jv
 from scipy.special import zeta as hurwitz_zeta
 
-from .freq_space import (FreqFunction, LambdaGrid, gauss_legendre, integrate, multi_indices,
-                         shell_tail)
+from .freq_space import (FreqFunction, IntegralResult, LambdaGrid, gauss_legendre, integrate,
+                         multi_indices, shell_tail)
 from .wigner import boundary_kernel
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "fourier_distribution",
     "g_hat_boundary",
     "make_f_gamma",
-    "PairResult",
 ]
 
 _PHYS_KINDS = {"phys_function", "phys_dirac", "phys_one", "phys_g_tensor_one"}
@@ -84,12 +83,6 @@ class Distribution:
 
     def scaled(self, c):
         return Distribution([(c * a, k, p) for a, k, p in self.terms], d=self.d)
-
-
-@dataclass
-class PairResult:
-    value: complex
-    tail_bound: float
 
 
 # theta entries (sample x pair x lambda) per theta call in the band sum: one
@@ -248,7 +241,7 @@ def _log_node_blocks():
     return tuple(blocks)
 
 
-def _finite_part(gamma, theta, grid, d, atol=1e-7):
+def _finite_part(gamma, theta, grid, atol=1e-7):
     """Symmetrized, origin-subtracted integral of the supercritical power.
 
     On the positive grid, with c = w |lam|^{1-gamma} (grid weight w):
@@ -280,7 +273,7 @@ def _finite_part(gamma, theta, grid, d, atol=1e-7):
     2 |theta(0^)| is closed with zeta.  The strip is not added to the
     value.  d = 1 only.
     """
-    if d != 1:
+    if theta.d != 1:
         raise ValueError("finite part implemented for d = 1")
     theta0 = theta.value_at_origin(grid)
     pos = grid.lam[grid.lam > 0]
@@ -317,7 +310,7 @@ def _finite_part(gamma, theta, grid, d, atol=1e-7):
     return complex(part + origin), float(tail + strip)
 
 
-def _boundary_measure_pair(density, theta, d):
+def _boundary_measure_pair(density, theta):
     """2^{-d-1} sum_k (both orthants) density * theta against dx (d = 1).
 
     ``density(xs, ks)`` takes the abscissae of both orthants, (-x, x) for
@@ -327,7 +320,7 @@ def _boundary_measure_pair(density, theta, d):
     each evaluated once, on the whole (xs, ks) table; the orthants are
     summed one after the other.
     """
-    if d != 1:
+    if theta.d != 1:
         raise ValueError("boundary-measure pairing implemented for d = 1")
     k_band = theta.band if theta.band is not None else 8
     # 24-point panels on [0, 0.02] and geometric ones out to x. = 28
@@ -345,7 +338,7 @@ def pair(T, theta, grid=None, atol=1e-6):
 
     A function-backed term is summed over the index box its payload
     declares (a table's ``n_max``), or over theta's where that is smaller.
-    Returns a :class:`PairResult` with the value and a truncation-tail
+    Returns an :class:`IntegralResult` with the value and a truncation-tail
     estimate (zero for the exact point evaluations).  Raises ValueError
     when theta and T differ in dimension, or when a function-backed
     payload declares no box.
@@ -373,14 +366,14 @@ def pair(T, theta, grid=None, atol=1e-6):
         elif kind == "freq_dirac_origin":
             value += coeff * theta.value_at_origin(grid)
         elif kind == "freq_finite_part":
-            v, t = _finite_part(float(payload), theta, grid, T.d, atol=atol)
+            v, t = _finite_part(float(payload), theta, grid, atol=atol)
             value += coeff * v
             tail += abs(coeff) * t
         elif kind == "freq_boundary_measure":
-            value += coeff * _boundary_measure_pair(payload, theta, T.d)
+            value += coeff * _boundary_measure_pair(payload, theta)
         else:  # pragma: no cover
             raise ValueError(kind)
-    return PairResult(complex(value), float(tail))
+    return IntegralResult(complex(value), float(tail))
 
 
 def _product_fn(psi, theta):

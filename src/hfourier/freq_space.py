@@ -42,7 +42,6 @@ __all__ = [
     "IntegralResult",
     "distance",
     "integrate",
-    "freq_seminorm",
     "l1m_norm",
     "multi_indices",
     "box_pairs",
@@ -445,38 +444,3 @@ def l1m_norm(theta, p, grid, n_max=None):
 
     wrapped = FreqFunction(weighted, d=d, band=fn.band, box=fn.box, label=fn.label)
     return integrate(wrapped, grid, n_max)
-
-
-def freq_seminorm(theta, N, Np, n_sup=12, grid=None):
-    """Schwartz seminorm on the frequency set.
-
-    sup over the truncated point set of
-        (1 + d0)^N (|Lap^Np theta| + |Dlam^Np theta| + |Sig0 Dlam^Np theta|),
-    where d0 is the decay weight, Lap / Dlam / Sig0 the discrete
-    frequency-space operators.  ``Np = 0`` reduces the bracket to 3|theta|.
-    The lambda values are about 96 evenly strided points of ``grid``
-    (default :class:`LambdaGrid`).
-    """
-    from . import diff_ops  # local import; diff_ops depends on this module
-
-    fn = _as_eval(theta)
-    d = fn.d
-    if grid is None:
-        grid = LambdaGrid()
-    lam = grid.lam[:: max(1, len(grid.lam) // 96)]
-
-    work = theta
-    for _ in range(Np):
-        work = diff_ops.lift(diff_ops.dlambda_hat, work)
-    lap = theta
-    for _ in range(Np):
-        lap = diff_ops.lift(diff_ops.delta_hat, lap)
-    sig = diff_ops.lift(diff_ops.sigma0_hat, work)
-
-    # the seminorm operators shift n and m together (or swap them), so the
-    # off-diagonal band of theta is preserved
-    n, m = box_pairs(d, n_sup, fn.band)
-    n, m = n[:, None], m[:, None]
-    w = one_plus_weight(n, m, lam, d) ** N
-    mag = np.abs(lap(n, m, lam)) + np.abs(work(n, m, lam)) + np.abs(sig(n, m, lam))
-    return float(np.max(w * mag))

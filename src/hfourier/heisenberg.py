@@ -8,8 +8,8 @@ with inverse -w and parabolic dilations (Y, s) -> (aY, a^2 s).  The module
 also carries group convolution of sampled fields (a sum over Y-lattice
 shifts, batched per block of vertical frequencies, where the group law's
 twist is an exact phase), the left/right-invariant vector fields, the
-sub-Laplacian, weight and multiplication operators, the vertical
-primitive P, and Schwartz-type seminorms.
+sub-Laplacian, weight and multiplication operators, and the vertical
+primitive P.
 """
 
 import math
@@ -25,7 +25,6 @@ __all__ = [
     "dilate",
     "convolve",
     "apply_phys_op",
-    "phys_seminorm",
     "PHYS_OPS",
 ]
 
@@ -240,49 +239,3 @@ def apply_phys_op(op, fld, j=0):
     if not (0 <= j < fld.d):
         raise ValueError(f"coordinate {j} out of range")
     return SampledField(_op_samples(fld, op, j), fld.d, fld.extents)
-
-
-# ---- seminorms -------------------------------------------------------------
-
-def _weight_pow(fld, n):
-    w = 1.0 + _abs_Y_sq(fld) + _s_mesh(fld) ** 2
-    return w ** (n / 2.0)
-
-
-def phys_seminorm(fld, N, variant="sup"):
-    """Schwartz seminorm of a sampled field.
-
-    ``variant='sup'`` returns  max_{|a| <= N} sup |(1 + |Y|^2 + s^2)^{N/2} d^a f|
-    with derivatives by repeated fourth-order differencing.
-
-    ``variant='l2'`` returns the L2-based family
-    sqrt(||f||^2 + ||M_H^N f||^2 + ||Lap^N f||^2); M_H multiplies by
-    |Y|^2 - i s.
-    """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    if variant == "l2":
-        mh = fld
-        lap = fld
-        for _ in range(N):
-            mh = apply_phys_op("MH", mh)
-            lap = apply_phys_op("laplacian", lap)
-        return math.sqrt(fld.l2_norm_sq() + mh.l2_norm_sq() + lap.l2_norm_sq())
-    if variant != "sup":
-        raise ValueError("variant must be 'sup' or 'l2'")
-
-    nd = fld.samples.ndim
-    steps = list(fld.spacings[:1]) * fld.d + list(fld.spacings[1:2]) * fld.d + [fld.spacings[2]]
-    weight = _weight_pow(fld, N)
-    best = 0.0
-
-    def rec(arr, remaining, start_axis):
-        nonlocal best
-        best = max(best, float(np.abs(weight * arr).max()))
-        if remaining == 0:
-            return
-        for ax in range(start_axis, nd):
-            rec(_deriv(arr, ax, steps[ax]), remaining - 1, ax)
-
-    rec(fld.samples, N, 0)
-    return best

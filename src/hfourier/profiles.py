@@ -23,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freq_space import BoundaryPoint, FreqFunction, one_plus_weight
+from .freq_space import BoundaryPoint, FreqFunction
 
 __all__ = [
     "Profile",
     "profile_to_freq_function",
     "boundary_diff",
     "heat_profile",
-    "m_equiv_fit",
     "profile_gauss",
     "profile_exp_floor",
 ]
@@ -281,19 +280,3 @@ def profile_exp_floor(r0=0.5, d=1, lam_slope=0.0):
 
     return Profile(value, dx, dxx, dlam, support=("x_floor", r0), d=d,
                    k_extent=len(weights) - 1, label=f"exp_floor(r0={r0})")
-
-
-def m_equiv_fit(theta1, theta2, M, N, samples):
-    """Least constant C with |theta1 - theta2| <= C |lam|^M (1 + w)^{-N}
-    over the sample set, where w = |lam|(|n+m| + d) + |m-n|.
-
-    A value stable under sample refinement is numerical evidence of
-    M-equivalence of the two functions.
-    """
-    n = np.array([pt.n for pt in samples])
-    m = np.array([pt.m for pt in samples])
-    lam = np.array([pt.lam for pt in samples])
-    gap = np.abs(theta1(n, m, lam) - theta2(n, m, lam))
-    bound = np.abs(lam) ** M * one_plus_weight(n, m, lam, n.shape[-1]) ** (-N)
-    ratio = np.divide(gap, bound, out=np.zeros_like(gap), where=bound > 0)
-    return float(ratio.max())

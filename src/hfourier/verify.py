@@ -513,7 +513,7 @@ def c15_mollifier(ctx):
     }
     records = []
     for name, th in fixtures.items():
-        mu = _boundary_measure_pair(lambda xd, k: 1.0, th, 1).real
+        mu = _boundary_measure_pair(lambda xd, k: 1.0, th).real
         errs = []
         for eps in (0.2, 0.1, 0.05, 0.025):
             def weighted(n, m, lam, _e=eps, _t=th):

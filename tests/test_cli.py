@@ -265,16 +265,30 @@ BOUNDARY_CONFIGS = [
     ('{"lambda_grid": {"lambda_min": 1e-3, "lambda_max": Infinity, "points_per_sign": 8}}',
      "non-standard JSON constant Infinity"),
     ('{"heat_phys_grid": {"points": [33, 33, 4]}}', "heat_phys_grid point counts"),
+    ('{"n_max": 2.5}', "'n_max' must be an integer"),
+    ('{"n_max": true}', "'n_max' must be an integer"),
+    ('{"d": 1.0}', "'d' must be an integer"),
+    ('{"seed": "x"}', "'seed' must be an integer"),
+    ('{"lambda_grid": {"points_per_sign": 2.5}}', "'lambda_grid.points_per_sign' must be an integer"),
+    ('{"lambda_grid": {"lambda_min": "1e-3"}}', "'lambda_grid.lambda_min' must be a real number"),
+    ('{"phys_grid": {"extents": [6, 6]}}', "'phys_grid.extents' must be a list of 3 real numbers"),
+    ('{"phys_grid": {"points": [33.0, 33, 33]}}', "'phys_grid.points' must be a list of 3 integers"),
+    ('{"heat_phys_grid": [6, 6, 20]}', "'heat_phys_grid' must be a JSON object"),
+    ('[1, 2]', "the top level must be a JSON object"),
 ]
 
 
 @pytest.mark.parametrize("text, message", BOUNDARY_CONFIGS,
-                         ids=["nan-extent", "infinite-lambda", "heat-grid-points"])
+                         ids=["nan-extent", "infinite-lambda", "heat-grid-points", "float-n_max",
+                              "bool-n_max", "float-d", "string-seed", "float-points_per_sign",
+                              "string-lambda_min", "two-extents", "float-point", "list-grid",
+                              "list-top-level"])
 def test_config_refuses_out_of_bounds_values(text, message, tmp_path):
     path = tmp_path / "bounds.json"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         load_config(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("build", [

@@ -109,7 +109,7 @@ def test_mollifier_error_falls_at_second_order():
     fine = LambdaGrid(1e-6, 16.0, 240)
     for name in ("heat", "gauss_profile", "exp_floor"):
         th = _band_fixture(name)
-        mu = distributions._boundary_measure_pair(lambda xd, k: 1.0, th, 1).real
+        mu = distributions._boundary_measure_pair(lambda xd, k: 1.0, th).real
         errs = []
         for eps in (0.05, 0.025):
             def weighted(n, m, lam, _e=eps):
@@ -275,7 +275,7 @@ def test_finite_part_matches_the_full_shell_sum(grid, name):
     gammas = (2.1, 2.3, 2.45)
     want = _full_shell_sum(gammas, th, grid)
     for g, w in zip(gammas, want):
-        v, _ = distributions._finite_part(g, th, grid, 1, atol=1e-6)
+        v, _ = distributions._finite_part(g, th, grid, atol=1e-6)
         assert abs(v - w) <= 1e-6, (g, v, w)
 
 

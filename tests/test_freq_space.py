@@ -11,14 +11,13 @@ from hfourier.freq_space import (
     FreqPoint,
     LambdaGrid,
     distance,
-    freq_seminorm,
     gauss_legendre,
     integrate,
     l1m_norm,
     one_plus_weight,
     simpson_log_weights,
 )
-from hfourier.profiles import heat_profile, profile_gauss, profile_to_freq_function
+from hfourier.profiles import heat_profile
 from hfourier.distributions import make_f_gamma
 from hfourier.transform import SpectralTable, table_from_csv, table_to_csv
 
@@ -234,55 +233,6 @@ def test_a_sum_without_box_or_cap_is_refused_by_label():
     for call in (lambda: integrate(free, grid), lambda: l1m_norm(free, 4, grid)):
         with pytest.raises(ValueError, match="'free' declares no index box and no n_max"):
             call()
-
-
-# ---- seminorms -------------------------------------------------------------
-
-def test_freq_seminorm_zero():
-    zero = FreqFunction(
-        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
-    )
-    assert freq_seminorm(zero, 2, 1, n_sup=4) == 0.0
-
-
-def test_freq_seminorm_heat_sup():
-    grid = LambdaGrid(1e-4, 16.0, 160)
-    v = freq_seminorm(heat_profile(1.0), 0, 0, n_sup=8, grid=grid)
-    # N = N' = 0 bracket is 3|theta| with the extra signed-difference term
-    # vanishing on even diagonal data; sup of 2|theta| approaches 2
-    assert v == pytest.approx(2.0, abs=5e-3)
-
-
-def test_freq_seminorm_monotone_in_weight():
-    grid = LambdaGrid(1e-3, 8.0, 64)
-    th = profile_to_freq_function(profile_gauss(1.0))
-    a = freq_seminorm(th, 0, 1, n_sup=6, grid=grid)
-    b = freq_seminorm(th, 1, 1, n_sup=6, grid=grid)
-    c = freq_seminorm(th, 2, 1, n_sup=6, grid=grid)
-    assert a <= b <= c
-    assert np.isfinite(c)
-
-
-def test_freq_seminorm_profile_finite_depth3():
-    # stability of the operator-power seminorms on a profile fixture
-    grid = LambdaGrid(1e-3, 8.0, 48)
-    th = profile_to_freq_function(profile_gauss(1.0))
-    vals = [freq_seminorm(th, N, Np, n_sup=5, grid=grid) for N in (0, 3) for Np in (0, 2, 3)]
-    assert all(np.isfinite(v) for v in vals)
-
-
-def test_l1_bound_by_seminorm():
-    # integral norm controlled by the weighted sup seminorm at K = 2d + 2
-    grid = LambdaGrid(1e-4, 16.0, 160)
-    for th in (heat_profile(1.0), heat_profile(0.25),
-               profile_to_freq_function(profile_gauss(1.0))):
-        wrapped = FreqFunction(
-            lambda n, m, lam, _t=th: np.abs(_t(n, m, lam)).astype(complex),
-            diagonal=th.diagonal, band=th.band,
-        )
-        l1 = integrate(wrapped, grid, 64).value.real
-        sem = freq_seminorm(th, 4, 0, n_sup=24, grid=grid)
-        assert l1 <= 10.0 * sem
 
 
 def test_value_at_origin_extrapolation():

@@ -18,7 +18,6 @@ from hfourier.heisenberg import (
     dilate,
     group_inverse,
     group_mul,
-    phys_seminorm,
 )
 from hfourier.transform import SpectralTable, _csv_columns, table_to_csv
 
@@ -372,31 +371,6 @@ def test_right_invariant_fields_differ():
     a = apply_phys_op("X", f).samples
     b = apply_phys_op("Xtilde", f).samples
     assert np.abs(a - b).max() > 1e-3
-
-
-# ---- seminorms -------------------------------------------------------------
-
-def test_seminorm_zero_and_gaussian():
-    z = SampledField.zeros_like(small_field())
-    assert phys_seminorm(z, 2) == 0.0
-    f = small_field()
-    assert phys_seminorm(f, 0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_seminorm_monotone():
-    rng = np.random.default_rng(9)
-    a = rng.uniform(0.8, 1.5)
-    f = small_field(lambda y, e, s: np.exp(-a * (y**2 + e**2 + s**2)) * (1 + 0.2 * y), points=21)
-    vals = [phys_seminorm(f, N) for N in range(3)]
-    assert vals[0] <= vals[1] <= vals[2]
-
-
-def test_seminorm_l2_variant():
-    f = small_field(points=21)
-    v = phys_seminorm(f, 1, variant="l2")
-    assert v > math.sqrt(f.l2_norm_sq())
-    with pytest.raises(ValueError):
-        phys_seminorm(f, 1, variant="bogus")
 
 
 # ---- containers ------------------------------------------------------------

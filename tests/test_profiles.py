@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hfourier.freq_space import BoundaryPoint, FreqFunction, FreqPoint, LambdaGrid, one_plus_weight
+from hfourier.freq_space import BoundaryPoint, LambdaGrid
 from hfourier.diff_ops import delta_hat
 from hfourier.profiles import (
     boundary_diff,
     heat_profile,
-    m_equiv_fit,
     profile_exp_floor,
     profile_gauss,
     profile_to_freq_function,
@@ -126,71 +123,6 @@ def test_boundary_diff_guards():
     P2 = profile_exp_floor(0.5)
     with pytest.raises(ValueError):
         boundary_diff(P2, BoundaryPoint((0.0,), (0,)))  # origin excluded
-
-
-def test_m_equiv_trivial_and_taylor():
-    th = profile_to_freq_function(profile_gauss(1.0))
-    samples = [FreqPoint((n,), (n,), lam) for n in range(6) for lam in (0.2, 0.05, 0.01)]
-    assert m_equiv_fit(th, th, 1, 2, samples) == 0.0
-
-    # first-order index-shift expansion: Theta(n+1, m+1) vs
-    # Theta + 2|lam| Theta_{dx}; the fitted constant stays bounded as the
-    # sampled lambdas shrink
-    P = profile_gauss(1.0)
-    base = profile_to_freq_function(P)
-
-    def shifted(n, m, lam):
-        return base(n + 1, m + 1, lam)
-
-    def taylor(n, m, lam):
-        x = np.abs(lam)[..., None] * (n + m + 1.0)
-        # the samples lie on the diagonal, k = m - n = 0
-        return base(n, m, lam) + 2.0 * np.abs(lam) * np.asarray(P.dx(x, (0,), lam, 0))
-
-    th_shift = FreqFunction(shifted, d=1, diagonal=True)
-    th_taylor = FreqFunction(taylor, d=1, diagonal=True)
-    cs = []
-    for lam_min in (0.05, 0.0125, 0.003125):
-        samples = [FreqPoint((n,), (n,), s * lam_min) for n in range(0, 24, 3)
-                   for s in (1.0, 2.0, -1.0)]
-        cs.append(m_equiv_fit(th_shift, th_taylor, 2, 0, samples))
-    assert max(cs) < 1.5 * min(cs) + 1e-12
-
-
-samples = st.lists(
-    st.builds(lambda n, m, lam, sign: FreqPoint((n,), (m,), sign * lam),
-              st.integers(0, 8), st.integers(0, 8), st.floats(0.1, 4.0), st.sampled_from([-1, 1])),
-    min_size=1, max_size=12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(C=st.floats(0.1, 10.0), M=st.integers(0, 2), N=st.integers(0, 3), pts=samples)
-def test_m_equiv_fit_recovers_the_constant(C, M, N, pts):
-    # theta + C |lam|^M (1 + w)^-N is M-equivalent to theta with constant exactly C
-    th = heat_profile(1.0)
-
-    def shifted(n, m, lam):
-        return th(n, m, lam) + C * np.abs(lam) ** M * one_plus_weight(n, m, lam, 1) ** (-N)
-
-    fit = m_equiv_fit(FreqFunction(shifted, d=1), th, M, N, pts)
-    assert fit == pytest.approx(C, rel=1e-12)
-
-
-def test_m_equiv_compact_lambda_support():
-    # vanishing near lam = 0 makes the fit finite for any order
-    def bump(n, m, lam):
-        lam = np.asarray(lam, dtype=float)
-        inside = (np.abs(lam) > 0.5) & (np.abs(lam) < 2.0)
-        return np.where(inside & (n == m).all(-1), 1.0, 0.0).astype(complex)
-
-    th = FreqFunction(bump, d=1, diagonal=True)
-    zero = FreqFunction(
-        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
-    )
-    samples = [FreqPoint((n,), (n,), lam) for n in range(4)
-               for lam in (0.1, 0.7, 1.5, 3.0)]
-    for M in (1, 3, 6):
-        assert np.isfinite(m_equiv_fit(th, zero, M, 2, samples))
 
 
 def test_heat_consistency_multiplier_vs_product():
