@@ -37,7 +37,7 @@ def main():
     worst = 0.0
     for lam in (0.3, 1.1):
         for n in range(5):
-            v, _ = spectral_product(heat_profile(0.7), heat_profile(0.5), (n,), (n,), lam, 24)
+            v = spectral_product(heat_profile(0.7), heat_profile(0.5), (n,), (n,), lam)
             worst = max(worst, abs(v - heat_profile(1.2)((n,), (n,), np.array([lam]))[0]))
     print(f"  worst |h_0.7 * h_0.5 - h_1.2| = {worst:.2e}")
 

@@ -7,10 +7,9 @@ field names is an error.
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
-from .freq_space import LambdaGrid
+from .freq_space import LambdaGrid, _check_types
 
 __all__ = ["Config", "PhysGridSpec", "default_config", "load_config"]
 
@@ -41,12 +40,14 @@ class Config:
     seed: int = 20240901
 
     def __post_init__(self):
+        _check_types(vars(self))
         if self.d not in (1, 2):
             raise ValueError("d must be 1 or 2")
         if not (1 <= self.n_max <= N_MAX_CAP):
             raise ValueError(f"n_max must lie in [1, {N_MAX_CAP}]")
         for name in ("phys_grid", "heat_phys_grid"):
             spec = getattr(self, name)
+            _check_types(vars(spec), name + ".")
             if not all(math.isfinite(h) and h > 0 for h in spec.extents):
                 raise ValueError(f"{name} extents must be finite and positive")
             if any(n < 5 or n % 2 == 0 for n in spec.points):
@@ -57,42 +58,18 @@ def default_config():
     return Config()
 
 
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _triple_of(ok):
-    return lambda value: isinstance(value, list) and len(value) == 3 and all(map(ok, value))
-
-
-_INTEGER = (_is_integer, "an integer")
-_REAL = (_is_real, "a real number")
-# what each typed key of a config file takes (a bool is not an integer)
-_TYPES = {"d": _INTEGER, "n_max": _INTEGER, "seed": _INTEGER, "points_per_sign": _INTEGER,
-          "lambda_min": _REAL, "lambda_max": _REAL,
-          "extents": (_triple_of(_is_real), "a list of 3 real numbers"),
-          "points": (_triple_of(_is_integer), "a list of 3 integers")}
-
-
 def _fields(raw, cls, where):
     """The keyword arguments for ``cls`` that the JSON value ``raw`` holds.
 
     Refuses a value that is not an object, a key that names no field of
-    ``cls`` and a value that its key does not take."""
+    ``cls`` and a value of the wrong type, naming the whole key."""
     if not isinstance(raw, dict):
         what = f"config key {where[:-1]!r}" if where else "the top level"
         raise ValueError(f"{what} must be a JSON object")
     unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
     if unknown:
         raise ValueError(f"unknown config key {where + unknown[0]!r}")
-    for key, value in raw.items():
-        ok, want = _TYPES.get(key, (None, None))
-        if ok is not None and not ok(value):
-            raise ValueError(f"config key {where + key!r} must be {want}, got {value!r}")
+    _check_types(raw, where)
     return {key: tuple(value) if isinstance(value, list) else value for key, value in raw.items()}
 
 

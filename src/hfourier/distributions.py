@@ -26,8 +26,8 @@ import numpy as np
 from scipy.special import j0, j1, jv
 from scipy.special import zeta as hurwitz_zeta
 
-from .freq_space import (FreqFunction, IntegralResult, LambdaGrid, gauss_legendre, integrate,
-                         multi_indices, shell_tail)
+from .freq_space import (FreqFunction, IntegralResult, LambdaGrid, _k_reach, box_pairs,
+                         gauss_legendre, integrate, shell_tail)
 from .wigner import boundary_kernel
 
 __all__ = [
@@ -172,14 +172,15 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6):
     that sum at +-lambda_min (each sample counted with its weight) and
     multiplies it by the strip width lambda_min.
 
-    d > 1: a fixed 24-box, with an infinite tail.
+    The pairs m - n run over theta's reach (its band, else its box).
+    d > 1: the pairs within that reach of a fixed 24-box; infinite tail.
     """
+    band = _k_reach(theta)
     lam = grid.lam
     meas = np.abs(lam) ** d * grid.weights
     if d > 1:
-        idx = np.array(multi_indices(d, 24))[:, None]
-        return complex(np.sum(theta(idx, idx, lam) * meas)), math.inf
-    band = theta.band or 0
+        n, m = box_pairs(d, 24, band)
+        return complex(np.sum(theta(n[:, None], m[:, None], lam) * meas)), math.inf
     offsets = np.arange(-band, band + 1)[:, None]
     stride = np.maximum(1, np.floor(_XDOT_STEP / (2.0 * np.abs(lam)))).astype(int)
     far_w = stride.astype(float)[None, None]                             # (1, 1, lambda)
@@ -313,16 +314,16 @@ def _finite_part(gamma, theta, grid, atol=1e-7):
 def _boundary_measure_pair(density, theta):
     """2^{-d-1} sum_k (both orthants) density * theta against dx (d = 1).
 
-    ``density(xs, ks)`` takes the abscissae of both orthants, (-x, x) for
-    the half-line rule x, and the array of k, and returns values
-    broadcasting to shape (len(xs), len(ks)); a constant
-    ``lambda xs, ks: 1.0`` is the bare measure.  density and theta are
-    each evaluated once, on the whole (xs, ks) table; the orthants are
-    summed one after the other.
+    k runs over theta's reach (its band, else its box).  ``density(xs,
+    ks)`` takes the abscissae of both orthants, (-x, x) for the half-line
+    rule x, and the array of k, and returns values broadcasting to shape
+    (len(xs), len(ks)); a constant ``lambda xs, ks: 1.0`` is the bare
+    measure.  density and theta are each evaluated once, on the whole
+    (xs, ks) table; the orthants are summed one after the other.
     """
     if theta.d != 1:
         raise ValueError("boundary-measure pairing implemented for d = 1")
-    k_band = theta.band if theta.band is not None else 8
+    k_band = _k_reach(theta)
     # 24-point panels on [0, 0.02] and geometric ones out to x. = 28
     xs, ws = gauss_legendre(np.concatenate([[0.0], np.geomspace(0.02, 28.0, 12)]), 24)
     ks = np.arange(-k_band, k_band + 1)
@@ -415,10 +416,11 @@ def g_hat_boundary_batch(g, xs, k_list):
     y, eta = np.meshgrid(g.y_axis, g.eta_axis, indexing="ij")
     radii, ring = np.unique(np.hypot(y, eta).ravel(), return_inverse=True)
     # angular moments sum_{ring} e^{ik phi} g, for sgn(x.) = +1 and -1
-    moments = np.zeros((2, len(radii), len(kvec)), dtype=complex)
+    moments = np.zeros((len(kvec), len(radii), 2), dtype=complex)
     for i, sign in enumerate((1.0, -1.0)):
         phi = np.arctan2(sign * eta, y).ravel()
-        np.add.at(moments[i], ring, np.exp(1j * np.outer(phi, kvec)) * g.samples.ravel()[:, None])
+        np.add.at(moments[..., i].T, ring,
+                  np.exp(1j * np.outer(phi, kvec)) * g.samples.ravel()[:, None])
     side = (xs < 0).astype(int)
     ax, row = np.unique(np.abs(xs), return_inverse=True)
     arg = np.outer(2.0 * np.sqrt(ax), radii)
@@ -428,7 +430,8 @@ def g_hat_boundary_batch(g, xs, k_list):
     bessel = {q: order[q](arg) if q in order else jv(q, arg) for q in set(np.abs(kvec).tolist())}
     out = np.empty((len(xs), len(kvec)), dtype=complex)
     for j, k in enumerate(kvec):
-        sums = bessel[abs(k)] @ moments[:, :, j].T  # (len(ax), 2)
+        # the real table against the real view of the moments, not cast to complex
+        sums = (bessel[abs(k)] @ moments[j].view(float)).view(complex)  # (len(ax), 2)
         out[:, j] = (1.0 if k < 0 else (-1.0) ** k) * sums[row, side]
     return out * g.cell_area
 

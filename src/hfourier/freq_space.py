@@ -17,17 +17,14 @@ Frequency functions evaluate whole index arrays at once: n and m have
 shape S + (d,), lam broadcasts against S, and the result has the
 broadcast shape.  Boundary values follow the same contract, with x. and k
 of shape S + (d,).  ``band`` (largest |m - n|; 0 diagonal, None dense)
-and ``box`` (largest n_j, m_j; None uncapped) describe the support, so
-every sum is one array reduction over them; the adaptive diagonal sums of
-:mod:`hfourier.distributions` evaluate blocks of samples per call: the
-finite part (d = 1) the shells n < 32 and then integer nodes geometric in
-x. = |lam|(2n + 1), shared by every lambda, the band sum (d = 1) the
-shells n < 8 and then a stride of n per lambda, evenly spaced in
-x. = |lam|(2n + k + 1).
+and ``box`` (largest n_j, m_j; None uncapped) describe the support: every
+sum, product and pairing takes its index range from them, not from a
+caller, and evaluates theta on whole arrays or blocks of them.
 """
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -139,6 +136,34 @@ def distance(p, q):
     return _l1(np.asarray(p.xdot) - np.asarray(q.xdot)) + _l1(np.asarray(p.k) - np.asarray(q.k))
 
 
+# ---- typed fields -----------------------------------------------------------
+
+def _number(kind):
+    return lambda value: isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _triple(ok):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) == 3 and all(map(ok, v))
+
+
+_INTEGER = (_number(numbers.Integral), "an integer")
+_REAL = (_number(numbers.Real), "a real number")
+# what each field of LambdaGrid and of the config dataclasses takes (a bool is no number)
+_FIELD_TYPES = {"d": _INTEGER, "n_max": _INTEGER, "seed": _INTEGER, "points_per_sign": _INTEGER,
+                "lambda_min": _REAL, "lambda_max": _REAL,
+                "extents": (_triple(_REAL[0]), "a list of 3 real numbers"),
+                "points": (_triple(_INTEGER[0]), "a list of 3 integers")}
+
+
+def _check_types(values, where=""):
+    """Refuse, naming ``where`` + its key, the first entry of the mapping
+    ``values`` that its key in _FIELD_TYPES does not take."""
+    for key, value in values.items():
+        ok, want = _FIELD_TYPES.get(key, (None, None))
+        if ok is not None and not ok(value):
+            raise ValueError(f"{where + key!r} must be {want}, got {value!r}")
+
+
 # ---- lambda grid ----------------------------------------------------------
 
 def simpson_log_weights(count, step):
@@ -196,6 +221,7 @@ class LambdaGrid:
     points_per_sign: int = 160
 
     def __post_init__(self):
+        _check_types(vars(self))
         if not (0 < self.lambda_min < self.lambda_max < math.inf):
             raise ValueError("need finite 0 < lambda_min < lambda_max")
         if self.points_per_sign < 2:
@@ -263,11 +289,6 @@ class FreqFunction:
         self.band = 0 if diagonal else band
         self.box = box
         self.label = label
-
-    @property
-    def diagonal(self):
-        """True when the function vanishes off n == m."""
-        return self.band == 0
 
     def __call__(self, n, m, lam):
         return np.asarray(self._interior(*index_arrays(n, m, lam)), dtype=complex)
@@ -379,6 +400,16 @@ def _index_box(theta, n_max=None):
     if n_max is not None and n_max != theta.box:
         raise ValueError(f"n_max {n_max} contradicts the index box {theta.box} "
                          f"that theta {theta.label!r} declares")
+    return theta.box
+
+
+def _k_reach(theta):
+    """Largest |m - n| (per coordinate), and |k| at the boundary, where theta
+    can be nonzero: its band, else its index box; refused if it has neither."""
+    if theta.band is not None:
+        return theta.band
+    if theta.box is None:
+        raise ValueError(f"theta {theta.label!r} declares neither a band nor an index box")
     return theta.box
 
 

@@ -49,10 +49,10 @@ from .freq_space import (
     FreqFunction,
     LambdaGrid,
     _index_box,
+    _k_reach,
     box_pairs,
     gauss_legendre,
     integrate,
-    multi_indices,
     simpson_log_weights,
     sqrt_richardson,
 )
@@ -538,8 +538,8 @@ def inverse_on_grid(theta, grid, n_max=None, extents=(6.0, 6.0, 6.0), points=(33
     gather sums the channels on the grid, each times e^{-i k phi}.
 
     ``assume_symmetric=True`` skips the negative-lambda half and doubles
-    the real part, valid when theta(n,m,-lam) = conj(theta(n,m,lam))
-    (true for transforms of real fields); the caller asserts it.
+    the real part and the capped remainder; the caller asserts that
+    theta(n,m,-lam) = conj(theta(n,m,lam)), as for transforms of real fields.
 
     No route reads ``n_max``: an ``n_max`` other than a declared box is
     refused before theta is called, and otherwise it is ignored.
@@ -549,8 +549,7 @@ def inverse_on_grid(theta, grid, n_max=None, extents=(6.0, 6.0, 6.0), points=(33
     d = theta.d
     if d != 1:
         raise ValueError("grid inverse implemented for d = 1")
-    if theta.band is None and theta.box is None:
-        raise ValueError(f"theta {theta.label!r} declares neither a band nor an index box")
+    _k_reach(theta)
     if theta.box is not None:
         _index_box(theta, n_max)
     y_axis = np.linspace(-extents[0], extents[0], points[0])
@@ -599,8 +598,9 @@ def inverse_on_grid(theta, grid, n_max=None, extents=(6.0, 6.0, 6.0), points=(33
         out = out.reshape(points[0], points[1], -1)
 
     if assume_symmetric:
-        # theta(n, m, -lam) = conj(theta(n, m, lam)): the other branch is the conjugate
+        # theta(n, m, -lam) = conj(theta(n, m, lam)): the other branch, remainder included
         out = 2.0 * out.real
+        tail *= 2.0
     out *= 2.0 ** (d - 1) / math.pi ** (d + 1)
     # uncovered |lam| < lambda_min strip, crude mass bound
     tail += 2.0 * grid.lambda_min / (8.0 * math.pi**2)
@@ -747,43 +747,33 @@ def plancherel_norms(fld, table):
     return phys, res
 
 
-def spectral_product(theta1, theta2, n, m, lam, ell_max):
-    """Interior product: matrix composition over the middle index.
-
-    Returns (value, tail_estimate); the tail uses the decay of the last
-    two middle-index shells, or their sum once both are below 1e-15 of
-    the largest shell.
-    """
+def spectral_product(theta1, theta2, n, m, lam):
+    """Interior product sum_l theta1(n, l, lam) theta2(l, m, lam), summed
+    completely: each l_j over [max(0, n_j - r1, m_j - r2), min(n_j + r1,
+    m_j + r2, box1, box2)], with r the reach (band, else box) and box the
+    index box (None: no bound) that each operand declares; an operand
+    that declares neither is refused."""
     d = theta1.d
     if theta2.d != d:
         raise ValueError(f"dimension mismatch: theta1 has d = {d}, theta2 d = {theta2.d}")
-    ell = np.array(multi_indices(d, ell_max)).reshape(-1, d)
-    terms = theta1(n, ell, lam) * theta2(ell, m, lam)
-    total = np.sum(terms)
-    shells = np.bincount(ell.max(axis=-1), weights=np.abs(terms), minlength=ell_max + 1)
-    tail = math.inf
-    s_last = shells[ell_max]
-    s_prev = shells[ell_max - 1] if ell_max >= 1 else 0.0
-    if s_last == 0.0:
-        tail = 0.0
-    elif s_prev > 0 and s_last < 0.95 * s_prev:
-        q = s_last / s_prev
-        tail = s_last * q / (1.0 - q)
-    elif max(s_prev, s_last) < 1e-15 * shells.max():
-        # converged: the last shells are rounding noise, which no decay fit follows
-        tail = s_prev + s_last
-    return complex(total), float(tail)
+    r1, r2 = _k_reach(theta1), _k_reach(theta2)
+    n, m = (np.asarray(v, dtype=int).reshape(d) for v in (n, m))
+    lo = np.maximum(0, np.maximum(n - r1, m - r2))
+    hi = np.minimum(n + r1, m + r2)
+    hi = np.minimum(hi, min([t.box for t in (theta1, theta2) if t.box is not None], default=hi))
+    ell = np.stack(np.meshgrid(*map(np.arange, lo, hi + 1), indexing="ij"), axis=-1).reshape(-1, d)
+    return complex(np.sum(theta1(n, ell, lam) * theta2(ell, m, lam)))
 
 
 def spectral_product_boundary(theta1, theta2, xdot, k):
-    """Boundary product: commutative convolution over the integer index,
-    summed over |k'| <= 24."""
-    d = len(xdot)
-    if d != 1:
+    """Boundary product sum_k' theta1(x., k') theta2(x., k - k') (d = 1),
+    over every k' with |k'| and |k - k'| within the reach (band, else box)
+    of theta1 and theta2."""
+    if len(xdot) != 1:
         raise ValueError("boundary product implemented for d = 1")
-    kp = np.arange(-24, 25)[:, None]
-    terms = theta1.at_boundary(xdot, kp) * theta2.at_boundary(xdot, np.asarray(k) - kp)
-    return complex(np.sum(terms))
+    r1, r2 = _k_reach(theta1), _k_reach(theta2)
+    kp = np.arange(max(-r1, k[0] - r2), min(r1, k[0] + r2) + 1)[:, None]
+    return complex(np.sum(theta1.at_boundary(xdot, kp) * theta2.at_boundary(xdot, k - kp)))
 
 
 def multiplier_apply(a, theta):

@@ -302,6 +302,24 @@ def test_grids_refuse_non_finite_bounds(build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Config(n_max=True), "'n_max' must be an integer, got True"),
+    (lambda: Config(d=1.0), "'d' must be an integer"),
+    (lambda: Config(seed="x"), "'seed' must be an integer"),
+    (lambda: LambdaGrid(1e-3, 8.0, 2.5), "'points_per_sign' must be an integer, got 2.5"),
+    (lambda: LambdaGrid("1e-3", 8.0, 8), "'lambda_min' must be a real number"),
+    (lambda: Config(phys_grid=PhysGridSpec(extents=(6.0, 6.0))),
+     "'phys_grid.extents' must be a list of 3 real numbers"),
+    (lambda: Config(heat_phys_grid=PhysGridSpec(points=(33.0, 33, 107))),
+     "'heat_phys_grid.points' must be a list of 3 integers"),
+], ids=["bool-n_max", "float-d", "string-seed", "float-points_per_sign", "string-lambda_min",
+        "two-extents", "float-point"])
+def test_dataclasses_refuse_wrong_types(build, message):
+    # library callers get the checks a config file gets
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_transform_names_an_out_of_bounds_input(tmp_path, small_config, gauss_file, capsys):
     nan_config = tmp_path / "nan_config.json"
     nan_config.write_text('{"phys_grid": {"extents": [NaN, 6, 6]}}')

@@ -87,6 +87,15 @@ def test_strided_band_sum_matches_the_full_index_box(name):
     assert abs(v - want) <= 1e-6 * abs(want)
 
 
+def test_band_sum_at_d2_keeps_the_band():
+    # d > 1 sums every pair of its 24-box within theta's reach, not the diagonal alone
+    th = profile_to_freq_function(profile_exp_floor(0.5, d=2))   # band 2
+    grid = LambdaGrid(0.05, 8.0, 24)
+    v, tail = distributions._diagonal_band_sum(th, grid, 2)
+    assert v == pytest.approx(integrate(th, grid, n_max=24).value, rel=1e-13)
+    assert tail == math.inf
+
+
 def test_band_sum_blocks_stay_small():
     # theta is evaluated in blocks of at most _BAND_ENTRIES entries, so one
     # block's transients stay near glibc's 128 KiB mmap threshold and reuse

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hfourier.distributions as distributions
 import hfourier.transform as transform
 import hfourier.wigner as wigner
 from hfourier.fields import SampledField
@@ -936,27 +937,31 @@ def test_plancherel_per_lambda_on_gaussian_sums(gaussians):
     assert np.all(np.abs(freq - phys) <= 1e-6 * phys)
 
 
+def _capped_product(theta1, theta2, n, m, lam, cap):
+    """The product summed over every middle index of the box [0, cap]^d."""
+    ell = np.array(multi_indices(theta1.d, cap)).reshape(-1, theta1.d)
+    return complex(np.sum(theta1(n, ell, lam) * theta2(ell, m, lam)))
+
+
 def test_spectral_product_zero_and_semigroup():
     zero = FreqFunction(
         lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
     )
-    v, tail = spectral_product(heat_profile(1.0), zero, (0,), (0,), 0.5, ell_max=8)
-    assert v == 0 and tail == 0
+    assert spectral_product(heat_profile(1.0), zero, (0,), (0,), 0.5) == 0
     for lam in (0.3, -1.1):
         for n in range(4):
-            v, _ = spectral_product(heat_profile(0.7), heat_profile(0.5), (n,), (n,), lam, 24)
+            v = spectral_product(heat_profile(0.7), heat_profile(0.5), (n,), (n,), lam)
             want = heat_profile(1.2)((n,), (n,), np.array([lam]))[0]
             assert v == pytest.approx(want, abs=1e-14)
 
 
 def test_spectral_product_takes_d_from_theta():
-    # d = 2: the middle index runs over the whole box [0, ell_max]^2
-    v, _ = spectral_product(heat_profile(0.7, d=2), heat_profile(0.5, d=2), (1, 2), (1, 2), 0.4,
-                            ell_max=12)
+    # d = 2: heat's band 0 leaves the single middle index l = n
+    v = spectral_product(heat_profile(0.7, d=2), heat_profile(0.5, d=2), (1, 2), (1, 2), 0.4)
     want = heat_profile(1.2, d=2)((1, 2), (1, 2), np.array([0.4]))[0]
     assert v == pytest.approx(want, abs=1e-14)
     with pytest.raises(ValueError, match="dimension"):
-        spectral_product(heat_profile(0.7, d=2), heat_profile(0.5), (1, 2), (1, 2), 0.4, 4)
+        spectral_product(heat_profile(0.7, d=2), heat_profile(0.5), (1, 2), (1, 2), 0.4)
 
 
 def test_inverse_on_grid_rejects_d2():
@@ -965,25 +970,113 @@ def test_inverse_on_grid_rejects_d2():
                         extents=(1.0, 1.0, 1.0), points=(5, 5, 5))
 
 
-def _floored(floor):
-    """Entries exp(-(n + m)^2) that decay onto a flat floor."""
+@pytest.fixture(scope="module")
+def c03_tables():
+    """The gate's convolution check: both Gaussians at n_max 24 on its grid."""
+    grid = LambdaGrid(0.4, 2.1, 4)
+    return [forward_factored(gauss_field(a, a), 24, grid).as_freq_function()
+            for a in (1.0, 1.5)], grid.lam
+
+
+def test_spectral_product_over_the_declared_support_is_the_capped_sum(c03_tables):
+    # the declared support holds every nonzero term of the box sum, in its order
+    (th1, th2), lams = c03_tables
+    for lam in lams:
+        for n in range(5):
+            for m in range(5):
+                assert spectral_product(th1, th2, (n,), (m,), lam) == \
+                    _capped_product(th1, th2, (n,), (m,), lam, 24)
+    for d, n in ((1, (3,)), (2, (1, 2))):
+        h1, h2 = heat_profile(0.7, d=d), heat_profile(0.5, d=d)
+        for lam in (0.3, -1.1):
+            assert spectral_product(h1, h2, n, n, lam) == _capped_product(h1, h2, n, n, lam, 12)
+    # band 2 each: l runs over [max(0, n - 2, m - 2), min(n + 2, m + 2)], empty at |m - n| > 4
+    f1 = profile_to_freq_function(profile_exp_floor(0.5))
+    f2 = profile_to_freq_function(profile_exp_floor(0.8))
+    for n, m in ((0, 0), (1, 3), (4, 2), (5, 9)):
+        want = _capped_product(f1, f2, (n,), (m,), 0.6, 24)
+        assert want != 0
+        assert spectral_product(f1, f2, (n,), (m,), 0.6) == pytest.approx(want, rel=1e-14)
+    assert spectral_product(f1, f2, (0,), (5,), 0.6) == 0
+
+
+def _floored(floor, box):
+    """Entries exp(-(n + m)^2) + floor inside the index box [0, box]^d."""
     def interior(n, m, lam):
         l = (n + m).sum(axis=-1)
-        return np.exp(-(l**2.0)) + floor + np.zeros_like(lam) + 0j
+        inside = (np.maximum(n, m) <= box).all(axis=-1)
+        return np.where(inside, np.exp(-(l**2.0)) + floor, 0.0) + np.zeros_like(lam) + 0j
 
-    return FreqFunction(interior)
+    return FreqFunction(interior, box=box)
 
 
-def test_spectral_product_tail_of_converged_sum():
-    # on a rounding floor the last shells are flat noise far below the sum:
-    # the tail is their size, not inf
-    th = _floored(1e-20)
-    v, tail = spectral_product(th, th, (0,), (0,), 0.5, ell_max=24)
-    assert v.real == pytest.approx(sum(math.exp(-2.0 * l * l) for l in range(25)), rel=1e-15)
-    assert 0.0 < tail < 1e-35
-    # flat shells above the noise keep the unknown tail
-    th = _floored(1e-3)
-    assert spectral_product(th, th, (0,), (0,), 0.5, ell_max=24)[1] == math.inf
+def test_spectral_product_sums_a_boxed_theta_completely():
+    # no band: the middle index runs up to the smaller declared box, flat floor included
+    want = math.fsum((math.exp(-l * l) + 1e-3) ** 2 for l in range(11))
+    got = spectral_product(_floored(1e-3, 24), _floored(1e-3, 10), (0,), (0,), 0.5)
+    assert got == pytest.approx(want, rel=1e-15)
+
+
+def _undeclared():
+    def never(*args):
+        raise AssertionError("theta was called")
+
+    return FreqFunction(never, boundary=never, label="bare")
+
+
+def test_products_and_boundary_pairings_refuse_undeclared_support():
+    bare, heat = _undeclared(), heat_profile(1.0)
+    calls = [
+        lambda: spectral_product(bare, heat, (0,), (0,), 0.5),
+        lambda: spectral_product(heat, bare, (0,), (0,), 0.5),
+        lambda: spectral_product_boundary(heat, bare, (0.5,), (0,)),
+        lambda: distributions._boundary_measure_pair(lambda xs, ks: 1.0, bare),
+        lambda: distributions._diagonal_band_sum(bare, LambdaGrid(0.3, 2.0, 4), 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="'bare' declares neither a band nor an index box"):
+            call()
+
+
+def _recording(seen, **support):
+    """A theta of boundary value 1 that records the k of each boundary call."""
+    def boundary(xdot, k):
+        seen.append(np.unique(k).tolist())
+        return np.ones(np.broadcast_shapes(xdot.shape[:-1], k.shape[:-1]))
+
+    return FreqFunction(lambda n, m, lam: np.ones(lam.shape), boundary=boundary, **support)
+
+
+@pytest.mark.parametrize("support, reach", [
+    (dict(band=1), 1), (dict(box=3), 3), (dict(band=1, box=3), 1),
+], ids=["band", "box", "band-and-box"])
+def test_boundary_pairing_runs_k_over_the_band_else_the_box(support, reach):
+    seen = []
+    mu = distributions._boundary_measure_pair(lambda xs, ks: 1.0, _recording(seen, **support))
+    assert seen == [list(range(-reach, reach + 1))]
+    # 2^{-2} (both half-lines of length 28) per k
+    assert mu == pytest.approx(14.0 * (2 * reach + 1), rel=1e-13)
+
+
+def test_boundary_product_runs_k_over_both_reaches():
+    seen1, seen2 = [], []
+    th1, th2 = _recording(seen1, band=1), _recording(seen2, box=3)
+    # |k'| <= 1 and |2 - k'| <= 3
+    assert spectral_product_boundary(th1, th2, (0.5,), (2,)) == 3
+    assert (seen1, seen2) == ([[-1, 0, 1]], [[1, 2, 3]])
+    # |k'| <= 1 and |5 - k'| <= 3 leave no k'
+    assert spectral_product_boundary(th1, th2, (0.5,), (5,)) == 0
+
+
+def test_mirrored_inverse_counts_the_capped_remainder_on_both_branches():
+    grid = LambdaGrid()
+    kw = dict(extents=(6.0, 6.0, 20.0), points=(9, 9, 21), n_cap=600)
+    half, tail_half = inverse_on_grid(heat_profile(1.0), grid, assume_symmetric=True, **kw)
+    full, tail_full = inverse_on_grid(heat_profile(1.0), grid, **kw)
+    assert tail_half == pytest.approx(tail_full, rel=1e-12)
+    # more than the |lam| < lambda_min strip: the capped diagonals are counted
+    assert tail_full > 1.5 * 2.0 * grid.lambda_min / (8.0 * math.pi**2)
+    assert np.abs(half.samples - full.samples).max() <= 1e-12 * np.abs(full.samples).max()
 
 
 @settings(max_examples=60, deadline=None)
