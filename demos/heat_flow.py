@@ -41,7 +41,7 @@ def main():
             worst = max(worst, abs(v - heat_profile(1.2)((n,), (n,), np.array([lam]))[0]))
     print(f"  worst |h_0.7 * h_0.5 - h_1.2| = {worst:.2e}")
 
-    print("\nreconstructing the t = 1 kernel (tall vertical box, ~1 min)...")
+    print("\nreconstructing the t = 1 kernel on a tall vertical box...")
     kern, tail = inverse_on_grid(heat_profile(1.0), grid,
                                  extents=(6, 6, 20), points=(33, 33, 107),
                                  assume_symmetric=True, n_cap=600)

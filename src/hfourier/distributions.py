@@ -337,12 +337,12 @@ def _boundary_measure_pair(density, theta):
 def pair(T, theta, grid=None, atol=1e-6):
     """Pairing of a frequency-side distribution with a test function.
 
-    A function-backed term is summed over the index box its payload
-    declares (a table's ``n_max``), or over theta's where that is smaller.
-    Returns an :class:`IntegralResult` with the value and a truncation-tail
-    estimate (zero for the exact point evaluations).  Raises ValueError
-    when theta and T differ in dimension, or when a function-backed
-    payload declares no box.
+    A function-backed term is summed over the smaller of the index boxes
+    that its payload (a table's ``n_max``) and theta declare.  Returns an
+    :class:`IntegralResult` with the value and a truncation-tail estimate
+    (zero for the exact point evaluations).  Raises ValueError when theta
+    and T differ in dimension, or when neither a function-backed payload
+    nor theta declares a box.
     """
     if T.side != "freq":
         raise ValueError("pair a frequency-side distribution (transform first)")
@@ -354,8 +354,6 @@ def pair(T, theta, grid=None, atol=1e-6):
     tail = 0.0
     for coeff, kind, payload in T.terms:
         if kind == "freq_function":
-            if payload.box is None:
-                raise ValueError(f"freq_function payload {payload.label!r} declares no index box")
             res = integrate(_product_fn(payload, theta), grid)
             value += coeff * res.value
             tail += abs(coeff) * res.tail_bound
@@ -386,7 +384,7 @@ def _product_fn(psi, theta):
         return psi(n, m, lam) * theta(n, m, lam)
 
     return FreqFunction(interior, d=psi.d, band=min(bands) if bands else None,
-                        box=min(boxes) if boxes else None)
+                        box=min(boxes) if boxes else None, label=f"{psi.label}*{theta.label}")
 
 
 def g_hat_boundary(g, xdot, k):

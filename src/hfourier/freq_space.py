@@ -389,17 +389,11 @@ def _as_eval(theta):
     raise TypeError("expected a FreqFunction")
 
 
-def _index_box(theta, n_max=None):
-    """The index cap of a sum over theta: the box theta declares, else
-    ``n_max``.  Raises ValueError when ``n_max`` contradicts a declared
-    box, or when theta declares none and no ``n_max`` is given."""
+def _index_box(theta):
+    """The index cap of a sum over theta: the box theta declares; refused,
+    naming its label, when theta declares none."""
     if theta.box is None:
-        if n_max is None:
-            raise ValueError(f"theta {theta.label!r} declares no index box and no n_max is given")
-        return n_max
-    if n_max is not None and n_max != theta.box:
-        raise ValueError(f"n_max {n_max} contradicts the index box {theta.box} "
-                         f"that theta {theta.label!r} declares")
+        raise ValueError(f"theta {theta.label!r} declares no index box")
     return theta.box
 
 
@@ -413,19 +407,19 @@ def _k_reach(theta):
     return theta.box
 
 
-def integrate(theta, grid, n_max=None):
+def integrate(theta, grid):
     """Truncated integral of theta against the frequency measure.
 
     Sums theta(n, m, lam) |lam|^d over multi-indices with max entry at
-    most the box theta declares (``n_max`` for a theta that declares none;
-    one that contradicts a declared box is refused), within its support
-    band, and over the lambda grid.  Returns an :class:`IntegralResult` carrying a tail
-    estimate built from the outermost index shell and the uncovered lambda
-    ranges (an estimate, not a certified bound).
+    most the box theta declares (a theta that declares none is refused
+    before it is called), within its support band, and over the lambda
+    grid.  Returns an :class:`IntegralResult` carrying a tail estimate
+    built from the outermost index shell and the uncovered lambda ranges
+    (an estimate, not a certified bound).
     """
     fn = _as_eval(theta)
     d = fn.d
-    n_max = _index_box(fn, n_max)
+    n_max = _index_box(fn)
     lam = grid.lam
     meas = np.abs(lam) ** d * grid.weights
     P = grid.points_per_sign
@@ -464,9 +458,9 @@ def one_plus_weight(n, m, lam, d):
     return 1.0 + np.abs(lam) * (nm + d) + diff
 
 
-def l1m_norm(theta, p, grid, n_max=None):
+def l1m_norm(theta, p, grid):
     """Moderate-growth norm: integral of (1 + |lam|(|n+m|+d) + |n-m|)^{-p} |theta|
-    over the support of theta (``n_max`` as in :func:`integrate`)."""
+    over the support theta declares (its box, as in :func:`integrate`)."""
     fn = _as_eval(theta)
     d = fn.d
 
@@ -474,4 +468,4 @@ def l1m_norm(theta, p, grid, n_max=None):
         return one_plus_weight(n, m, lam, d) ** (-p) * np.abs(fn(n, m, lam))
 
     wrapped = FreqFunction(weighted, d=d, band=fn.band, box=fn.box, label=fn.label)
-    return integrate(wrapped, grid, n_max)
+    return integrate(wrapped, grid)

@@ -44,10 +44,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import _refuse_constant
 from .fields import SampledField, _write_csv
 from .freq_space import (
     FreqFunction,
     LambdaGrid,
+    _check_types,
     _index_box,
     _k_reach,
     box_pairs,
@@ -159,14 +161,10 @@ def table_from_csv(path):
     Values are placed by their (n.., m.., lambda) columns, so the row order
     is free.  Raises ValueError for a wrong header, indices outside
     [0, n_max], a lambda off the sidecar grid (1e-9 relative), a missing or
-    duplicate entry, or a non-finite value.
+    duplicate entry, or a non-finite value, and as :func:`_read_sidecar`
+    for a malformed sidecar.
     """
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
-    d = int(meta["d"])
-    grid = LambdaGrid(meta["grid"]["lambda_min"], meta["grid"]["lambda_max"],
-                      int(meta["grid"]["points_per_sign"]))
-    n_max = int(meta["n_max"])
+    d, n_max, grid, provenance = _read_sidecar(str(path) + ".json")
     shape = (n_max + 1,) * (2 * d) + (len(grid.lam),)
     cols = _csv_columns(d)
     with open(path) as fh:
@@ -190,7 +188,41 @@ def table_from_csv(path):
     values = np.zeros(math.prod(shape), dtype=complex)
     values.real[flat] = data[:, 2 * d + 1]
     values.imag[flat] = data[:, 2 * d + 2]
-    return SpectralTable(values.reshape(shape), grid, d, meta.get("provenance", "import"))
+    return SpectralTable(values.reshape(shape), grid, d, provenance)
+
+
+def _read_sidecar(path):
+    """(d, n_max, grid, provenance) from a table's JSON sidecar at ``path``.
+
+    The sidecar must be standard JSON (no NaN or Infinity): an object with
+    an integer ``d`` >= 1, an integer ``n_max`` >= 0 and a ``grid`` object
+    holding the three :class:`LambdaGrid` fields (its ``ratio`` is derived
+    by the writer and left unread).  Anything else raises ValueError
+    naming ``path`` and the first offending key.
+    """
+    try:
+        with open(path) as fh:
+            meta = json.load(fh, parse_constant=_refuse_constant)
+        _required_keys(meta, ("d", "n_max", "grid"), "")
+        fields = ("lambda_min", "lambda_max", "points_per_sign")
+        _required_keys(meta["grid"], fields, "grid.")
+        if meta["d"] < 1 or meta["n_max"] < 0:
+            raise ValueError(f"need d >= 1 and n_max >= 0, got {meta['d']} and {meta['n_max']}")
+        grid = LambdaGrid(*(meta["grid"][key] for key in fields))
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in {path})") from None
+    return meta["d"], meta["n_max"], grid, meta.get("provenance", "import")
+
+
+def _required_keys(raw, keys, where):
+    """Refuse a JSON value ``raw`` that is not an object, lacks one of
+    ``keys`` or holds a wrongly typed field, naming ``where`` + the key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{repr(where[:-1]) if where else 'the top level'} must be a JSON object")
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ValueError(f"missing key {where + missing[0]!r}")
+    _check_types(raw, where)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +533,14 @@ def _n_extent(theta, lam, n_cap):
     return np.where(mags[0] == 0.0, 0, top)
 
 
-def inverse_at_point(theta, w, grid, n_max=None):
+def inverse_at_point(theta, w, grid):
     """Inverse transform at a single physical point (any d; spot use),
-    summed over the index box of theta (``n_max`` as in
-    :func:`hfourier.freq_space.integrate`)."""
+    summed over the index box theta declares (a theta that declares none
+    is refused before it is called)."""
     d = theta.d
     w = np.asarray(w, dtype=float)
     Y, s = w[: 2 * d], w[-1]
-    n, m = box_pairs(d, _index_box(theta, n_max), theta.band)
+    n, m = box_pairs(d, _index_box(theta), theta.band)
     values = theta(n[:, None], m[:, None], grid.lam)     # (pairs, lambda)
     total = 0.0 + 0.0j
     for il, lam in enumerate(grid.lam):
@@ -541,8 +573,9 @@ def inverse_on_grid(theta, grid, n_max=None, extents=(6.0, 6.0, 6.0), points=(33
     the real part and the capped remainder; the caller asserts that
     theta(n,m,-lam) = conj(theta(n,m,lam)), as for transforms of real fields.
 
-    No route reads ``n_max``: an ``n_max`` other than a declared box is
-    refused before theta is called, and otherwise it is ignored.
+    No route reads ``n_max``; it stays only for callers that pass it
+    positionally.  One other than a declared box is refused before theta
+    is called, and otherwise it is ignored.
 
     Returns (SampledField, tail_estimate).
     """
@@ -550,8 +583,9 @@ def inverse_on_grid(theta, grid, n_max=None, extents=(6.0, 6.0, 6.0), points=(33
     if d != 1:
         raise ValueError("grid inverse implemented for d = 1")
     _k_reach(theta)
-    if theta.box is not None:
-        _index_box(theta, n_max)
+    if n_max is not None and theta.box is not None and n_max != theta.box:
+        raise ValueError(f"n_max {n_max} contradicts the index box {theta.box} "
+                         f"that theta {theta.label!r} declares")
     y_axis = np.linspace(-extents[0], extents[0], points[0])
     e_axis = np.linspace(-extents[1], extents[1], points[1])
     s_axis = np.linspace(-extents[2], extents[2], points[2])

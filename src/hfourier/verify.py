@@ -450,12 +450,13 @@ def c12_distributions(ctx):
 
 
 def c13_moderate_growth(ctx):
-    # gamma = 1: the weighted norm converges under lambda refinement
-    f1 = make_f_gamma(1.0, 1)
+    # gamma = 1: the weighted norm converges under lambda refinement; the
+    # family declares no box, so each member is summed over the config's
+    f1 = FreqFunction(make_f_gamma(1.0, 1), band=0, box=ctx.cfg.n_max, label="f_gamma(1.0)")
     sums = []
     for lam_min in (8e-4, 4e-4, 2e-4, 1e-4):
         grid = LambdaGrid(lam_min, ctx.grid.lambda_max, ctx.grid.points_per_sign)
-        sums.append(l1m_norm(f1, 4, grid, ctx.cfg.n_max).value.real)
+        sums.append(l1m_norm(f1, 4, grid).value.real)
     deltas = [abs(sums[i + 1] - sums[i]) for i in range(3)]
     ratio = max(deltas[i + 1] / deltas[i] for i in range(2))
     # convergent: each halving of lambda_min changes the sum by at most
@@ -463,11 +464,11 @@ def c13_moderate_growth(ctx):
     rec1 = _rec("c13.growth-convergent", "subcritical power integrable",
                 ratio, 0.0, 0.85, detail=f"refinement deltas {deltas}")
     # gamma = d + 1: logarithmic divergence at the printed rate
-    f2 = make_f_gamma(2.0, 1)
+    f2 = FreqFunction(make_f_gamma(2.0, 1), band=0, box=ctx.cfg.n_max, label="f_gamma(2.0)")
     pts = []
     for lam_min in (1e-3, 1e-4, 1e-5):
         grid = LambdaGrid(lam_min, ctx.grid.lambda_max, ctx.grid.points_per_sign)
-        pts.append(l1m_norm(f2, 4, grid, ctx.cfg.n_max).value.real)
+        pts.append(l1m_norm(f2, 4, grid).value.real)
     slope = (pts[2] - pts[0]) / math.log(1e-3 / 1e-5)
     # both signs of lambda contribute one logarithm each
     expected = 2.0 * sum((2.0 * n + 1.0) ** -2 for n in range(ctx.cfg.n_max + 1))

@@ -9,7 +9,7 @@ import hfourier.transform as transform
 from hfourier.cli import main
 from hfourier.config import Config, PhysGridSpec, load_config
 from hfourier.freq_space import LambdaGrid
-from hfourier.fields import SampledField, read_field, write_field
+from hfourier.fields import SampledField, field_to_csv, read_field, write_field
 from hfourier.transform import SpectralTable, inverse_on_grid, table_from_csv, table_to_csv
 from hfourier.wigner import boundary_kernel
 
@@ -141,6 +141,65 @@ def test_inverse_rejects_bad_table(tmp_path, small_config, gauss_file, capsys):
                "--config", small_config, "--out", str(tmp_path / "inv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_forward_of_a_csv_field_matches_its_hfld(tmp_path, small_config, gauss_file):
+    # a .csv input goes through field_from_csv; its outputs are the .hfld's, byte for byte
+    csv = tmp_path / "gauss.csv"
+    field_to_csv(read_field(gauss_file), csv)
+    for name, path in (("hfld", gauss_file), ("csv", str(csv))):
+        assert main(["transform", "--input", path, "--config", small_config,
+                     "--out", str(tmp_path / name)]) == 0
+    for out in ("table.csv", "table.csv.json", "summary.json"):
+        assert (tmp_path / "csv" / out).read_bytes() == (tmp_path / "hfld" / out).read_bytes()
+
+
+def _sidecar_edit(key, value):
+    def edit(meta):
+        *path, last = key.split(".")
+        target = meta
+        for part in path:
+            target = target[part]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        return json.dumps(meta)
+
+    return edit
+
+
+BAD_SIDECARS = [
+    (_sidecar_edit("n_max", 2.7), "'n_max' must be an integer, got 2.7"),
+    (_sidecar_edit("d", True), "'d' must be an integer, got True"),
+    (_sidecar_edit("n_max", "2"), "'n_max' must be an integer, got '2'"),
+    (_sidecar_edit("grid.points_per_sign", 4.0), "'grid.points_per_sign' must be an integer"),
+    (_sidecar_edit("grid", [1, 2]), "'grid' must be a JSON object"),
+    (_sidecar_edit("grid", None), "missing key 'grid'"),
+    (_sidecar_edit("grid.lambda_min", None), "missing key 'grid.lambda_min'"),
+    (lambda meta: json.dumps(meta).replace('"lambda_min": 0.1', '"lambda_min": NaN'),
+     "non-standard JSON constant NaN"),
+    (lambda meta: json.dumps(meta)[:-1], "Expecting ',' delimiter"),
+    (lambda meta: "[]", "the top level must be a JSON object"),
+    (_sidecar_edit("n_max", -1), "need d >= 1 and n_max >= 0"),
+]
+
+
+@pytest.mark.parametrize("edit, message", BAD_SIDECARS, ids=[
+    "n_max-real", "d-bool", "n_max-string", "points-real", "grid-list", "no-grid",
+    "no-lambda_min", "nan", "malformed", "top-level-list", "n_max-negative"])
+def test_inverse_refuses_a_malformed_sidecar(edit, message, tmp_path, small_config, capsys):
+    grid = LambdaGrid(0.1, 2.0, 3)
+    table = tmp_path / "table.csv"
+    table_to_csv(SpectralTable(np.ones((3, 3, len(grid.lam))), grid), table)
+    sidecar = tmp_path / "table.csv.json"
+    sidecar.write_text(edit(json.loads(sidecar.read_text())))
+    capsys.readouterr()
+    rc = main(["transform", "--input", str(table), "--direction", "inverse",
+               "--config", small_config, "--out", str(tmp_path / "inv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and f"(in {sidecar})" in err
 
 
 def test_heat_command(tmp_path, small_config, gauss_file):

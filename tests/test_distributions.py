@@ -57,6 +57,11 @@ def test_band_sum_tail_covers_the_strip(t):
     assert abs(res.value - math.pi**2 / (64.0 * t * t)) <= res.tail_bound
 
 
+def _boxed(theta, box):
+    """theta, with its band and label, on a wrapper that declares ``box``."""
+    return FreqFunction(theta, d=theta.d, band=theta.band, box=box, label=theta.label)
+
+
 def _band_fixture(name):
     if name == "heat":
         return heat_profile(1.0)
@@ -72,7 +77,7 @@ def test_band_sum_is_the_shell_sum_where_every_stride_is_one(name):
     th = _band_fixture(name)
     grid = LambdaGrid(0.05, 16.0, 40)
     v, _ = distributions._diagonal_band_sum(th, grid, 1, atol=1e-13)
-    want = integrate(th, grid, n_max=400).value
+    want = integrate(_boxed(th, 400), grid).value
     assert abs(v - want) <= 2e-12 * abs(want)
 
 
@@ -83,7 +88,7 @@ def test_strided_band_sum_matches_the_full_index_box(name):
     th = _band_fixture(name)
     grid = LambdaGrid(1e-3, 16.0, 80)
     v, _ = distributions._diagonal_band_sum(th, grid, 1, atol=1e-10)
-    want = integrate(th, grid, n_max=6000).value
+    want = integrate(_boxed(th, 6000), grid).value
     assert abs(v - want) <= 1e-6 * abs(want)
 
 
@@ -92,7 +97,7 @@ def test_band_sum_at_d2_keeps_the_band():
     th = profile_to_freq_function(profile_exp_floor(0.5, d=2))   # band 2
     grid = LambdaGrid(0.05, 8.0, 24)
     v, tail = distributions._diagonal_band_sum(th, grid, 2)
-    assert v == pytest.approx(integrate(th, grid, n_max=24).value, rel=1e-13)
+    assert v == pytest.approx(integrate(_boxed(th, 24), grid).value, rel=1e-13)
     assert tail == math.inf
 
 
@@ -249,7 +254,7 @@ def test_finite_part_reduces_to_plain_integral(grid):
         return w * away(n, m, lam)
 
     # 40000 shells cover the support x. < 8 down to lambda_min = 1e-4
-    rhs = integrate(FreqFunction(weighted, d=1, diagonal=True), grid, 40000).value.real
+    rhs = integrate(FreqFunction(weighted, d=1, diagonal=True, box=40000), grid).value.real
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
@@ -379,8 +384,8 @@ def test_fourier_distribution_function_branch(grid):
     got = pair(out, heat_profile(1.0), small)
     want = integrate(
         FreqFunction(lambda n, m, lam: psi(n, m, lam) * heat_profile(1.0)(n, m, lam),
-                     d=1, diagonal=False),
-        small, 8,
+                     d=1, diagonal=False, box=8),
+        small,
     ).value
     assert got.value == pytest.approx(want, abs=1e-12)
 
@@ -395,9 +400,9 @@ def test_pair_sums_the_payload_box():
     psi, theta = out.terms[0][2], heat_profile(0.05)
     got = pair(out, theta, grid)
     product = FreqFunction(lambda n, m, lam: psi(n, m, lam) * theta(n, m, lam), band=0)
-    want = integrate(product, grid, 30)
+    want = integrate(_boxed(product, 30), grid)
     assert got.value == want.value and got.tail_bound == want.tail_bound
-    assert abs(integrate(product, grid, 24).value - want.value) > 5e-4 * abs(want.value)
+    assert abs(integrate(_boxed(product, 24), grid).value - want.value) > 5e-4 * abs(want.value)
     assert psi.box == 30
 
 
@@ -417,13 +422,27 @@ def test_pair_sums_the_smaller_declared_box():
     assert distributions._product_fn(psi, theta).box == 12
     got = pair(out, theta, grid)
     product = FreqFunction(lambda n, m, lam: psi(n, m, lam) * theta(n, m, lam), band=0)
-    want = integrate(product, grid, 12)
+    want = integrate(_boxed(product, 12), grid)
+    assert got.value == want.value and got.tail_bound == want.tail_bound
+
+
+def test_pair_sums_an_unboxed_payload_over_the_box_of_theta():
+    # a payload that declares no box meets a theta cut to the 10-box: the
+    # pairing is the sum of their product over that box, bit for bit
+    grid = LambdaGrid(1e-3, 10.0, 24)
+    psi = FreqFunction(lambda n, m, lam: np.exp(-0.3 * np.abs(lam) * (n + m + 1.0)[..., 0]),
+                       band=1, label="free")
+    theta = _boxed(heat_profile(0.05), 10)
+    got = pair(Distribution.single("freq_function", payload=psi), theta, grid)
+    product = FreqFunction(lambda n, m, lam: psi(n, m, lam) * theta(n, m, lam), band=0, box=10)
+    want = integrate(product, grid)
     assert got.value == want.value and got.tail_bound == want.tail_bound
 
 
 def test_pair_refuses_a_payload_without_box():
+    # neither factor declares a box: integrate refuses the product, naming both
     free = FreqFunction(lambda n, m, lam: 0.0 * lam, label="free")
-    with pytest.raises(ValueError, match="'free' declares no index box"):
+    with pytest.raises(ValueError, match=r"'free\*heat\(t=1.0\)' declares no index box"):
         pair(Distribution.single("freq_function", payload=free), heat_profile(1.0))
 
 
@@ -450,9 +469,10 @@ def test_duality_function_branch(grid):
         table = forward_factored(f, 12, tgrid)
         lhs = integrate(
             FreqFunction(
-                lambda n, m, lam: table.as_freq_function()(n, m, lam) * theta(n, m, lam), d=1
+                lambda n, m, lam: table.as_freq_function()(n, m, lam) * theta(n, m, lam), d=1,
+                box=12,
             ),
-            tgrid, 12,
+            tgrid,
         ).value
         rhs = np.sum(f.samples * ttheta.samples) * f.cell_volume
         assert lhs == pytest.approx(rhs, rel=3e-3)

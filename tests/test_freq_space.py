@@ -19,7 +19,7 @@ from hfourier.freq_space import (
 )
 from hfourier.profiles import heat_profile
 from hfourier.distributions import make_f_gamma
-from hfourier.transform import SpectralTable, table_from_csv, table_to_csv
+from hfourier.transform import SpectralTable, inverse_at_point, table_from_csv, table_to_csv
 
 
 def random_point(rng, kind=None):
@@ -149,9 +149,10 @@ def test_gauss_legendre_exact_on_nonuniform_panels(q):
 def test_integrate_zero():
     grid = LambdaGrid(1e-3, 8.0, 80)
     zero = FreqFunction(
-        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True
+        lambda n, m, lam: np.zeros(np.broadcast_shapes(n.shape[:-1], lam.shape)), diagonal=True,
+        box=8,
     )
-    res = integrate(zero, grid, 8)
+    res = integrate(zero, grid)
     assert res.value == 0
     assert res.tail_bound == 0
 
@@ -163,9 +164,9 @@ def test_integrate_indicator():
         lambda n, m, lam: ((np.abs(lam) <= 1.0) & (n == 0).all(-1) & (m == 0).all(-1)).astype(
             complex
         ),
-        diagonal=True,
+        diagonal=True, box=2,
     )
-    res = integrate(ind, grid, 2)
+    res = integrate(ind, grid)
     # the jump falls inside one geometric cell; expect cell-size accuracy
     # (refinement is not monotone for a discontinuous integrand)
     assert res.value.real == pytest.approx(1.0, abs=5e-2)
@@ -173,7 +174,7 @@ def test_integrate_indicator():
 
 def test_integrate_heat_series():
     grid = LambdaGrid(1e-4, 16.0, 160)
-    res = integrate(heat_profile(1.0), grid, 400)
+    res = integrate(_boxed(heat_profile(1.0), 400), grid)
     # sum over odd squares gives pi^2 / 64
     assert res.value.real == pytest.approx(math.pi**2 / 64, abs=2e-4)
     assert res.tail_bound < 2e-3
@@ -181,20 +182,25 @@ def test_integrate_heat_series():
 
 def test_l1m_norm_family():
     grid = LambdaGrid(1e-4, 16.0, 160)
-    f1 = make_f_gamma(1.0, 1)
+    f1 = _boxed(make_f_gamma(1.0, 1), 24)
     vals = []
     for lam_min in (4e-4, 2e-4, 1e-4):
         g = LambdaGrid(lam_min, 16.0, 160)
-        vals.append(l1m_norm(f1, 4, g, 24).value.real)
+        vals.append(l1m_norm(f1, 4, g).value.real)
     deltas = [abs(vals[i + 1] - vals[i]) for i in range(2)]
     assert deltas[1] < 0.8 * deltas[0]
 
-    f2 = make_f_gamma(2.0, 1)
-    a = l1m_norm(f2, 4, LambdaGrid(1e-3, 16.0, 160), 24).value.real
-    b = l1m_norm(f2, 4, LambdaGrid(1e-5, 16.0, 160), 24).value.real
+    f2 = _boxed(make_f_gamma(2.0, 1), 24)
+    a = l1m_norm(f2, 4, LambdaGrid(1e-3, 16.0, 160)).value.real
+    b = l1m_norm(f2, 4, LambdaGrid(1e-5, 16.0, 160)).value.real
     slope = (b - a) / math.log(1e2)
     expected = 2.0 * sum((2 * n + 1.0) ** -2 for n in range(25))
     assert slope == pytest.approx(expected, rel=0.05)
+
+
+def _boxed(theta, box):
+    """theta, with its band and label, on a wrapper that declares ``box``."""
+    return FreqFunction(theta, d=theta.d, band=theta.band, box=box, label=theta.label)
 
 
 def _random_table_fn(n_max=8):
@@ -206,33 +212,32 @@ def _random_table_fn(n_max=8):
 
 
 def test_integrate_reads_the_declared_box():
-    # the sum over the box a table declares is the sum an explicit cap at
-    # that box gives to the same function with no box, bit for bit
+    # the sum over the box a table declares is the sum a wrapper declaring
+    # that box gives to the same function, bit for bit
     fn, grid = _random_table_fn()
-    undeclared = FreqFunction(fn, d=1, label="undeclared")
-    got, want = integrate(fn, grid), integrate(undeclared, grid, 8)
+    rewrapped = _boxed(FreqFunction(fn, d=1, label="unboxed"), 8)
+    got, want = integrate(fn, grid), integrate(rewrapped, grid)
     assert got.value == want.value and got.tail_bound == want.tail_bound
-    assert integrate(fn, grid, 8).value == want.value
-    norm = l1m_norm(fn, 4, grid)
-    assert norm.value == l1m_norm(undeclared, 4, grid, 8).value
-    assert norm.tail_bound == l1m_norm(undeclared, 4, grid, 8).tail_bound
-
-
-@pytest.mark.parametrize("n_max", [6, 12])
-def test_a_cap_other_than_the_declared_box_is_refused(n_max):
-    fn, grid = _random_table_fn()
-    with pytest.raises(ValueError, match=f"n_max {n_max} contradicts the index box 8"):
-        integrate(fn, grid, n_max)
-    with pytest.raises(ValueError, match=f"n_max {n_max} contradicts the index box 8"):
-        l1m_norm(fn, 4, grid, n_max)
+    norm, want = l1m_norm(fn, 4, grid), l1m_norm(rewrapped, 4, grid)
+    assert norm.value == want.value and norm.tail_bound == want.tail_bound
 
 
 def test_a_sum_without_box_or_cap_is_refused_by_label():
-    free = FreqFunction(lambda n, m, lam: np.exp(-np.abs(lam)) + 0 * n[..., 0], label="free")
+    # integrate, l1m_norm and the spot inverse refuse an unboxed theta
+    # before they call it
+    calls = []
+
+    def interior(n, m, lam):
+        calls.append(lam)
+        return np.exp(-np.abs(lam)) + 0 * n[..., 0]
+
+    free = FreqFunction(interior, label="free")
     grid = LambdaGrid(0.05, 4.0, 6)
-    for call in (lambda: integrate(free, grid), lambda: l1m_norm(free, 4, grid)):
-        with pytest.raises(ValueError, match="'free' declares no index box and no n_max"):
+    for call in (lambda: integrate(free, grid), lambda: l1m_norm(free, 4, grid),
+                 lambda: inverse_at_point(free, np.zeros(3), grid)):
+        with pytest.raises(ValueError, match="theta 'free' declares no index box$"):
             call()
+    assert not calls
 
 
 def test_value_at_origin_extrapolation():

@@ -517,7 +517,8 @@ def test_inverse_round_trip_short():
 def test_inverse_at_point_matches_grid():
     grid = LambdaGrid(1e-3, 10.0, 80)
     theta = heat_profile(1.0)
-    v = inverse_at_point(theta, np.array([0.5, 0.0, 0.6]), grid, n_max=48)
+    boxed = FreqFunction(theta, band=0, box=48, label="heat-48")
+    v = inverse_at_point(boxed, np.array([0.5, 0.0, 0.6]), grid)
     fld, _ = inverse_on_grid(theta, grid, extents=(1.0, 1.0, 1.2), points=(5, 5, 5),
                              n_cap=48, assume_symmetric=True)
     iy = int(np.argmin(np.abs(fld.y_axis - 0.5)))
@@ -543,7 +544,7 @@ def test_banded_inverse_at_point_matches_grid():
                              n_cap=12)
     for iy, ie, ks in [(3, 1, 4), (0, 3, 0), (4, 4, 2)]:
         w = np.array([fld.y_axis[iy], fld.eta_axis[ie], fld.s_axis[ks]])
-        v = inverse_at_point(theta, w, grid, n_max=12)
+        v = inverse_at_point(FreqFunction(theta, band=2, box=12), w, grid)
         assert v == pytest.approx(complex(fld.samples[iy, ie, ks]), abs=2e-4)
 
 
@@ -803,8 +804,6 @@ def test_table_inverse_refuses_a_cap_other_than_its_box(unit_table, n_max):
     theta = FreqFunction(interior, box=8, label="spied-table")
     with pytest.raises(ValueError, match=f"n_max {n_max} contradicts the index box 8"):
         inverse_on_grid(theta, unit_table.grid, n_max, points=(9, 9, 9))
-    with pytest.raises(ValueError, match=f"n_max {n_max} contradicts the index box 8"):
-        inverse_at_point(theta, np.zeros(3), unit_table.grid, n_max)
     assert not calls
     # the declared box, given or not, is the one summed
     kw = dict(points=(5, 5, 5), assume_symmetric=True)
