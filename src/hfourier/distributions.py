@@ -172,20 +172,26 @@ def _diagonal_band_sum(theta, grid, d, atol=1e-6):
     that sum at +-lambda_min (each sample counted with its weight) and
     multiplies it by the strip width lambda_min.
 
-    The pairs m - n run over theta's reach (its band, else its box).
-    d > 1: the pairs within that reach of a fixed 24-box; infinite tail.
+    The pairs m - n run over theta's reach (its band, else its box).  A
+    theta that declares a box is summed exactly over every pair within
+    that reach of its box, as :func:`integrate` sums it; its box is its
+    support, so its tail is the strip alone.  An unboxed theta at d > 1
+    is summed over the pairs within that reach of a fixed 24-box, with an
+    infinite tail.
     """
     band = _k_reach(theta)
     lam = grid.lam
     meas = np.abs(lam) ** d * grid.weights
-    if d > 1:
-        n, m = box_pairs(d, 24, band)
-        return complex(np.sum(theta(n[:, None], m[:, None], lam) * meas)), math.inf
+    edge = [grid.points_per_sign - 1, grid.points_per_sign]                # lambda = -+lambda_min
+    if d > 1 or theta.box is not None:
+        n, m = box_pairs(d, 24 if theta.box is None else theta.box, band)
+        vals = theta(n[:, None], m[:, None], lam)
+        strip = np.sum(np.abs(vals[:, edge])) * grid.lambda_min ** (d + 1)
+        return complex(np.sum(vals * meas)), math.inf if theta.box is None else float(strip)
     offsets = np.arange(-band, band + 1)[:, None]
     stride = np.maximum(1, np.floor(_XDOT_STEP / (2.0 * np.abs(lam)))).astype(int)
     far_w = stride.astype(float)[None, None]                             # (1, 1, lambda)
     block = max(1, _BAND_ENTRIES // (len(offsets) * len(lam)))
-    edge = [grid.points_per_sign - 1, grid.points_per_sign]                # lambda = -+lambda_min
     total = 0.0 + 0.0j
     strip = 0.0
     tail = math.inf
@@ -289,22 +295,27 @@ def _finite_part(gamma, theta, grid, atol=1e-7):
         edge = np.abs(vals[:, 0] + vals[:, P] - 2.0 * theta0) - 2.0 * abs(theta0)
         return np.stack([(vals[:, :P] + vals[:, P:]) @ coef * power, edge * power])
 
-    # shells 0..n0 with the Euler-Maclaurin start weights on n0 - 2, n0 - 1, n0
-    head = np.ones(_FP_EXACT + 1)
-    head[-3:] = [1.0 - 1.0 / 24.0, 1.0 + 1.0 / 6.0, 0.5 - 1.0 / 8.0]
-    last = rows(np.arange(_FP_EXACT + 1))
-    part, edge = last @ head
-    last = last[:, -1]
-    tail = math.inf
-    for n, w in _log_node_blocks():
-        block = np.concatenate([last[:, None], rows(n[1:])], axis=1)
-        part += block[0] @ w
-        edge += block[1] @ w
-        last = block[:, -1]
-        sizes = np.abs(block[0, -2:])
-        tail = float(shell_tail(sizes[0], sizes[1], n[-1], prev_n=n[-2]))
-        if tail < atol:
-            break
+    if theta.box is not None:
+        # the box is the support: every shell up to it, exactly, and no shell tail
+        part, edge = rows(np.arange(theta.box + 1)).sum(axis=1)
+        tail = 0.0
+    else:
+        # shells 0..n0 with the Euler-Maclaurin start weights on n0 - 2, n0 - 1, n0
+        head = np.ones(_FP_EXACT + 1)
+        head[-3:] = [1.0 - 1.0 / 24.0, 1.0 + 1.0 / 6.0, 0.5 - 1.0 / 8.0]
+        last = rows(np.arange(_FP_EXACT + 1))
+        part, edge = last @ head
+        last = last[:, -1]
+        tail = math.inf
+        for n, w in _log_node_blocks():
+            block = np.concatenate([last[:, None], rows(n[1:])], axis=1)
+            part += block[0] @ w
+            edge += block[1] @ w
+            last = block[:, -1]
+            sizes = np.abs(block[0, -2:])
+            tail = float(shell_tail(sizes[0], sizes[1], n[-1], prev_n=n[-2]))
+            if tail < atol:
+                break
     zeta = 2.0 ** (-gamma) * hurwitz_zeta(gamma, 0.5)
     origin = -2.0 * theta0 * zeta * (np.sum(coef) + grid.lambda_max ** (2.0 - gamma) / (gamma - 2.0))
     strip = (edge.real + 2.0 * abs(theta0) * zeta) * grid.lambda_min ** (2.0 - gamma) / (2.5 - gamma)
@@ -359,7 +370,7 @@ def pair(T, theta, grid=None, atol=1e-6):
             tail += abs(coeff) * res.tail_bound
         elif kind == "freq_identity_sum":
             # sum_n int theta(n, n, lam) |lam|^d dlam
-            v, t = _diagonal_band_sum(FreqFunction(theta, d=T.d, band=0), grid, T.d, atol=atol)
+            v, t = _diagonal_band_sum(FreqFunction(theta, d=T.d, band=0, box=theta.box), grid, T.d, atol)
             value += coeff * v
             tail += abs(coeff) * t
         elif kind == "freq_dirac_origin":

@@ -19,7 +19,8 @@ broadcast shape.  Boundary values follow the same contract, with x. and k
 of shape S + (d,).  ``band`` (largest |m - n|; 0 diagonal, None dense)
 and ``box`` (largest n_j, m_j; None uncapped) describe the support: every
 sum, product and pairing takes its index range from them, not from a
-caller, and evaluates theta on whole arrays or blocks of them.
+caller, and evaluates theta on whole arrays or blocks of them.  A
+FreqFunction is 0 past its box, whatever its interior says.
 """
 
 import json
@@ -274,31 +275,49 @@ class FreqFunction:
         Sums run over this band only.
     box : int or None
         Largest n_j, m_j carrying support (a table's n_max); None = no cap.
+        The box is the support: every evaluation, and every lambda-
+        derivative, is 0 wherever some n_j or m_j exceeds it, whatever
+        ``interior`` (or ``dlam``) returns there.
     diagonal : bool
         Shorthand for ``band=0``.
     label : str
         Display name; no computation reads it.
+
+    A ``d`` other than an integer >= 1, or a ``band`` or ``box`` other than
+    None or an integer >= 0 (a bool is neither), is refused with a
+    ValueError naming the label.
     """
 
     def __init__(self, interior, d=1, dlam=None, boundary=None,
                  diagonal=False, band=None, box=None, label=""):
+        band = 0 if diagonal else band
+        for key, value, low in (("d", d, 1), ("band", band, 0), ("box", box, 0)):
+            if (value is not None or key == "d") and not (_INTEGER[0](value) and value >= low):
+                want = "an integer" if key == "d" else "None or an integer"
+                raise ValueError(f"theta {label!r}: {key} must be {want} >= {low}, got {value!r}")
         self._interior = interior
         self.d = d
         self._dlam = dlam
         self._boundary = boundary
-        self.band = 0 if diagonal else band
+        self.band = band
         self.box = box
         self.label = label
 
     def __call__(self, n, m, lam):
-        return np.asarray(self._interior(*index_arrays(n, m, lam)), dtype=complex)
+        n, m, lam = index_arrays(n, m, lam)
+        return self._in_box(n, m, self._interior(n, m, lam))
+
+    def _in_box(self, n, m, vals):
+        """``vals`` as a complex array, 0 wherever some n_j or m_j exceeds the box."""
+        vals = np.asarray(vals, dtype=complex)
+        return vals if self.box is None else np.where((np.maximum(n, m) <= self.box).all(-1), vals, 0)
 
     def dlam(self, n, m, lam):
         """d theta / d lam, analytic when available, else a sign-preserving
-        centered difference with step min(1e-4, |lam|/8)."""
+        centered difference with step min(1e-4, |lam|/8); 0 past the box."""
         n, m, lam = index_arrays(n, m, lam)
         if self._dlam is not None:
-            return np.asarray(self._dlam(n, m, lam), dtype=complex)
+            return self._in_box(n, m, self._dlam(n, m, lam))
         h = np.minimum(1e-4, np.abs(lam) / 8.0)
         return (self(n, m, lam + h) - self(n, m, lam - h)) / (2.0 * h)
 
@@ -415,7 +434,9 @@ def integrate(theta, grid):
     before it is called), within its support band, and over the lambda
     grid.  Returns an :class:`IntegralResult` carrying a tail estimate
     built from the outermost index shell and the uncovered lambda ranges
-    (an estimate, not a certified bound).
+    (an estimate, not a certified bound).  The shell tail is the one place
+    that still reads a box as a truncation: a table's truth goes on past
+    its n_max, which its boundary slice is to replace.
     """
     fn = _as_eval(theta)
     d = fn.d

@@ -107,20 +107,18 @@ class SpectralTable:
         return self.values.shape[0] - 1
 
     def as_freq_function(self):
-        """Table-backed FreqFunction with index box ``n_max``: zero beyond
-        the box, and a KeyError for a lambda off the table grid."""
-        nmax = self.n_max
+        """Table-backed FreqFunction with index box ``n_max``, and a
+        KeyError for a lambda off the table grid.  The interior clips its
+        gather into the table; the box makes the function zero past it."""
 
         def interior(n, m, lam):
             il, on_grid = _grid_index(self.grid.lam, lam)
             if not on_grid:
                 raise KeyError(f"lambda {lam} not on the table grid")
-            nm = np.concatenate(np.broadcast_arrays(n, m), axis=-1)
-            inside = ((nm >= 0) & (nm <= nmax)).all(axis=-1)
-            vals = self.values[tuple(np.moveaxis(np.clip(nm, 0, nmax), -1, 0)) + (il,)]
-            return np.where(inside, vals, 0.0)
+            nm = np.clip(np.concatenate(np.broadcast_arrays(n, m), axis=-1), 0, self.n_max)
+            return self.values[tuple(np.moveaxis(nm, -1, 0)) + (il,)]
 
-        return FreqFunction(interior, d=self.d, box=nmax, label=f"table:{self.provenance}")
+        return FreqFunction(interior, d=self.d, box=self.n_max, label=f"table:{self.provenance}")
 
 
 def _grid_index(grid_lam, lam):
@@ -559,10 +557,13 @@ def inverse_on_grid(theta, grid, n_max=None, extents=(6.0, 6.0, 6.0), points=(33
     its channels k = m - n on the distinct values of |Y|^2 of the grid
     (:func:`hfourier.wigner.wigner_series_radial`; a diagonal is the
     channel k = 0).  Its diagonal extent n_top adapts per lambda up to
-    ``n_cap`` (one probe call for every lambda; the skipped remainder is
-    bounded by 1/(32 pi^2 n_cap) per unit lambda mass and folded into the
-    reported tail), and theta is evaluated once on the band box of the
-    largest n_top, each lambda zeroed past its own.  Otherwise theta (a
+    ``n_cap``, and never past a declared box (one probe call for every
+    lambda).  Where n_top stops at ``n_cap`` short of the support's end, the
+    skipped remainder is bounded by 1/(32 pi^2 n_cap) per unit lambda mass
+    and folded into the reported tail, and a diagonal adds its boundary-
+    kernel estimate; an n_top at the box leaves no remainder.  theta is
+    evaluated once on the band box of the largest n_top, each lambda
+    zeroed past its own.  Otherwise theta (a
     table, or a multiplier of one) is evaluated once on its declared box,
     and its slices chi = sum_{n,m} theta_nm W_nm go through the 45-degree
     rotation of :func:`hfourier.wigner.wigner_series_dense`.  The lambda
@@ -603,8 +604,9 @@ def inverse_on_grid(theta, grid, n_max=None, extents=(6.0, 6.0, 6.0), points=(33
         chi[live] = wigner_series_dense(rows[:, :, live], lam_list[live], y_axis, e_axis)
         out = _oscillatory_lambda_stage(chi, lam_list, s_axis)
     else:
-        n_tops = _n_extent(theta, lam_list, n_cap)
-        capped = n_tops == n_cap
+        box = math.inf if theta.box is None else theta.box
+        n_tops = _n_extent(theta, lam_list, int(min(n_cap, box)))
+        capped = (n_tops == n_cap) & (n_cap < box)
         # a running sum in lambda order (np.sum's pairwise order moves the last bit)
         tail = sum((grid.weights[cols] / (8.0 * n_cap))[capped & (np.abs(lam_list) * n_cap < 4.0)]
                    .tolist(), 0.0)

@@ -68,7 +68,7 @@ lams = st.lists(st.sampled_from(GRID.lam.tolist()), min_size=1, max_size=5)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(nm=pairs, lam=lams)
 def test_box_call_equals_scalar_calls(name, nm, lam):
     theta = FIXTURES[name]
@@ -93,7 +93,7 @@ ks = st.lists(st.integers(-4, 4), min_size=1, max_size=5)
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARY_FIXTURES))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(xd=xdots, k=ks)
 def test_boundary_call_equals_scalar_calls(name, xd, k):
     theta = BOUNDARY_FIXTURES[name]
@@ -103,7 +103,7 @@ def test_boundary_call_equals_scalar_calls(name, xd, k):
     assert np.abs(box - stack).max() <= 1e-15 * np.abs(stack).max()
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(xd=xdots, k=ks, lam=st.floats(-2.0, 2.0))
 def test_floor_profile_parity_over_k_arrays(xd, k, lam):
     P = profile_exp_floor(0.5, lam_slope=0.5)

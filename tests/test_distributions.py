@@ -37,7 +37,7 @@ def test_trace_pairing_heat(grid):
     assert res.tail_bound < 1e-3
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(t=st.floats(0.25, 2.0))
 def test_trace_pairing_heat_over_time(t):
     # <I, heat(t)> = sum_n int exp(-4t(2n+1)|lam|) |lam| dlam = pi^2 / (64 t^2)
@@ -99,6 +99,18 @@ def test_band_sum_at_d2_keeps_the_band():
     v, tail = distributions._diagonal_band_sum(th, grid, 2)
     assert v == pytest.approx(integrate(_boxed(th, 24), grid).value, rel=1e-13)
     assert tail == math.inf
+
+
+def test_sums_at_d2_keep_the_declared_box():
+    # the band sum and the trace functional at d > 1 sum the box theta
+    # declares, not the fixed 24-box
+    grid = LambdaGrid(0.05, 8.0, 24)
+    floor = _boxed(profile_to_freq_function(profile_exp_floor(0.5, d=2)), 3)
+    v, _ = distributions._diagonal_band_sum(floor, grid, 2)
+    assert v == pytest.approx(integrate(floor, grid).value, rel=1e-13)
+    heat = _boxed(heat_profile(1.0, d=2), 3)
+    got = pair(Distribution.single("freq_identity_sum", d=2), heat, grid).value
+    assert got == pytest.approx(integrate(heat, grid).value, rel=1e-13)
 
 
 def test_band_sum_blocks_stay_small():

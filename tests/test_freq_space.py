@@ -17,9 +17,11 @@ from hfourier.freq_space import (
     one_plus_weight,
     simpson_log_weights,
 )
-from hfourier.profiles import heat_profile
-from hfourier.distributions import make_f_gamma
-from hfourier.transform import SpectralTable, inverse_at_point, table_from_csv, table_to_csv
+from hfourier.profiles import heat_profile, profile_exp_floor, profile_to_freq_function
+from hfourier.distributions import (Distribution, _diagonal_band_sum, _finite_part, make_f_gamma,
+                                    pair)
+from hfourier.transform import (SpectralTable, inverse_at_point, spectral_product, table_from_csv,
+                                table_to_csv)
 
 
 def random_point(rng, kind=None):
@@ -119,7 +121,7 @@ def _simpson_loop(count, step):
     return w
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(count=st.integers(2, 5000),
        step=st.sampled_from([1.0, 0.1, 2.0 / 3.0, math.log(16e3) / 47, 6.5e-3, 1e-300]))
 @example(count=3, step=0.1)
@@ -238,6 +240,90 @@ def test_a_sum_without_box_or_cap_is_refused_by_label():
         with pytest.raises(ValueError, match="theta 'free' declares no index box$"):
             call()
     assert not calls
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d", 0), ("d", 1.0), ("d", True), ("d", None),
+    ("band", -1), ("band", 2.5), ("band", True),
+    ("box", -1), ("box", 2.5), ("box", False),
+])
+def test_malformed_declarations_are_refused_by_label(key, value):
+    with pytest.raises(ValueError, match=f"^theta 'bad': {key} must be .*, got {value!r}$"):
+        FreqFunction(lambda n, m, lam: lam, label="bad", **{key: value})
+
+
+def test_well_formed_declarations_are_kept():
+    theta = FreqFunction(lambda n, m, lam: lam, d=np.int64(2), diagonal=True, box=np.int64(0))
+    assert (theta.d, theta.band, theta.box) == (2, 0, 0)
+
+
+def _cut(theta, box):
+    """theta's interior cut at ``box`` by hand, with its band and no box."""
+    def interior(n, m, lam):
+        return np.where((np.maximum(n, m) <= box).all(axis=-1), theta(n, m, lam), 0.0)
+    return FreqFunction(interior, d=theta.d, band=theta.band, label=f"{theta.label}<={box}")
+
+
+@settings(max_examples=15)
+@given(t=st.floats(0.5, 2.0), box=st.integers(0, 10), kind=st.sampled_from(["heat", "exp_floor"]))
+def test_a_declared_box_is_the_support_on_every_route(t, box, kind):
+    # every route gives theta declared with a box what it gives the same
+    # interior cut there by hand; a route that needs a box gets the cut
+    # one's on a wider box, where it adds only zeros
+    base = heat_profile(t) if kind == "heat" else profile_to_freq_function(profile_exp_floor(t))
+    declared, cut = _boxed(base, box), _cut(base, box)
+    grid = LambdaGrid(0.05, 4.0, 6)
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    close(integrate(declared, grid).value, integrate(_boxed(cut, 12), grid).value)
+    w = np.array([0.4, -0.3, 0.5])
+    close(inverse_at_point(declared, w, grid), inverse_at_point(_boxed(cut, 12), w, grid))
+    # the cut one declares no box, so its shell sums run to their first
+    # empty shell only under a stopping tolerance no nonzero shell meets
+    close(_diagonal_band_sum(declared, grid, 1)[0], _diagonal_band_sum(cut, grid, 1, 1e-300)[0])
+    identity = Distribution.single("freq_identity_sum")
+    close(pair(identity, declared, grid).value, pair(identity, cut, grid, atol=1e-300).value)
+    close(_finite_part(2.1, declared, grid)[0], _finite_part(2.1, cut, grid, atol=1e-300)[0])
+    for n, m in ((box, box), (box, box + 1), (max(box - 1, 0), box + 1)):
+        close(spectral_product(declared, base, (n,), (m,), 0.7),
+              spectral_product(cut, base, (n,), (m,), 0.7))
+
+
+@pytest.mark.parametrize("box", [10, 25, 40])
+def test_a_box_past_the_sampled_shells_is_summed_exactly(box):
+    # at lambda_min = 0.01 the band sum samples n every 2 shells past n = 8,
+    # and the finite part samples n geometrically past n = 32; a declared
+    # box is summed shell by shell instead, so the band sum and the trace
+    # functional equal integrate's sum over the box
+    heat = _boxed(heat_profile(1.0), box)
+    grid = LambdaGrid(0.01, 8, 24)
+    want = integrate(heat, grid).value
+    assert abs(_diagonal_band_sum(heat, grid, 1)[0] - want) <= 1e-13 * abs(want)
+    got = pair(Distribution.single("freq_identity_sum"), heat, grid).value
+    assert abs(got - want) <= 1e-13 * abs(want)
+    # the finite part is linear and its origin part depends on theta(0^)
+    # alone, so the box minus its shell 0 is the plain shell sum over 1..box
+    pos = grid.lam[grid.lam > 0]
+    coef = grid.weights[grid.lam > 0] * pos ** (1.0 - 2.1)
+    n = np.arange(1, box + 1)
+    shells = (heat(n[:, None, None], n[:, None, None], pos)
+              + heat(n[:, None, None], n[:, None, None], -pos)) @ coef * (2.0 * n + 1.0) ** -2.1
+    got = _finite_part(2.1, heat, grid)[0] - _finite_part(2.1, _boxed(heat, 0), grid)[0]
+    assert abs(got - shells.sum()) <= 1e-13 * abs(shells.sum())
+
+
+def test_a_boxed_lambda_derivative_is_zero_past_the_box():
+    heat = heat_profile(1.0)
+    boxed = FreqFunction(heat, dlam=heat.dlam, band=0, box=3)
+    n = np.arange(6)[:, None]
+    assert np.array_equal(boxed.dlam(n, n, 0.5), np.where(n[:, 0] <= 3, heat.dlam(n, n, 0.5), 0))
+
+
+def test_the_hypothesis_profile_sets_no_deadline():
+    # tests/conftest.py loads it for every run; each test's own settings keep it
+    assert settings().deadline is None and settings(max_examples=5).deadline is None
 
 
 def test_value_at_origin_extrapolation():

@@ -44,14 +44,14 @@ def test_group_law_example():
     assert np.allclose(group_mul([1, 0, 0], [0, 1, 0]), [1, 1, -2])
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(d=dims, data=st.data())
 def test_inverse_is_negation(d, data):
     (w,) = data.draw(group_points(d, 1, 4.0))
     assert np.allclose(group_mul(w, group_inverse(w), d=d), 0.0, atol=1e-14)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(d=dims, data=st.data())
 def test_associativity(d, data):
     a, b, c = data.draw(group_points(d, 3, 4.0))
@@ -60,7 +60,7 @@ def test_associativity(d, data):
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(d=dims, t=st.floats(0.5, 3.0), data=st.data())
 def test_dilation(d, t, data):
     assert np.allclose(dilate(2.0, [1, 1, 1]), [2, 2, 4])
@@ -394,7 +394,7 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(d=dims, data=st.data())
 def test_binary_roundtrip(d, data, tmp_path_factory):
     f = random_field(d, data, [3, 5, 7] if d == 1 else [3, 5])
@@ -468,7 +468,7 @@ def _csv_rows(tmp_path):
     return path, header, rows
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_csv_roundtrip(data, tmp_path_factory):
     f = random_field(1, data, [3, 5, 7])
@@ -509,7 +509,7 @@ _EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225
                 -1e-310, 1e-300, -1e300, 1.7976931348623157e308]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(layout=st.sampled_from(["table d=1", "table d=2", "field", "kernel"]),
        symmetric=st.booleans(), data=st.data())
 def test_csv_writer_bytes_are_the_per_row_repr(layout, symmetric, data, tmp_path_factory):

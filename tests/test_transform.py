@@ -191,7 +191,7 @@ def test_rotation_blocks_orthogonal():
 _BLOCKS = [_rotation_block(N) for N in range(81)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
 def test_rotation_identity(a, c):
     # h_n((a+c)/sqrt2) h_m((a-c)/sqrt2) = sum_k C[n,m,k] h_{N-k}(a) h_k(c), n, m <= 40
@@ -821,6 +821,34 @@ def test_banded_inverse_ignores_n_max(small_grid):
     assert np.array_equal(a.samples, b.samples) and tail_a == tail_b
 
 
+def test_both_inverse_routes_agree_on_a_boxed_theta(monkeypatch):
+    # heat declared band 0 and box 5 goes through the channels; heat cut at
+    # 5 and declaring the box alone goes through the rotation
+    heat, grid, seen = heat_profile(1.0), LambdaGrid(0.01, 8, 24), []
+
+    def spied(n, m, lam):
+        seen.append(int(np.max(np.maximum(n, m))))
+        return heat(n, m, lam)
+
+    def cut(n, m, lam):
+        return np.where((np.maximum(n, m) <= 5).all(axis=-1), heat(n, m, lam), 0.0)
+
+    def no_correction(*args):
+        raise AssertionError("a diagonal boxed at 5 has no remainder to correct")
+
+    monkeypatch.setattr(transform, "_diagonal_tail_correction", no_correction)
+    rotation, strip = inverse_on_grid(FreqFunction(cut, box=5, label="heat<=5"), grid, points=(9, 9, 9))
+    # n_cap 5 stops at the box itself, which leaves no remainder either
+    for n_cap in (600, 5):
+        channels, tail = inverse_on_grid(FreqFunction(spied, band=0, box=5, label="spy"), grid,
+                                         points=(9, 9, 9), n_cap=n_cap)
+        assert np.abs(channels.samples - rotation.samples).max() <= 1e-13 * np.abs(rotation.samples).max()
+        # theta is never asked past its box, and the tail is the uncovered
+        # |lam| < lambda_min strip alone, as on the rotation route: no n_cap term
+        assert max(seen) == 5
+        assert tail == strip == 2.0 * grid.lambda_min / (8.0 * math.pi**2)
+
+
 def test_lifted_table_inverts_through_the_rotation(small_grid):
     # the frequency Laplacian of a 12-box table reaches one index past the
     # box, and its inverse is -|Y|^2 times the table's to rounding
@@ -911,7 +939,7 @@ _gaussians = st.lists(
     min_size=1, max_size=3)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(gaussians=_gaussians)
 def test_plancherel_per_lambda_on_gaussian_sums(gaussians):
     # Plancherel slice by slice: sum_{n,m} |f^(n, m, lam)|^2 = pi / (2|lam|) ||F_s f(., lam)||^2
@@ -1078,7 +1106,7 @@ def test_mirrored_inverse_counts_the_capped_remainder_on_both_branches():
     assert np.abs(half.samples - full.samples).max() <= 1e-12 * np.abs(full.samples).max()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(t1=st.floats(0.05, 3.0), t2=st.floats(0.05, 3.0), xdot=st.floats(-5.0, 5.0),
        k=st.integers(-3, 3), r1=st.floats(0.1, 2.0), r2=st.floats(0.1, 2.0))
 def test_boundary_product_commutes(t1, t2, xdot, k, r1, r2):

@@ -166,7 +166,7 @@ def test_symbol_matches_mpmath_laguerre(n, m, lam, y, eta):
     assert abs(got - _laguerre_form(n, m, lam, y, eta)) <= 1e-13
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     n=st.integers(0, 500), m=st.integers(0, 500),
     lam=st.floats(0.01, 4.0), sign=st.sampled_from([-1.0, 1.0]),
@@ -267,7 +267,7 @@ def test_channels_stack_lambdas_and_share_one_recurrence_per_band(monkeypatch):
         assert np.array_equal(got[il], one)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     K=st.integers(0, 60), L=st.integers(1, 4), R=st.integers(1, 6), alpha=st.integers(0, 3),
     x_max=st.sampled_from([5.0, 200.0, 3000.0]), seed=st.integers(0, 2**32 - 1),
@@ -320,7 +320,7 @@ def _laguerre_sum_every_row(alpha, coeffs, x):
     return acc * np.exp(log_scale), ~late & (log_scale >= -700.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     K=st.integers(0, 80), L=st.integers(2, 6), R=st.integers(1, 5),
     alpha=st.sampled_from([0, 1, 3]), band=st.booleans(),
@@ -351,7 +351,7 @@ def test_retired_rows_match_the_recurrence_on_every_row(K, L, R, alpha, band, x_
     assert np.all(err <= 1e-14 * np.maximum(top, np.finfo(float).tiny * 2.0**400))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     K=st.integers(0, 80), L=st.integers(1, 6), R=st.integers(1, 5),
     alpha=st.integers(0, 3), shared=st.booleans(),
@@ -399,7 +399,7 @@ def test_laguerre_sum_keeps_a_value_whose_scale_alone_underflows():
     assert np.allclose(_laguerre_sum(0, coeffs, x), want, rtol=1e-12, atol=0.0)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     n_top=st.integers(0, 30), seed=st.integers(0, 2**32 - 1),
     lam=st.floats(1e-4, 16.0), sign=st.sampled_from([-1.0, 1.0]),
