@@ -21,6 +21,7 @@ vertical-constant tensor then carries the factor 2 pi).
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 from scipy.special import j0, j1, jv
@@ -91,15 +92,14 @@ class Distribution:
 # every block
 _BAND_ENTRIES = 8192
 
-# last sample index j of the d = 1 band sum, whatever its stopping rule says
-_BAND_CAP = 20000
+# samples per lambda and pair that the band sum takes at most, at every d
+_BAND_CAP = 20001
 
-# node steps per theta call in the finite part; its Simpson weights depend
-# on where the blocks end
+# node steps per block of the finite part
 _FP_BLOCK = 64
 
-# beyond shell 8 the band sum samples n on a stride of about this width in
-# x. = |lam|(2n + k + 1); halving it moves c15's errors by at most 2e-6
+# beyond shell 8 the band sum samples each n_j on a stride of about this
+# width in x. = |lam|(2n + k + 1); halving it moves c15's errors by at most 2e-6
 _XDOT_STEP = 0.05
 
 # the finite part sums shells n < _FP_EXACT exactly, then samples the
@@ -111,17 +111,25 @@ _FP_LOG_STEP = 0.05
 _FP_NODES = 640
 
 
-def _stop_in_block(prev, sizes, shells, atol, tail):
-    """The shell stopping rule over one block: from shell 8 on, the sum ends
-    at the first shell whose power-law tail is below ``atol`` (``prev`` is
-    the shell before the block).  Returns the shells kept, whether the sum
-    ended, and the last fitted tail (``tail`` if none)."""
-    fits = shell_tail(np.concatenate([[prev], sizes[:-1]]), sizes, shells)
-    live = shells >= 8
-    stops = np.flatnonzero(live & (fits < atol))
-    end = int(stops[0]) + 1 if len(stops) else len(shells)
-    fitted = fits[:end][live[:end] & np.isfinite(fits[:end])]
-    return end, bool(len(stops)), (float(fitted[-1]) if len(fitted) else tail)
+def _shell_sum(blocks, terms, atol):
+    """Sum over index shells, block by block: ``blocks`` yields arrays of
+    consecutive shell numbers, and ``terms(shells)`` returns the weighted
+    sum of each shell, shape (J, K), and its weighted modulus at
+    +-lambda_min, shape (J,).  The sum ends after the first block, past
+    shell 8, whose last two shells fit a power-law tail (:func:`shell_tail`)
+    below ``atol``, or when ``blocks`` runs out.  Returns the value, the
+    tail fitted at the last block's end, and the sum of the edge moduli,
+    which each caller turns into its strip term."""
+    total, edge, tail, prev = 0.0 + 0.0j, 0.0, math.inf, math.nan
+    for shells in blocks:
+        sums, edges = terms(shells)
+        sizes = np.concatenate([[prev], np.abs(sums).sum(axis=1)])
+        total, edge = total + np.sum(sums), edge + np.sum(edges)
+        tail = float(shell_tail(sizes[-2], sizes[-1], shells[-1]))
+        if shells[-1] >= 8 and tail < atol:
+            break
+        prev = sizes[-1]
+    return total, tail, edge
 
 
 def _sample_weights(j, stride):
@@ -143,81 +151,79 @@ def _sample_weights(j, stride):
     return np.where((j < 8) | (stride == 1), 1.0, w)
 
 
+def _band_blocks(d, per_block):
+    """Shells 0, 1, ... within _BAND_CAP samples, by at most ``per_block`` samples or one shell."""
+    last, stop = int(_BAND_CAP ** (1.0 / d)), 0
+    while stop < last:
+        start, stop = stop, min(last, max(stop + 1, int((per_block + stop ** d) ** (1.0 / d))))
+        yield np.arange(start, stop)
+
+
 def _diagonal_band_sum(theta, grid, d, atol=1e-6):
     """Sum of theta over its support band against the frequency measure.
 
-    d = 1: for fixed lambda, sum_n theta(n, n + k, lambda) 2|lambda| is a
-    Riemann sum of step 2|lambda| in x. = |lambda|(2n + k + 1), the
-    variable of the boundary the interior tends to as lambda -> 0.  So
-    each lambda samples its index shells on a stride in x. rather than at
-    every integer n: shells n < 8 one by one, then sample j >= 8 at
-    n = 8 + (j - 8) s, with s = max(1, floor(_XDOT_STEP / (2|lambda|))).
-    Where s > 1 the samples carry s times Gregory's end weights and the
-    Euler-Maclaurin start correction (:func:`_sample_weights`); where
-    s = 1 (|lambda| > _XDOT_STEP / 4) every weight is 1 and the sum is
-    the exact shell sum.
-
-    Samples are evaluated in blocks (one theta call per block of j across
-    all lambda and all pairs m - n), each of at most _BAND_ENTRIES
-    (sample x pair x lambda) entries.  A block that starts at
-    j >= max(11, band) has every weight equal to the stride and every
-    m = n + k >= 0, so it sums against the vector s |lambda|^d w without
-    the per-sample weights or the m >= 0 mask.  The power-law stopping
-    rule runs sample by sample over j, so the j-th sample of every lambda
-    plays the part of a shell, and _BAND_CAP caps j; only the block ends
-    regroup the running total.  The tail adds to the fitted power-law tail the
-    uncovered strip |lambda| < lambda_min.  As lambda -> 0 the shells
-    that carry mass grow like 1/|lambda| while the x.-sum
-    sum_n |theta| |lambda|^d tends to a constant, so the strip freezes
-    that sum at +-lambda_min (each sample counted with its weight) and
-    multiplies it by the strip width lambda_min.
+    For fixed lambda, sum_n theta(n, n + k, lambda) |lambda|^d is a Riemann
+    sum of cell (2|lambda|)^d in x._i = |lambda|(2n_i + k_i + 1), the
+    boundary variables the interior tends to as lambda -> 0.  So each
+    coordinate is sampled on a stride in x.: n_i < 8 one by one, then
+    sample j >= 8 at n_i = 8 + (j - 8) s, s = max(1, floor(_XDOT_STEP /
+    (2|lambda|))), with the weights of :func:`_sample_weights` (all 1, the
+    exact shell sum, where s = 1); a multi-sample carries the product of
+    its coordinates' weights.  Shell j holds the multi-samples whose
+    largest coordinate sample is j.  :func:`_shell_sum` takes them in
+    blocks (one theta call per block, across all lambda and all pairs
+    m - n) of at most _BAND_ENTRIES (sample x pair x lambda) entries or one
+    shell, up to _BAND_CAP samples per lambda and pair.  At d = 1 a block
+    from j >= max(11, band) on has every weight equal to the stride and
+    every m >= 0, so it skips the per-sample weights and the m >= 0 mask.
+    The tail adds to the fitted one the uncovered strip |lambda| <
+    lambda_min: as lambda -> 0 the x.-sum sum_n |theta| |lambda|^d tends
+    to a constant, so the strip freezes it at +-lambda_min (each sample
+    with its weight) times the strip width lambda_min.
 
     The pairs m - n run over theta's reach (its band, else its box).  A
     theta that declares a box is summed exactly over every pair within
-    that reach of its box, as :func:`integrate` sums it; its box is its
-    support, so its tail is the strip alone.  An unboxed theta at d > 1
-    is summed over the pairs within that reach of a fixed 24-box, with an
-    infinite tail.
+    that reach of its box, as :func:`integrate` sums it, and its tail is
+    the strip alone.  A ``d`` other than theta's is refused.
     """
+    if d != theta.d:
+        raise ValueError(f"theta {theta.label!r} has d = {theta.d}, not the band sum's d = {d}")
     band = _k_reach(theta)
     lam = grid.lam
     meas = np.abs(lam) ** d * grid.weights
     edge = [grid.points_per_sign - 1, grid.points_per_sign]                # lambda = -+lambda_min
-    if d > 1 or theta.box is not None:
-        n, m = box_pairs(d, 24 if theta.box is None else theta.box, band)
+    if theta.box is not None:
+        n, m = box_pairs(d, theta.box, band)
         vals = theta(n[:, None], m[:, None], lam)
         strip = np.sum(np.abs(vals[:, edge])) * grid.lambda_min ** (d + 1)
-        return complex(np.sum(vals * meas)), math.inf if theta.box is None else float(strip)
-    offsets = np.arange(-band, band + 1)[:, None]
+        return complex(np.sum(vals * meas)), float(strip)
+    offsets = np.array(list(product(range(-band, band + 1), repeat=d)))   # (pairs, d)
     stride = np.maximum(1, np.floor(_XDOT_STEP / (2.0 * np.abs(lam)))).astype(int)
-    far_w = stride.astype(float)[None, None]                             # (1, 1, lambda)
-    block = max(1, _BAND_ENTRIES // (len(offsets) * len(lam)))
-    total = 0.0 + 0.0j
-    strip = 0.0
-    tail = math.inf
-    prev = math.nan
-    for start in range(0, _BAND_CAP + 1, block):
-        j = np.arange(start, min(start + block, _BAND_CAP + 1))[:, None]
-        if start >= max(11, band):                                       # weights s, m >= 0
-            n = 8 + (j - 8) * stride                                     # (J, lambda)
-            w = far_w
+
+    def terms(shells):
+        if d == 1 and shells[0] >= max(11, band):                        # weights s, m >= 0
+            n = 8 + (shells[:, None] - 8) * stride                       # (J, lambda)
+            w = stride.astype(float)[None, None]                         # (1, 1, lambda)
             vals = theta(n[:, None, :, None], (n[:, None] + offsets)[..., None], lam)
         else:
-            n = np.where(j < 8, j, 8 + (j - 8) * stride)
-            m = n[:, None] + offsets                                     # (J, pairs, lambda)
-            w = _sample_weights(j, stride)[:, None]                      # (J, 1, lambda)
-            vals = theta(n[:, None, :, None], np.maximum(m, 0)[..., None], lam)
-            vals = np.where(m >= 0, vals, 0.0)
-        sums = (vals * (w * meas)).sum(axis=-1)                          # (J, pairs)
-        sizes = np.abs(sums).sum(axis=1)
-        end, stopped, tail = _stop_in_block(prev, sizes, j[:, 0], atol, tail)
-        total += np.sum(sums[:end])
-        strip += np.sum(np.abs(vals[:end, :, edge]) * w[:end, :, edge]) \
-            * grid.lambda_min ** (d + 1)
-        if stopped:
-            break
-        prev = sizes[-1]
-    return complex(total), float(tail + strip)
+            # the block's multi-samples j by shell; each coordinate's n and weight
+            js = np.arange(shells[-1] + 1)[:, None]
+            j = np.indices((len(js),) * d).reshape(d, -1).T
+            j = j[np.argsort(j.max(axis=1), kind="stable")][shells[0] ** d:]   # (S, d)
+            n = np.where(js < 8, js, 8 + (js - 8) * stride)[j].transpose(0, 2, 1)   # (S, lambda, d)
+            w = np.prod(_sample_weights(js, stride)[j], axis=1)[:, None]  # (S, 1, lambda)
+            m = n[:, None] + offsets[:, None]                            # (S, pairs, lambda, d)
+            vals = theta(n[:, None], np.maximum(m, 0), lam)
+            if band:
+                vals = np.where((m >= 0).all(axis=-1), vals, 0.0)
+        sums = (vals * (w * meas)).sum(axis=-1)                          # (S, pairs)
+        edges = (np.abs(vals[..., edge]) * w[..., edge]).sum(axis=(1, 2))
+        at = shells ** d - shells[0] ** d                                # each shell's first sample
+        return (sums, edges) if d == 1 else (np.add.reduceat(sums, at), np.add.reduceat(edges, at))
+
+    blocks = _band_blocks(d, max(1, _BAND_ENTRIES // (len(offsets) * len(lam))))
+    total, tail, edges = _shell_sum(blocks, terms, atol)
+    return complex(total), float(tail + edges * grid.lambda_min ** (d + 1))
 
 
 def _simpson_weights(u):
@@ -235,17 +241,23 @@ def _simpson_weights(u):
 
 
 @lru_cache(maxsize=None)
-def _log_node_blocks():
-    """The finite part's integer nodes n_j = round(_FP_EXACT e^{j h}),
-    j <= _FP_NODES, in blocks of _FP_BLOCK steps that share their end nodes,
-    each with its Simpson weights in u = log n times n (dn = n du)."""
-    j = np.arange(_FP_NODES + 1)
-    nodes = np.rint(_FP_EXACT * np.exp(_FP_LOG_STEP * j)).astype(np.int64)
-    blocks = []
-    for start in range(0, _FP_NODES, _FP_BLOCK):
-        n = nodes[start: start + _FP_BLOCK + 1]
-        blocks.append((n, _simpson_weights(np.log(n)) * n))
-    return tuple(blocks)
+def _fp_table():
+    """The finite part's nodes (n < n0 = _FP_EXACT, then round(n0 e^{j h}),
+    h = _FP_LOG_STEP, j <= _FP_NODES), their weights (1, with the
+    Euler-Maclaurin start terms f(n0)/2 - f'(n0)/12 from the shells
+    n0 - 2..n0, plus Simpson's weights in log n times n from n0 on), where
+    each shell starts (one node up to n0, then one Simpson panel, so shell
+    sums do not alternate with the weights), and the blocks: the head
+    shells, then _FP_BLOCK nodes each.  A block's last node keeps the next
+    panel's opening weight, so a sum that stops there adds a sixth of a
+    panel, within its fitted tail."""
+    nodes = np.rint(_FP_EXACT * np.exp(_FP_LOG_STEP * np.arange(_FP_NODES + 1))).astype(np.int64)
+    weights = _simpson_weights(np.log(nodes)) * nodes
+    head = np.ones(_FP_EXACT + 1)
+    head[-3:] = [1.0 - 1.0 / 24.0, 1.0 + 1.0 / 6.0, 0.5 - 1.0 / 8.0 + weights[0]]
+    starts = np.r_[np.arange(_FP_EXACT + 1), np.arange(_FP_EXACT + 1, _FP_EXACT + _FP_NODES + 2, 2)]
+    blocks = np.split(np.arange(len(starts) - 1), range(_FP_EXACT + 1, len(starts) - 1, _FP_BLOCK // 2))
+    return np.r_[np.arange(_FP_EXACT), nodes], np.r_[head, weights[1:]], starts, blocks
 
 
 def _finite_part(gamma, theta, grid, atol=1e-7):
@@ -263,16 +275,11 @@ def _finite_part(gamma, theta, grid, atol=1e-7):
 
     The theta part decays with theta but is singular like x.^{-gamma} at
     small x. = lam(2n+1), so it is sampled geometrically in x.: shells
-    n < _FP_EXACT exactly, then the integer nodes n_j =
-    round(_FP_EXACT e^{j h}), h = _FP_LOG_STEP, shared by every lambda.
-    The nodes carry Simpson's weights in u = log n for the integral over
-    n >= _FP_EXACT, completed to the shell sum by the Euler-Maclaurin
-    start terms f(n0)/2 - f'(n0)/12, with f'(n0) from the shells n0 - 2,
-    n0 - 1, n0.  Nodes are evaluated in blocks (one theta call per
-    block); the sum ends at the first block whose power-law tail, fitted
-    to its last two nodes, is below ``atol``, and ``_FP_NODES`` caps j.
+    n < _FP_EXACT exactly, then integer nodes geometric in n, shared by
+    every lambda, with Simpson's weights in log n (:func:`_fp_table`), and
+    summed by :func:`_shell_sum` (one theta call per block).
 
-    The reported tail adds to that fitted tail the uncovered strip
+    The reported tail adds to the fitted tail the uncovered strip
     0 < |lam| < lambda_min, modelled with the square-root modulus of
     continuity: sum_n |D_n| (2n+1)^{-gamma} lambda_min^{2-gamma} /
     (5/2 - gamma), with D_n = theta(n, lambda_min) + theta(n, -lambda_min)
@@ -300,22 +307,14 @@ def _finite_part(gamma, theta, grid, atol=1e-7):
         part, edge = rows(np.arange(theta.box + 1)).sum(axis=1)
         tail = 0.0
     else:
-        # shells 0..n0 with the Euler-Maclaurin start weights on n0 - 2, n0 - 1, n0
-        head = np.ones(_FP_EXACT + 1)
-        head[-3:] = [1.0 - 1.0 / 24.0, 1.0 + 1.0 / 6.0, 0.5 - 1.0 / 8.0]
-        last = rows(np.arange(_FP_EXACT + 1))
-        part, edge = last @ head
-        last = last[:, -1]
-        tail = math.inf
-        for n, w in _log_node_blocks():
-            block = np.concatenate([last[:, None], rows(n[1:])], axis=1)
-            part += block[0] @ w
-            edge += block[1] @ w
-            last = block[:, -1]
-            sizes = np.abs(block[0, -2:])
-            tail = float(shell_tail(sizes[0], sizes[1], n[-1], prev_n=n[-2]))
-            if tail < atol:
-                break
+        nodes, weights, starts, blocks = _fp_table()
+
+        def terms(shells):
+            lo, hi = starts[shells[0]], starts[shells[-1] + 1]
+            part, edge = np.add.reduceat(rows(nodes[lo:hi]) * weights[lo:hi], starts[shells] - lo, axis=1)
+            return part[:, None], edge.real
+
+        part, tail, edge = _shell_sum(blocks, terms, atol)
     zeta = 2.0 ** (-gamma) * hurwitz_zeta(gamma, 0.5)
     origin = -2.0 * theta0 * zeta * (np.sum(coef) + grid.lambda_max ** (2.0 - gamma) / (gamma - 2.0))
     strip = (edge.real + 2.0 * abs(theta0) * zeta) * grid.lambda_min ** (2.0 - gamma) / (2.5 - gamma)
@@ -370,7 +369,8 @@ def pair(T, theta, grid=None, atol=1e-6):
             tail += abs(coeff) * res.tail_bound
         elif kind == "freq_identity_sum":
             # sum_n int theta(n, n, lam) |lam|^d dlam
-            v, t = _diagonal_band_sum(FreqFunction(theta, d=T.d, band=0, box=theta.box), grid, T.d, atol)
+            v, t = _diagonal_band_sum(FreqFunction(theta, d=T.d, band=0, box=theta.box,
+                                                        label=theta.label), grid, T.d, atol)
             value += coeff * v
             tail += abs(coeff) * t
         elif kind == "freq_dirac_origin":

@@ -270,6 +270,11 @@ def test_pair_command_at_d2(tmp_path, capsys):
     assert run("dirac-origin", "heat:1.0") == 0
     rec = json.loads(capsys.readouterr().out)
     assert (rec["value_re"], rec["value_im"], rec["tail_bound"]) == (1.0, 0.0, 0.0)
+    # <I, heat(1)> = pi^2 / 768 at d = 2, within the finite tail
+    assert run("identity", "heat:1.0") == 0
+    rec = json.loads(capsys.readouterr().out)
+    want = math.pi**2 / 768.0
+    assert abs(rec["value_re"] - want) <= min(rec["tail_bound"], 1e-3 * want)
     # the finite part is summed at d = 1 only, and refused above
     for theta in ("heat:1.0", "gauss_profile:1.0", "exp_floor:0.5"):
         assert run("finite-part:3.2", theta) == 1
@@ -285,8 +290,8 @@ def _strict_json(text):
 
 
 def test_pair_output_is_strict_json_at_d2(tmp_path, capsys):
-    # the d = 2 identity pairing has no finite tail estimate: it is written
-    # as null, in the printed record and in pairing.json alike
+    # the printed record and pairing.json are the same strict JSON at d = 2,
+    # where the identity pairing has a finite tail
     config = tmp_path / "d2.json"
     config.write_text(json.dumps({"d": 2}))
     assert main(["pair", "--distribution", "identity", "--theta", "heat:1.0",
@@ -294,7 +299,11 @@ def test_pair_output_is_strict_json_at_d2(tmp_path, capsys):
     printed = _strict_json(capsys.readouterr().out)
     written = _strict_json((tmp_path / "p" / "pairing.json").read_text())
     assert printed == written
-    assert printed["tail_bound"] is None and math.isfinite(printed["value_re"])
+    assert math.isfinite(printed["tail_bound"]) and math.isfinite(printed["value_re"])
+    # a tail without a finite estimate is written as null
+    record = {"tail_bound": math.inf, "value_re": 1.0, "nested": [math.nan, -math.inf]}
+    assert _strict_json(cli._json_text(record)) == {"tail_bound": None, "value_re": 1.0,
+                                                    "nested": [None, None]}
     with pytest.raises(ValueError):
         _strict_json('{"tail_bound": Infinity}')
 

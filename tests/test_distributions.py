@@ -93,12 +93,61 @@ def test_strided_band_sum_matches_the_full_index_box(name):
 
 
 def test_band_sum_at_d2_keeps_the_band():
-    # d > 1 sums every pair of its 24-box within theta's reach, not the diagonal alone
+    # d > 1 sums every pair within theta's band of each shell, not the
+    # diagonal alone; at |lam| >= 0.5 every stride is 1, so converged shell
+    # by shell it is integrate's sum over a box the profile has left
     th = profile_to_freq_function(profile_exp_floor(0.5, d=2))   # band 2
-    grid = LambdaGrid(0.05, 8.0, 24)
-    v, tail = distributions._diagonal_band_sum(th, grid, 2)
-    assert v == pytest.approx(integrate(_boxed(th, 24), grid).value, rel=1e-13)
+    grid = LambdaGrid(0.5, 8.0, 12)
+    v, _ = distributions._diagonal_band_sum(th, grid, 2, atol=1e-14)
+    want = integrate(_boxed(th, 60), grid).value
+    assert abs(v - want) <= 1e-13 * abs(want)
+    diagonal = FreqFunction(th, d=2, band=0, label=th.label)
+    assert v.real > 1.3 * distributions._diagonal_band_sum(diagonal, grid, 2, atol=1e-14)[0].real
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_identity_pairing_at_d2(t):
+    # <I, heat(t)> = sum_n int exp(-4t(2|n| + 2)|lam|) lam^2 dlam = pi^2 / (768 t^3)
+    res = pair(Distribution.single("freq_identity_sum", d=2), heat_profile(t, d=2), LambdaGrid())
+    want = math.pi**2 / (768.0 * t**3)
+    assert abs(res.value - want) <= res.tail_bound
+    assert abs(res.value - want) <= 1e-3 * want
+
+
+def test_band_sum_caps_the_samples_at_every_d():
+    # a constant theta never decays, so the d = 2 shells run to the cap,
+    # shells 0..140 (141^2 <= _BAND_CAP samples per lambda and pair), and
+    # shells that grow fit no finite tail
+    entries = []
+
+    def one(n, m, lam):
+        out = np.ones(np.broadcast_shapes(n.shape[:-1], m.shape[:-1], np.shape(lam)), dtype=complex)
+        entries.append(out.size)
+        return out
+
+    grid = LambdaGrid(0.5, 8.0, 4)
+    _, tail = distributions._diagonal_band_sum(FreqFunction(one, d=2, band=0), grid, 2)
     assert tail == math.inf
+    assert sum(entries) == 141**2 * len(grid.lam) and 142**2 > distributions._BAND_CAP
+
+
+@pytest.mark.parametrize("theta, d", [(heat_profile(1.0), 2), (heat_profile(1.0, d=2), 1)])
+def test_band_sum_refuses_a_d_other_than_thetas(theta, d):
+    with pytest.raises(ValueError, match=r"'heat\(t=1.0\)' has d = \d, not the band sum's d"):
+        distributions._diagonal_band_sum(theta, LambdaGrid(), d)
+
+
+def test_trace_functional_keeps_the_label(monkeypatch):
+    seen = []
+    band_sum = distributions._diagonal_band_sum
+
+    def spy(theta, grid, d, atol):
+        seen.append(theta.label)
+        return band_sum(theta, grid, d, atol)
+
+    monkeypatch.setattr(distributions, "_diagonal_band_sum", spy)
+    pair(Distribution.single("freq_identity_sum"), heat_profile(1.0), LambdaGrid(0.05, 8.0, 12))
+    assert seen == ["heat(t=1.0)"]
 
 
 def test_sums_at_d2_keep_the_declared_box():
